@@ -1,18 +1,21 @@
 """Automorphism enumeration and ring isomorphism testing.
 
-The engine backtracks over images of a greedy generating set.  Candidate
-images are restricted to elements with the same fingerprint, and every
-assignment is propagated through the operation tables (sums and products
-of mapped elements force further images), so a conflicting branch dies as
-early as possible.  Whole groups are assembled from a stabilizer chain of
-coset representatives, which keeps huge symmetric-type groups countable
-without enumerating them.
+A map is fixed by the images of the prime subring and of a greedy
+generating set.  The source ring's closure plan derives every element of
+S_i = <prime subring, g_1..g_i> from earlier ones, so the images on S_i are
+computed by replaying that recipe, for all candidate images of g_i at once:
+each recipe round is one gather on a matrix holding one candidate per row.
+Rows whose new images change an element's fingerprint are dropped after
+every round, and the survivors must pass `_certify`, a check against an
+additive generating set of S_i, before the search goes one level deeper.
+Whole groups are assembled from a stabilizer chain of coset
+representatives, which keeps huge symmetric-type groups countable without
+enumerating them.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 
 import numpy as np
 
@@ -22,7 +25,7 @@ from .errors import (
     NotComposable,
     SearchBudgetExceeded,
 )
-from .rings import FiniteRing, generating_set
+from .rings import FiniteRing, _closure_plan
 
 __all__ = [
     "DEFAULT_SEARCH_BUDGET",
@@ -66,7 +69,7 @@ class RingMorphism:
     @property
     def is_homomorphism(self) -> bool:
         if self._hom is None:
-            self._hom = _verify_hom(self.source, self.target, self.image)
+            self._hom = bool(_certify(self.source, self.target, self.image, injective=False)[0])
         return self._hom
 
     @property
@@ -102,155 +105,103 @@ def identity_automorphism(ring: FiniteRing) -> RingMorphism:
 
 
 def is_homomorphism(morphism: RingMorphism) -> bool:
-    """Full O(n^2) table check of both operations plus the identity."""
+    """Whether the map preserves 0, 1, sums and products (see `_certify`)."""
     return morphism.is_homomorphism
 
 
-def _verify_hom(source: FiniteRing, target: FiniteRing, image) -> bool:
-    img = np.asarray(image, dtype=np.int64)
-    if int(img[source.one]) != target.one:
-        return False
-    pair = target.add_table[img[:, None], img[None, :]]
-    if not np.array_equal(img[source.add_table], pair):
-        return False
-    pair = target.mul_table[img[:, None], img[None, :]]
-    return np.array_equal(img[source.mul_table], pair)
+def _certify(source: FiniteRing, target: FiniteRing, rows, level=-1, injective=True) -> np.ndarray:
+    """Which image rows are injective ring homomorphisms on S = S_level.
 
+    A row f passes when f(0) = 0, f(1) = 1, exactly one x in S has f(x) = 0,
+    and f(x+s) = f(x)+f(s) and f(x*s) = f(x)*f(s) for every x in S and every
+    s in the level's additive generating set A.  Entries outside S are not
+    read.  With injective=False the zero count is skipped.
 
-def _batch_verify(source: FiniteRing, target: FiniteRing, images: np.ndarray) -> np.ndarray:
-    """Vectorized homomorphism check over a batch of image rows."""
-    n = source.order
-    ok = images[:, source.one] == target.one
-    step = max(1, 4_000_000 // max(n * n, 1))
-    for lo in range(0, len(images), step):
-        hi = min(len(images), lo + step)
-        chunk = images[lo:hi]
-        for s_tab, t_tab in ((source.add_table, target.add_table), (source.mul_table, target.mul_table)):
-            lhs = chunk[:, s_tab]
-            rhs = t_tab[chunk[:, :, None], chunk[:, None, :]]
-            ok[lo:hi] &= (lhs == rhs).all(axis=(1, 2))
+    Soundness: every y in S is a sum s_1 + ... + s_m of elements of A,
+    since A generates the finite additive group S.  By induction on m,
+    f(x+y) = f((x + s_1+..+s_{m-1}) + s_m) = f(x + s_1+..+s_{m-1}) + f(s_m)
+    = f(x) + f(y), using that S is closed under + and f(0) = 0 for m = 0.
+    Then f(x*y) = f(sum x*s_j) = sum f(x*s_j) = f(x) * sum f(s_j)
+    = f(x)*f(y) by additivity and distributivity.  So f is a unital ring
+    homomorphism on S, and one zero means its kernel is trivial, so it is
+    injective.  The check costs O(|S| log |S|) per row, not O(|S|^2).
+    """
+    level = _closure_plan(source)[level]
+    dom, gens = level.elements, level.additive_gens
+    rows = np.atleast_2d(rows)
+    ok = (rows[:, source.zero] == target.zero) & (rows[:, source.one] == target.one)
+    if injective:
+        ok &= (rows[:, dom] == target.zero).sum(axis=1) == 1
+    pairs = tuple(zip(level.grids, (target.add_table, target.mul_table)))
+    step = max(1, 2_000_000 // max(dom.size * gens.size, 1))
+    for lo in range(0, len(rows), step):
+        chunk = rows[lo : lo + step]
+        x = chunk[:, dom][:, :, None]
+        s = chunk[:, gens][:, None, :]
+        for s_idx, t_tab in pairs:
+            ok[lo : lo + step] &= (chunk[:, s_idx] == t_tab[x, s]).all(axis=(1, 2))
     return ok
 
 
 # ---------------------------------------------------------------------------
-# the backtracking engine
+# the search engine
 
 
-class _Search:
-    __slots__ = ("sa", "sm", "ta", "tm", "img", "pre", "det", "ndet", "nodes", "budget")
+class _Engine:
+    """Extension of partial maps from one source ring into one target ring.
 
-    def __init__(self, source: FiniteRing, target: FiniteRing, budget: int):
-        self.sa = source.add_table
-        self.sm = source.mul_table
-        self.ta = target.add_table
-        self.tm = target.mul_table
-        self.img = np.full(source.order, -1, dtype=np.int64)
-        self.pre = np.full(target.order, -1, dtype=np.int64)
-        self.det = np.zeros(source.order, dtype=np.int64)
-        self.ndet = 0
-        self.nodes = 0
-        self.budget = budget
-
-    def assign(self, pairs) -> bool:
-        """Force the given image pairs and everything they imply.
-
-        Returns False on any table conflict or injectivity clash; the
-        caller rolls back with undo().  Raises once the node budget is
-        spent, so a too-large instance never yields a partial answer.
-        """
-        img, pre, det = self.img, self.pre, self.det
-        queue = deque(pairs)
-        while queue:
-            x, y = queue.popleft()
-            cur = img[x]
-            if cur >= 0:
-                if cur != y:
-                    return False
-                continue
-            if pre[y] >= 0:
-                return False
-            self.nodes += 1
-            if self.nodes > self.budget:
-                raise SearchBudgetExceeded(
-                    f"search exceeded {self.budget} nodes; raise the budget to continue"
-                )
-            img[x] = y
-            pre[y] = x
-            det[self.ndet] = x
-            self.ndet += 1
-            d = det[: self.ndet]
-            imd = img[d]
-            for s_tab, t_tab in ((self.sa, self.ta), (self.sm, self.tm)):
-                s = s_tab[x, d]
-                t = t_tab[y, imd]
-                si = img[s]
-                known = si >= 0
-                if known.any() and (si[known] != t[known]).any():
-                    return False
-                unknown = ~known
-                if unknown.any():
-                    queue.extend(zip(s[unknown].tolist(), t[unknown].tolist()))
-        return True
-
-    def mark(self) -> int:
-        return self.ndet
-
-    def undo(self, mark: int):
-        img, pre, det = self.img, self.pre, self.det
-        for i in range(self.ndet - 1, mark - 1, -1):
-            x = det[i]
-            pre[img[x]] = -1
-            img[x] = -1
-        self.ndet = mark
-
-
-def _search_maps(source, target, *, seeds=(), limit=None, budget=None):
-    """All (or the first `limit`) isomorphism images extending the seeds.
-
-    The prime subring is forced first; generator images are then tried in
-    ascending carrier order within the matching fingerprint class of the
-    target.  Every returned image array is a verified bijective
-    homomorphism.
+    `nodes` counts element images fixed: each candidate image of a
+    generator, and each image a recipe round derives on a row that keeps
+    its fingerprints.  A level that takes it past the budget raises, so a
+    too-large instance never yields a partial answer.  Callers reset
+    `nodes` to scope the budget.
     """
-    budget = DEFAULT_SEARCH_BUDGET if budget is None else budget
-    if source.order != target.order or source.characteristic != target.characteristic:
-        return []
-    search = _Search(source, target, budget)
-    ps = source.prime_subring
-    pt = target.prime_subring
-    pairs = list(zip(ps, pt)) + [(int(x), int(y)) for x, y in seeds]
-    if not search.assign(pairs):
-        return []
-    gens = generating_set(source)
-    fps = source.fingerprints
-    classes = target.fingerprint_classes
-    out: list[np.ndarray] = []
 
-    def rec(i: int):
-        if limit is not None and len(out) >= limit:
-            return
-        if i == len(gens):
-            out.append(search.img.copy())
-            return
-        g = gens[i]
-        if search.img[g] >= 0:
-            rec(i + 1)
-            return
-        for y in classes.get(fps[g], ()):
-            if limit is not None and len(out) >= limit:
-                return
-            m = search.mark()
-            if search.assign([(g, int(y))]):
-                rec(i + 1)
-            search.undo(m)
+    def __init__(self, source: FiniteRing, target: FiniteRing, budget=None):
+        self.source = source
+        self.target = target
+        self.plan = _closure_plan(source)
+        self.budget = DEFAULT_SEARCH_BUDGET if budget is None else budget
+        self.nodes = 0
+        ids: dict = {}
+        self.sfp = np.array([ids.setdefault(fp, len(ids)) for fp in source.fingerprints])
+        self.tfp = np.array([ids.setdefault(fp, len(ids)) for fp in target.fingerprints])
 
-    rec(0)
-    if out:
-        stack = np.stack(out)
-        ok = _batch_verify(source, target, stack)
-        if not ok.all():  # pragma: no cover - propagation guarantees this
-            raise RuntimeError("internal error: search produced a non-homomorphism")
-    return out
+    def expand(self, row: np.ndarray, i: int) -> np.ndarray:
+        """Every certified extension to S_i of a row certified on S_{i-1}.
+
+        Rows come out in ascending order of the image of g_i.
+        """
+        level = self.plan[i]
+        cands = np.flatnonzero(self.tfp == self.sfp[level.gen])
+        used = np.zeros(self.target.order, dtype=bool)
+        used[row[self.plan[i - 1].elements]] = True
+        cands = cands[~used[cands]]
+        rows = np.repeat(row[None, :], len(cands), axis=0)
+        rows[:, level.gen] = cands
+        nodes = len(rows)
+        for rnd in level.rounds:
+            for (c, a, b), table in zip(rnd, (self.target.add_table, self.target.mul_table)):
+                rows[:, c] = table[rows[:, a], rows[:, b]]
+            new = np.concatenate([rnd[0][0], rnd[1][0]])
+            rows = rows[(self.tfp[rows[:, new]] == self.sfp[new]).all(axis=1)]
+            nodes += len(rows) * len(new)
+        self.nodes += nodes
+        if self.nodes > self.budget:
+            raise SearchBudgetExceeded(
+                f"search exceeded {self.budget} nodes; raise the budget to continue"
+            )
+        return rows[_certify(self.source, self.target, rows, i)]
+
+    def first(self, row: np.ndarray, i: int) -> np.ndarray | None:
+        """The first full map, depth first, extending a row certified on S_i."""
+        if i + 1 == len(self.plan):
+            return row
+        for nxt in self.expand(row, i + 1):
+            found = self.first(nxt, i + 1)
+            if found is not None:
+                return found
+        return None
 
 
 # ---------------------------------------------------------------------------
@@ -372,35 +323,36 @@ def _stabilizer_chain(ring: FiniteRing, budget=None):
 
     Level i holds, for each reachable image y of generator g_i, one
     automorphism fixing g_1..g_{i-1} and sending g_i to y.  The level
-    sizes multiply to |Aut R| and the representatives generate it.
+    sizes multiply to |Aut R| and the representatives generate it.  One
+    engine serves every level and candidate; the budget applies to each
+    level's batch and to each candidate's completion separately.
     """
     cached = ring._aut_cache.get("chain")
     if cached is not None:
         return cached
-    gens = generating_set(ring)
-    fps = ring.fingerprints
-    classes = ring.fingerprint_classes
+    engine = _Engine(ring, ring, budget)
+    plan = engine.plan
     chain = []
-    seeds: list[tuple[int, int]] = []
-    for g in gens:
+    for i in range(1, len(plan)):
+        fixed = plan[i - 1].elements
+        row = np.full(ring.order, -1, dtype=np.int64)
+        row[fixed] = fixed
+        engine.nodes = 0
         level = []
-        for y in classes[fps[g]]:
-            found = _search_maps(ring, ring, seeds=seeds + [(g, int(y))], limit=1, budget=budget)
-            if found:
-                level.append((int(y), found[0]))
-        assert any(y == g for y, _ in level)
+        for cand in engine.expand(row, i):
+            engine.nodes = 0
+            found = engine.first(cand, i)
+            if found is not None:
+                level.append((int(cand[plan[i].gen]), found))
+        assert any(y == plan[i].gen for y, _ in level)
         chain.append(level)
-        seeds.append((g, g))
     ring._aut_cache["chain"] = chain
     return chain
 
 
 def aut_group_order(ring: FiniteRing, budget=None) -> int:
     """|Aut R| from the stabilizer chain, without enumerating the group."""
-    order = 1
-    for level in _stabilizer_chain(ring, budget):
-        order *= len(level)
-    return order
+    return math.prod(len(level) for level in _stabilizer_chain(ring, budget))
 
 
 def automorphisms(ring: FiniteRing, budget=None) -> AutGroup:
@@ -410,9 +362,7 @@ def automorphisms(ring: FiniteRing, budget=None) -> AutGroup:
         return cached
     eff_budget = DEFAULT_SEARCH_BUDGET if budget is None else budget
     chain = _stabilizer_chain(ring, budget)
-    total = 1
-    for level in chain:
-        total *= len(level)
+    total = math.prod(len(level) for level in chain)
     if total * ring.order > eff_budget:
         raise SearchBudgetExceeded(
             f"|Aut R| = {total} is too large to enumerate within budget {eff_budget}"
@@ -421,8 +371,7 @@ def automorphisms(ring: FiniteRing, budget=None) -> AutGroup:
     for level in chain:
         images = [acc[rep] for acc in images for _, rep in level]
     stack = np.stack(images)
-    ok = _batch_verify(ring, ring, stack)
-    if not ok.all():  # pragma: no cover - closure of verified maps
+    if not _certify(ring, ring, stack).all():  # pragma: no cover - closure of verified maps
         raise RuntimeError("internal error: transversal product is not an automorphism")
     group = AutGroup(ring, stack)
     gen_arrays = [rep for level in chain for _, rep in level]
@@ -459,10 +408,11 @@ def isomorphism(source: FiniteRing, target: FiniteRing, budget=None) -> RingMorp
         return None
     if sorted(source.fingerprints) != sorted(target.fingerprints):
         return None
-    found = _search_maps(source, target, limit=1, budget=budget)
-    if not found:
-        return None
-    return RingMorphism(source, target, found[0])
+    # k*1 -> k*1 embeds the prime subring, S_0, when the characteristics agree
+    row = np.full(source.order, -1, dtype=np.int64)
+    row[list(source.prime_subring)] = target.prime_subring
+    found = _Engine(source, target, budget).first(row, 0)
+    return None if found is None else RingMorphism(source, target, found)
 
 
 def compose(f: RingMorphism, g: RingMorphism) -> RingMorphism:

@@ -408,6 +408,8 @@ def _run_verifications(theorem: str, max_order: int, budget):
 
 def _cmd_verify(args, out):
     _, budget = _resolve_limits(args)
+    if args.max_order < 2:
+        raise SemanticError(f"--max-order must be at least 2, got {args.max_order}")
     reports = _run_verifications(args.theorem, args.max_order, budget)
     if args.json:
         out.write(emit_json([r.as_dict() for r in reports]).decode())

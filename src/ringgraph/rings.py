@@ -126,14 +126,7 @@ class FiniteRing:
 
     @property
     def characteristic(self) -> int:
-        def build():
-            k, x = 1, self.one
-            while x != self.zero:
-                x = int(self.add_table[x, self.one])
-                k += 1
-            return k
-
-        return self._get("characteristic", build)
+        return len(self.prime_subring)
 
     @property
     def prime_subring(self) -> tuple[int, ...]:
@@ -175,16 +168,6 @@ class FiniteRing:
     @property
     def fingerprints(self) -> tuple[tuple[int, ...], ...]:
         return self._get("fingerprints", lambda: _fingerprints(self))
-
-    @property
-    def fingerprint_classes(self) -> dict[tuple[int, ...], tuple[int, ...]]:
-        def build():
-            classes: dict[tuple[int, ...], list[int]] = {}
-            for x, fp in enumerate(self.fingerprints):
-                classes.setdefault(fp, []).append(x)
-            return {fp: tuple(xs) for fp, xs in classes.items()}
-
-        return self._get("fingerprint_classes", build)
 
     def table_digest(self) -> str:
         """Stable hash of the operation tables, used for deterministic tie-breaks."""
@@ -555,18 +538,93 @@ def element_fingerprint(ring: FiniteRing, x: int) -> tuple[int, ...]:
     return ring.fingerprints[ring._check(x)]
 
 
-def _closure_mask(ring: FiniteRing, mask: np.ndarray) -> np.ndarray:
-    mask = mask.copy()
-    while True:
-        idx = np.flatnonzero(mask)
-        sums = ring.add_table[np.ix_(idx, idx)]
-        prods = ring.mul_table[np.ix_(idx, idx)]
-        new = mask.copy()
-        new[sums.ravel()] = True
-        new[prods.ravel()] = True
-        if (new == mask).all():
-            return mask
-        mask = new
+@dataclass(frozen=True)
+class _ClosureLevel:
+    """One step S_i = <S_{i-1}, gen> of the greedy closure over the prime subring.
+
+    Each of the `rounds` derives elements new at this level from known ones:
+    a pair of (c, a, b) index triples, c = a + b then c = a * b.  `elements`
+    is S_i; `additive_gens`, a set A_i of at most log2 |S_i| elements that
+    generates S_i additively, extends A_{i-1}; `grids` holds the sum and
+    product tables on S_i x A_i.
+    """
+
+    gen: int | None
+    rounds: tuple
+    elements: np.ndarray
+    additive_gens: np.ndarray
+    grids: tuple
+
+
+def _close(ring: FiniteRing, known: np.ndarray, frontier: np.ndarray) -> tuple:
+    """Close `known` (updated in place) under + and *, starting from `frontier`.
+
+    Each round pairs only the last round's new elements with all known ones;
+    the tables are commutative, so every other pair was formed before.
+    """
+    rounds = []
+    while frontier.size:
+        have = np.flatnonzero(known)
+        rnd = []
+        for table in (ring.add_table, ring.mul_table):
+            c = table[np.ix_(frontier, have)].ravel()
+            pos = np.flatnonzero(~known[c])
+            c, first = np.unique(c[pos], return_index=True)
+            known[c] = True
+            pos = pos[first]
+            rnd.append((c.astype(np.int64), frontier[pos // have.size], have[pos % have.size]))
+        frontier = np.concatenate([rnd[0][0], rnd[1][0]])
+        if frontier.size:
+            rounds.append(tuple(rnd))
+    return tuple(rounds)
+
+
+def _closure_plan(ring: FiniteRing) -> tuple[_ClosureLevel, ...]:
+    """The greedy generator chain of the ring with a recipe for each level.
+
+    Level 0 is the prime subring, which is closed; level i adds the
+    lowest-index element outside S_{i-1} and closes.  Replaying the rounds
+    of levels 1..i on images of the prime subring and the generators gives
+    the image of every element of S_i.
+    """
+
+    def build():
+        known = np.zeros(ring.order, dtype=bool)
+        span = known.copy()  # additive span of add_gens
+        span[ring.zero] = True
+        add_gens: list[int] = []
+        levels = []
+        gen, rounds = None, ()
+        new = np.array(ring.prime_subring, dtype=np.int64)
+        known[new] = True
+        while True:
+            # each element taken at least doubles the span, a subgroup, so
+            # at most log2 |S_i| are taken
+            for x in new:
+                if span[x]:
+                    continue
+                base = np.flatnonzero(span)
+                cosets = []
+                k = int(x)
+                while not span[k]:
+                    cosets.append(ring.add_table[base, k])
+                    k = int(ring.add_table[k, x])
+                span[np.concatenate(cosets)] = True
+                add_gens.append(int(x))
+            elements = np.flatnonzero(known)
+            grid = np.ix_(elements, add_gens)
+            grids = (ring.add_table[grid], ring.mul_table[grid])
+            levels.append(
+                _ClosureLevel(gen, rounds, elements, np.array(add_gens, dtype=np.int64), grids)
+            )
+            if len(elements) == ring.order:
+                return tuple(levels)
+            gen = int(np.argmin(known))
+            known[gen] = True
+            rounds = _close(ring, known, np.array([gen]))
+            new = np.concatenate([[gen]] + [c for rnd in rounds for c, _, _ in rnd])
+
+    return ring._get("closure_plan", build)
 
 
 def generating_set(ring: FiniteRing) -> tuple[int, ...]:
@@ -575,20 +633,7 @@ def generating_set(ring: FiniteRing) -> tuple[int, ...]:
     Each generator is the lowest-index element outside the closure so far;
     the empty tuple means the ring equals its prime subring.
     """
-
-    def build():
-        mask = np.zeros(ring.order, dtype=bool)
-        mask[list(ring.prime_subring)] = True
-        mask = _closure_mask(ring, mask)
-        gens = []
-        while not mask.all():
-            g = int(np.flatnonzero(~mask)[0])
-            gens.append(g)
-            mask[g] = True
-            mask = _closure_mask(ring, mask)
-        return tuple(gens)
-
-    return ring._get("generating_set", build)
+    return tuple(level.gen for level in _closure_plan(ring)[1:])
 
 
 def decompose_local(ring: FiniteRing):
@@ -598,10 +643,11 @@ def decompose_local(ring: FiniteRing):
     order then table digest, and iso maps the ring onto their product.
     The order-1 ring is returned unchanged as its own single factor.
     """
+    from .autsearch import RingMorphism, identity_automorphism
 
+    # the cache must not refer back to the ring, or every ring that was
+    # decomposed lives until the cyclic collector runs
     def build():
-        from .autsearch import RingMorphism, identity_automorphism
-
         idem = sorted(idempotents(ring))
         nontrivial = [e for e in idem if e != ring.zero]
         prims = [
@@ -610,7 +656,7 @@ def decompose_local(ring: FiniteRing):
             if not any(f != e and ring.mul(e, f) == f for f in nontrivial)
         ]
         if len(prims) <= 1:
-            return [ring], identity_automorphism(ring)
+            return None
         pieces = []
         for e in prims:
             carrier = np.unique(ring.mul_table[:, e])
@@ -630,19 +676,17 @@ def decompose_local(ring: FiniteRing):
             pieces.append((piece, e, inv))
         pieces.sort(key=lambda t: (t[0].order, t[0].table_digest()))
         factors = [p[0] for p in pieces]
-        target = product_ring(factors)
-        place = np.empty(len(factors), dtype=np.int64)
-        acc = 1
-        for i in range(len(factors) - 1, -1, -1):
-            place[i] = acc
-            acc *= factors[i].order
-        image = np.zeros(ring.order, dtype=np.int64)
-        for i, (_, e, inv) in enumerate(pieces):
-            image += inv[ring.mul_table[:, e]] * place[i]
-        iso = RingMorphism(ring, target, image)
-        return factors, iso
+        # product_ring's big-endian mixed radix is C order
+        image = np.ravel_multi_index(
+            tuple(inv[ring.mul_table[:, e]] for _, e, inv in pieces), [f.order for f in factors]
+        )
+        return factors, product_ring(factors), image
 
-    return ring._get("decompose_local", build)
+    split = ring._get("decompose_local", build)
+    if split is None:
+        return [ring], identity_automorphism(ring)
+    factors, target, image = split
+    return factors, RingMorphism(ring, target, image)
 
 
 def residue_degree(ring: FiniteRing) -> int | None:

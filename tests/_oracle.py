@@ -6,7 +6,9 @@ recipe that derives each carrier element once from the prime subring and
 the generators.  Candidate maps are produced for EVERY assignment of
 generator images into matching statistic classes (no conflict pruning,
 no backtracking), extended by replaying the recipe, and filtered by a
-full homomorphism-plus-bijectivity check at the end.
+full homomorphism-plus-bijectivity check at the end.  That table check,
+`table_homomorphism`, is also the reference the engine's certificate is
+tested against.
 """
 
 from itertools import product
@@ -155,14 +157,23 @@ def oracle_automorphism_images(ring):
     if not candidates:
         return set()
     imgs = np.array(candidates, dtype=np.int64)
-    ok = imgs[:, ring.one] == ring.one
+    ok = table_homomorphism(ring, ring, imgs)
     ok &= (np.sort(imgs, axis=1) == np.arange(n)).all(axis=1)
+    return {tuple(map(int, row)) for row in imgs[ok]}
+
+
+def table_homomorphism(source, target, images):
+    """Full O(n^2) check of each image row: f(1) = 1 and f(a op b) = f(a) op f(b)
+    for every pair (a, b) and both operations.  Returns one bool per row."""
+    imgs = np.atleast_2d(np.asarray(images, dtype=np.int64))
+    n = source.order
+    ok = imgs[:, source.one] == target.one
     step = max(1, 2_000_000 // max(n * n, 1))
     for lo in range(0, len(imgs), step):
         hi = min(len(imgs), lo + step)
         chunk = imgs[lo:hi]
-        for tab in (add, mul):
-            lhs = chunk[:, tab]
-            rhs = np.asarray(tab, dtype=np.int64)[chunk[:, :, None], chunk[:, None, :]]
+        for s_tab, t_tab in ((source.add_table, target.add_table), (source.mul_table, target.mul_table)):
+            lhs = chunk[:, s_tab]
+            rhs = np.asarray(t_tab, dtype=np.int64)[chunk[:, :, None], chunk[:, None, :]]
             ok[lo:hi] &= (lhs == rhs).all(axis=(1, 2))
-    return {tuple(map(int, row)) for row in imgs[ok]}
+    return ok

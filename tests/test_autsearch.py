@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import ringgraph as rg
-from _oracle import naive_generating_set, oracle_automorphism_images
+from _oracle import naive_generating_set, oracle_automorphism_images, table_homomorphism
+from ringgraph.autsearch import _certify, _stabilizer_chain
 
 
 def fresh_copy(ring):
@@ -291,3 +292,36 @@ def test_odd_dual_number_aut_is_unit_count():
     for n in (3, 5, 7, 9, 11, 15, 21, 25, 27):
         ring = rg.make_ring(rg.PolyQuot(n, (0, 0, 1)))
         assert rg.aut_group_order(ring) == rg.euler_phi(n), n
+
+
+def test_deep_chain_on_relabelled_square_zero_ring():
+    ring, _ = shuffled_copy(rg.make_ring(rg.SquareZero(rg.gf(4), 3)), np.random.default_rng(29))
+    assert len(rg.generating_set(ring)) == 5
+    # |GL(3,4)| times the Frobenius of GF(4)
+    assert rg.aut_group_order(ring) == 362880
+
+
+def test_certificate_agrees_with_full_table_check():
+    rng = np.random.default_rng(11)
+    for entry in rg.build_catalog(128).entries:
+        ring = entry.ring
+        n = ring.order
+        maps = [np.arange(n)] + [rep for level in _stabilizer_chain(ring) for _, rep in level]
+        perturbed = []
+        for image in maps:
+            if n > 1:
+                swapped = image.copy()
+                i, j = rng.choice(n, size=2, replace=False)
+                swapped[[i, j]] = swapped[[j, i]]
+                perturbed.append(swapped)
+        rest = np.setdiff1d(np.arange(n), [ring.zero, ring.one])
+        for _ in range(3):
+            shuffled = np.arange(n)
+            shuffled[rest] = rng.permutation(rest)
+            perturbed.append(shuffled)
+        rows = np.stack(maps + perturbed)
+        expected = table_homomorphism(ring, ring, rows)
+        assert expected[: len(maps)].all(), str(entry.expr)
+        assert np.array_equal(_certify(ring, ring, rows), expected), str(entry.expr)
+        assert np.array_equal(_certify(ring, ring, rows, injective=False), expected)
+        assert rg.RingMorphism(ring, ring, rows[-1]).is_homomorphism == expected[-1]

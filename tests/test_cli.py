@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -240,6 +243,25 @@ def test_cmd_verify_all_small(capsys):
     assert main(["verify", "all", "--max-order", "8"]) == 0
     out = capsys.readouterr().out
     assert out.count("PASS") == 7 and "FAIL" not in out
+
+
+def test_cmd_verify_rejects_empty_universe(capsys):
+    assert main(["verify", "trivial-aut", "--max-order", "1"]) == 2
+    assert main(["verify", "all", "--max-order", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--max-order" in captured.err
+
+
+def test_python_m_ringgraph_runs_cleanly():
+    src = os.path.dirname(os.path.dirname(rg.__file__))
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    proc = subprocess.run(
+        [sys.executable, "-m", "ringgraph", "info", "Z4"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert json.loads(proc.stdout)["order"] == 4
 
 
 def test_cmd_verify_exit_1_on_counterexample(capsys, monkeypatch):

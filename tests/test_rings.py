@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -108,6 +110,22 @@ def test_decompose_local_ring_is_identity():
     factors, iso = rg.decompose_local(r)
     assert factors == [r]
     assert np.array_equal(iso.image, np.arange(8))
+
+
+def test_decompose_local_leaves_no_reference_cycle():
+    gc.disable()
+    try:
+        for expr in (rg.Zn(8), rg.Prod((rg.gf(4), rg.Zn(9)))):
+            base = rg.make_ring(expr)
+            ring = rg.FiniteRing(
+                base.add_table, base.mul_table, base.zero, base.one, None, base.element_names
+            )
+            factors, iso = rg.decompose_local(ring)
+            alive = weakref.ref(ring)
+            del ring, factors, iso
+            assert alive() is None, str(expr)
+    finally:
+        gc.enable()
 
 
 def test_decompose_product():
