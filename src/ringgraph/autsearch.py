@@ -357,9 +357,12 @@ def aut_group_order(ring: FiniteRing, budget=None) -> int:
 
 def automorphisms(ring: FiniteRing, budget=None) -> AutGroup:
     """The full automorphism group as an explicit, verified element list."""
+    # the cache holds arrays only: an AutGroup refers to the ring, and a
+    # cached one would keep every ring that was enumerated alive until the
+    # cyclic collector runs
     cached = ring._aut_cache.get("group")
     if cached is not None:
-        return cached
+        return AutGroup(ring, *cached)
     eff_budget = DEFAULT_SEARCH_BUDGET if budget is None else budget
     chain = _stabilizer_chain(ring, budget)
     total = math.prod(len(level) for level in chain)
@@ -377,7 +380,7 @@ def automorphisms(ring: FiniteRing, budget=None) -> AutGroup:
     gen_arrays = [rep for level in chain for _, rep in level]
     if gen_arrays:
         group._gen_rows = sorted({group._index[np.ascontiguousarray(g).tobytes()] for g in gen_arrays})
-    ring._aut_cache["group"] = group
+    ring._aut_cache["group"] = (group._images, group._gen_rows)
     return group
 
 

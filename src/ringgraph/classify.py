@@ -361,23 +361,17 @@ _DEFAULT_FIELD_ORDERS = (4, 8, 9, 16, 25, 27, 64)
 _DEFAULT_PRODUCT_PAIRS = (
     (Zn(4), Zn(9)),
     (Zn(4), PolyQuot(3, (0, 0, 1))),
-    ("gf4", Zn(5)),
-    ("gf4", PolyQuot(5, (0, 0, 1))),
+    (gf(4), Zn(5)),
+    (gf(4), PolyQuot(5, (0, 0, 1))),
     (Zn(8), Zn(9)),
     (PolyQuot(2, (0, 0, 0, 1)), Zn(3)),
     (SquareZero(Zn(2), 2), Zn(3)),
-    ("gf9", "gf4"),
-    (Zn(25), "gf4"),
-    (PolyQuot(5, (0, 0, 1)), "gf25"),
+    (gf(9), gf(4)),
+    (Zn(25), gf(4)),
+    (PolyQuot(5, (0, 0, 1)), gf(25)),
     (Zn(9), SquareZero(Zn(2), 2)),
-    ("gf8", Zn(9)),
+    (gf(8), Zn(9)),
 )
-
-
-def _resolve_pair_expr(e):
-    if isinstance(e, str) and e.startswith("gf"):
-        return gf(int(e[2:]))
-    return e
 
 
 def verify_type_formulas(
@@ -427,7 +421,6 @@ def verify_type_formulas(
         if t != want:
             cex.append((expr, f"type {t}, expected {want}"))
     for ea, eb in product_pairs:
-        ea, eb = _resolve_pair_expr(ea), _resolve_pair_expr(eb)
         checked += 1
         ra, rb = make_ring(ea), make_ring(eb)
         if isomorphism(ra, rb, budget=budget) is not None:

@@ -87,9 +87,10 @@ def _tokenize(text: str) -> list[_Token]:
 
 
 class _Parser:
-    def __init__(self, text: str):
+    def __init__(self, text: str, max_order: int | None = None):
         self.tokens = _tokenize(text)
         self.i = 0
+        self.max_order = max_order
 
     def peek(self) -> _Token:
         return self.tokens[self.i]
@@ -243,6 +244,10 @@ class _Parser:
                 modulus.append(self.expect_int("coefficient"))
             self.expect("]", "']'")
         self.expect(")", "')'")
+        # factorizing q and searching for a modulus both grow with q, so a
+        # field above the cap is refused before either runs
+        if self.max_order is not None and q > self.max_order:
+            raise OrderLimitExceeded(f"field order {q} exceeds cap {self.max_order}")
         if prime_power(q) is None:
             raise SemanticError(f"{q} is not a prime power", column)
         return self._semantic(lambda: gf(q, modulus), column)
@@ -258,9 +263,13 @@ class _Parser:
         return self._semantic(lambda: SquareZero(base, m), column)
 
 
-def parse_ring_expr(text: str) -> RingExpr:
-    """Parse the ring-expression grammar; ParseError / SemanticError on failure."""
-    return _Parser(text).parse()
+def parse_ring_expr(text: str, max_order: int | None = None) -> RingExpr:
+    """Parse the ring-expression grammar; ParseError / SemanticError on failure.
+
+    With `max_order`, a GF(q) with q above it raises OrderLimitExceeded
+    before q is factorized.
+    """
+    return _Parser(text, max_order).parse()
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +343,7 @@ def _resolve_limits(args):
 
 def _cmd_info(args, out):
     max_order, budget = _resolve_limits(args)
-    expr = parse_ring_expr(args.expr)
+    expr = parse_ring_expr(args.expr, max_order)
     ring = make_ring(expr, max_order=max_order)
     out.write(emit_json(ring_summary(expr, ring, budget=budget)).decode())
     return 0
@@ -342,7 +351,7 @@ def _cmd_info(args, out):
 
 def _cmd_type(args, out):
     max_order, budget = _resolve_limits(args)
-    expr = parse_ring_expr(args.expr)
+    expr = parse_ring_expr(args.expr, max_order)
     ring = make_ring(expr, max_order=max_order)
     out.write(f"{aut_orbit_graph(ring, budget=budget).graph_type()}\n")
     return 0
@@ -353,7 +362,7 @@ _AUT_LISTING_LIMIT = 1000
 
 def _cmd_aut(args, out):
     max_order, budget = _resolve_limits(args)
-    expr = parse_ring_expr(args.expr)
+    expr = parse_ring_expr(args.expr, max_order)
     ring = make_ring(expr, max_order=max_order)
     order = aut_group_order(ring, budget=budget)
     out.write(f"ring: {expr}\n")
@@ -376,7 +385,7 @@ def _cmd_aut(args, out):
 
 def _cmd_graph(args, out):
     max_order, budget = _resolve_limits(args)
-    expr = parse_ring_expr(args.expr)
+    expr = parse_ring_expr(args.expr, max_order)
     ring = make_ring(expr, max_order=max_order)
     if args.format == "json":
         out.write(emit_json(ring_summary(expr, ring, budget=budget)).decode())

@@ -74,15 +74,6 @@ def _poly_trim(a):
     return a
 
 
-def _poly_mul(a, b, p):
-    out = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _poly_trim(out)
-
-
 def _poly_mod(a, f, p):
     # f monic; returns a mod f
     a = list(a)

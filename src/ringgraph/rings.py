@@ -4,15 +4,25 @@ A ring of order n lives on the carrier 0..n-1 with two n-by-n lookup
 tables.  Tables are built once from a RingExpr and are immutable; every
 structural question (units, nilpotents, local structure, idempotents,
 annihilators, ...) reduces to an exhaustive finite scan of the tables.
+
+Construction works on whole tables.  An additive group B^d, and any
+direct product, is a mixed-radix fold of the factors' tables.  Z_n[x]/(f),
+GF(p^e) = Z_p[x]/(f) and square-zero extensions encode an element by its
+little-endian digit vector over the base, and their multiplication table
+is filled one digit position at a time: multiplying by x is additive in
+x, so a row is the sum of a known row and the row of a single digit.
+Element names are only for display and are built on first use.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import IndexOutOfRange, InvalidModulus, NotLocal, OrderLimitExceeded
 from .expr import (
@@ -22,8 +32,6 @@ from .expr import (
     RingExpr,
     SquareZero,
     Zn,
-    _poly_mod,
-    _poly_mul,
     expr_order,
     factorize,
     format_poly,
@@ -54,6 +62,11 @@ def _table_dtype(n: int):
     return np.int16 if n < 2**15 else np.int32
 
 
+def _materialise(names) -> tuple[str, ...]:
+    """The names a name source stands for: a tuple, or a callable returning them."""
+    return tuple(names()) if callable(names) else names
+
+
 class FiniteRing:
     """Table-backed finite commutative ring with identity.
 
@@ -63,6 +76,8 @@ class FiniteRing:
     """
 
     def __init__(self, add_table, mul_table, zero, one, presentation, element_names):
+        """`element_names` is a sequence, or a zero-argument callable that
+        returns one; a callable runs on the first read of `element_names`."""
         add_table = np.ascontiguousarray(add_table)
         mul_table = np.ascontiguousarray(mul_table)
         n = add_table.shape[0]
@@ -76,7 +91,7 @@ class FiniteRing:
         self.zero = int(zero)
         self.one = int(one)
         self.presentation = presentation
-        self.element_names = tuple(element_names)
+        self._names = element_names if callable(element_names) else tuple(element_names)
         self._aut_cache: dict = {}
         self._derived: dict = {}
 
@@ -109,6 +124,11 @@ class FiniteRing:
             base = int(self.mul_table[base, base])
             k >>= 1
         return out
+
+    @property
+    def element_names(self) -> tuple[str, ...]:
+        self._names = _materialise(self._names)
+        return self._names
 
     def name(self, x: int) -> str:
         return self.element_names[self._check(x)]
@@ -200,7 +220,9 @@ def make_ring(expr: RingExpr, max_order: int | None = None) -> FiniteRing:
     cap = DEFAULT_MAX_ORDER if max_order is None else max_order
     n = expr_order(expr)
     if n > cap:
-        raise OrderLimitExceeded(f"ring order {n} exceeds cap {cap}")
+        # str() of an int above 4300 digits raises ValueError
+        shown = n if n.bit_length() <= 64 else f"of {n.bit_length()} bits"
+        raise OrderLimitExceeded(f"ring order {shown} exceeds cap {cap}")
     return _build_ring(expr)
 
 
@@ -209,9 +231,13 @@ def _build_ring(expr: RingExpr) -> FiniteRing:
     if isinstance(expr, Zn):
         return _make_zn(expr)
     if isinstance(expr, GF):
-        return _make_gf(expr)
+        if not poly_is_irreducible(list(expr.modulus), expr.p):
+            raise InvalidModulus(
+                f"modulus {format_poly(expr.modulus)} is reducible over Z_{expr.p}"
+            )
+        return _make_polyquot(expr.p, expr.modulus, expr)
     if isinstance(expr, PolyQuot):
-        return _make_polyquot(expr)
+        return _make_polyquot(expr.n, expr.modulus, expr)
     if isinstance(expr, SquareZero):
         return _make_squarezero(expr)
     if isinstance(expr, Prod):
@@ -222,12 +248,31 @@ def _build_ring(expr: RingExpr) -> FiniteRing:
 
 def _make_zn(expr: Zn) -> FiniteRing:
     n = expr.n
-    idx = np.arange(n, dtype=np.int64)
+    add, mul = _cyclic_tables(n)
+    return FiniteRing(add, mul, 0, 1 % n, expr, lambda: [str(i) for i in range(n)])
+
+
+def _cyclic_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Add and mul tables of Z_n, computed in the table dtype.
+
+    Row a of the add table is 0..n-1 rotated left by a.  Multiplying by a
+    is additive in a, so mul rows [lo, 2lo) are rows [0, lo) plus the row
+    of lo, for lo = 1, 2, 4, ...
+    """
     dt = _table_dtype(n)
-    add = ((idx[:, None] + idx[None, :]) % n).astype(dt)
-    mul = ((idx[:, None] * idx[None, :]) % n).astype(dt)
-    one = 1 % n
-    return FiniteRing(add, mul, 0, one, expr, [str(i) for i in range(n)])
+    idx = np.arange(n, dtype=dt)
+    add = sliding_window_view(np.concatenate([idx, idx]), n)[:n].copy()
+    mul = np.empty_like(add)
+    mul[0] = 0
+    lo = 1
+    while lo < n:
+        block = mul[lo : 2 * lo]
+        # x + y mod n as x - (n - y), then + n where negative: within the dtype
+        gap = (n - lo * np.arange(n, dtype=np.int64) % n).astype(dt)
+        np.subtract(mul[: len(block)], gap, out=block)
+        np.add(block, n, out=block, where=block < 0)
+        lo *= 2
+    return add, mul
 
 
 def _digits_matrix(q: int, base: int, width: int) -> np.ndarray:
@@ -235,96 +280,66 @@ def _digits_matrix(q: int, base: int, width: int) -> np.ndarray:
     return (np.arange(q, dtype=np.int64)[:, None] // powers[None, :]) % base
 
 
-def _digitwise_add_table(digits: np.ndarray, base: int, dt) -> np.ndarray:
-    q, width = digits.shape
-    place = base ** np.arange(width, dtype=np.int64)
-    out = np.empty((q, q), dtype=dt)
-    step = max(1, 2_000_000 // max(q, 1))
-    for lo in range(0, q, step):
-        hi = min(q, lo + step)
-        s = (digits[lo:hi, None, :] + digits[None, :, :]) % base
-        out[lo:hi] = s @ place
+def _fold(tables, dt) -> np.ndarray:
+    """Componentwise table on tuples, encoded big-endian (mixed radix).
+
+    Each step pairs (i, j) as i*b + j.  Every entry is below the product
+    order, so the table dtype holds the whole computation.
+    """
+    out = tables[0].astype(dt)
+    for inner in tables[1:]:
+        a, b = len(out), len(inner)
+        f = inner.astype(dt, copy=False)
+        out = (out[:, None, :, None] * b + f[None, :, None, :]).reshape(a * b, a * b)
     return out
 
 
-def _make_gf(expr: GF) -> FiniteRing:
-    p, e, f = expr.p, expr.e, list(expr.modulus)
-    if not poly_is_irreducible(f, p):
-        raise InvalidModulus(f"modulus {format_poly(expr.modulus)} is reducible over Z_{p}")
-    q = p**e
-    dt = _table_dtype(q)
-    digits = _digits_matrix(q, p, e)
-    add = _digitwise_add_table(digits, p, dt)
+def _rows_by_additivity(add: np.ndarray, base: int, width: int, digit_rows) -> np.ndarray:
+    """Multiplication table of a ring of base-`base` digit vectors, little-endian.
 
-    def decode(i):
-        return [(i // p**k) % p for k in range(e)]
-
-    def encode(poly):
-        return sum(c * p**k for k, c in enumerate(poly))
-
-    def fmul(a, b):
-        return encode(_poly_mod(_poly_mul(decode(a), decode(b), p), f, p))
-
-    mul = np.zeros((q, q), dtype=dt)
-    if q == 2:
-        mul[1, 1] = 1
-    else:
-        g = _find_generator(q, fmul)
-        exp = np.empty(q - 1, dtype=np.int64)
-        cur = 1
-        for k in range(q - 1):
-            exp[k] = cur
-            cur = fmul(cur, g)
-        log = np.empty(q, dtype=np.int64)
-        log[exp] = np.arange(q - 1)
-        nz = np.arange(1, q, dtype=np.int64)
-        lg = log[nz]
-        step = max(1, 2_000_000 // q)
-        for lo in range(0, q - 1, step):
-            hi = min(q - 1, lo + step)
-            mul[1 + lo : 1 + hi, 1:] = exp[(lg[lo:hi, None] + lg[None, :]) % (q - 1)]
-    names = [format_poly(tuple(decode(i)), star=False) for i in range(q)]
-    return FiniteRing(add, mul, 0, 1, expr, names)
+    Multiplying by x is additive in x, and x = t*b^k + r with r < b^k is
+    the sum of r and the element with digit t at position k, so
+    mul[t*b^k + r] = add[mul[r], R_k(t)].  `digit_rows(k)` returns the rows
+    R_k(1..b-1) as a (b-1, q) array.  Element 0 must be the zero.
+    """
+    mul = np.empty_like(add)
+    mul[0] = 0
+    for k in range(width):
+        lo = base**k
+        for t, row in enumerate(digit_rows(k), start=1):
+            mul[t * lo : (t + 1) * lo] = add[mul[:lo], row]
+    return mul
 
 
-def _find_generator(q: int, fmul) -> int:
-    def fpow(a, k):
-        out = 1
-        while k:
-            if k & 1:
-                out = fmul(out, a)
-            a = fmul(a, a)
-            k >>= 1
-        return out
-
-    prime_divisors = list(factorize(q - 1))
-    for g in range(2, q):
-        if all(fpow(g, (q - 1) // r) != 1 for r in prime_divisors):
-            return g
-    raise RuntimeError("no multiplicative generator found")  # pragma: no cover
-
-
-def _make_polyquot(expr: PolyQuot) -> FiniteRing:
-    n, f = expr.n, list(expr.modulus)
-    d = expr.degree
+def _make_polyquot(n: int, modulus, presentation) -> FiniteRing:
+    """Z_n[x]/(modulus), modulus monic; GF(p^e) is the case n = p prime."""
+    f, d = np.array(modulus, dtype=np.int64), len(modulus) - 1
     q = n**d
+
+    def names():
+        return [format_poly(tuple(row), star=False) for row in _digits_matrix(q, n, d).tolist()]
+
+    if d == 1:  # only constants, multiplied as in Z_n
+        return FiniteRing(*_cyclic_tables(n), 0, 1 % q, presentation, names)
     dt = _table_dtype(q)
+    add = _fold([_cyclic_tables(n)[0]] * d, dt)  # equal factors: digit order is immaterial
     digits = _digits_matrix(q, n, d)
-    add = _digitwise_add_table(digits, n, dt)
     place = n ** np.arange(d, dtype=np.int64)
-    mul = np.empty((q, q), dtype=dt)
-    for x in range(q):
-        # rows of vx: coefficients of x * X**j reduced mod (f, n)
-        vx = np.zeros((d, d), dtype=np.int64)
-        cur = [(x // n**k) % n for k in range(d)]
-        for j in range(d):
-            vx[j, : len(cur)] = cur
-            cur = _poly_mod([0] + cur, f, n)
-        mul[x] = ((digits @ vx) % n) @ place
-    names = [
-        format_poly(tuple((i // n**k) % n for k in range(d)), star=False) for i in range(q)
-    ]
-    return FiniteRing(add, mul, 0, 1 % q, expr, names)
+    # X*y: shift the digits up and fold the top one back by X^d = -(f_0 + ... + f_{d-1} X^{d-1})
+    shifted = np.concatenate([np.zeros((q, 1), dtype=np.int64), digits[:, :-1]], axis=1)
+    times_x = (((shifted - digits[:, -1:] * f[None, :d]) % n) @ place).astype(dt)
+    x_power = [np.arange(q, dtype=dt)]  # y -> X^k * y
+    for _ in range(1, d):
+        x_power.append(times_x[x_power[-1]])
+
+    def digit_rows(k):
+        rows = [x_power[k]]
+        for _ in range(2, n):
+            rows.append(add[rows[-1], x_power[k]])
+        return np.stack(rows)
+
+    mul = _rows_by_additivity(add, n, d, digit_rows)
+    return FiniteRing(add, mul, 0, 1 % q, presentation, names)
 
 
 def _make_squarezero(expr: SquareZero) -> FiniteRing:
@@ -332,85 +347,68 @@ def _make_squarezero(expr: SquareZero) -> FiniteRing:
     b, m = base.order, expr.m
     q = b ** (m + 1)
     dt = _table_dtype(q)
+    add = _fold([base.add_table] * (m + 1), dt)
     digits = _digits_matrix(q, b, m + 1)  # column 0 is the base component
     place = b ** np.arange(m + 1, dtype=np.int64)
-    ba = base.add_table.astype(np.int64)
-    bm = base.mul_table.astype(np.int64)
-    add = np.empty((q, q), dtype=dt)
-    mul = np.empty((q, q), dtype=dt)
-    step = max(1, 500_000 // max(q, 1))
-    col = [digits[:, c] for c in range(m + 1)]
-    for lo in range(0, q, step):
-        hi = min(q, lo + step)
-        acc_add = np.zeros((hi - lo, q), dtype=np.int64)
-        for c in range(m + 1):
-            acc_add += ba[col[c][lo:hi, None], col[c][None, :]] * place[c]
-        add[lo:hi] = acc_add
-        a_rows = col[0][lo:hi, None]
-        acc_mul = bm[a_rows, col[0][None, :]].copy()
-        for c in range(1, m + 1):
-            # (a, v)(b, w) component c: a*w_c + v_c*b
-            acc_mul += ba[bm[a_rows, col[c][None, :]], bm[col[c][lo:hi, None], col[0][None, :]]] * place[c]
-        mul[lo:hi] = acc_mul
-    names = [_squarezero_name(digits[i], base) for i in range(q)]
+    bm = base.mul_table.astype(np.int64)[1:]
+
+    def digit_rows(k):
+        # (t, 0)(a, v) = (t*a, t*v); t*x_k times (a, v) is t*a in slot k
+        if k == 0:
+            return (bm[:, digits] @ place).astype(dt)
+        return (bm[:, digits[:, 0]] * place[k]).astype(dt)
+
+    mul = _rows_by_additivity(add, b, m + 1, digit_rows)
+    src, bzero, bone = base._names, base.zero, base.one
+
+    def names():
+        base_names = _materialise(src)
+        return [
+            _squarezero_name(dig, base_names, bzero, bone)
+            for dig in _digits_matrix(q, b, m + 1).tolist()
+        ]
+
     return FiniteRing(add, mul, 0, base.one, expr, names)
 
 
-def _squarezero_name(dig, base: FiniteRing) -> str:
+def _squarezero_name(dig, base_names, zero: int, one: int) -> str:
     parts = []
-    a = int(dig[0])
-    if a != base.zero:
-        nm = base.element_names[a]
+    a = dig[0]
+    if a != zero:
+        nm = base_names[a]
         parts.append(f"({nm})" if "+" in nm else nm)
     for i in range(1, len(dig)):
-        v = int(dig[i])
-        if v == base.zero:
+        v = dig[i]
+        if v == zero:
             continue
-        if v == base.one:
+        if v == one:
             parts.append(f"x{i}")
         else:
-            nm = base.element_names[v]
+            nm = base_names[v]
             parts.append(f"({nm})x{i}" if "+" in nm else f"{nm}x{i}")
-    return "+".join(parts) if parts else base.element_names[base.zero]
+    return "+".join(parts) if parts else base_names[zero]
 
 
 def product_ring(factors, presentation=None) -> FiniteRing:
     """Direct product with big-endian mixed-radix element encoding."""
     factors = list(factors)
     orders = [f.order for f in factors]
-    q = 1
-    for o in orders:
-        q *= o
-    place = np.empty(len(factors), dtype=np.int64)
-    acc = 1
-    for i in range(len(factors) - 1, -1, -1):
-        place[i] = acc
-        acc *= orders[i]
-    idx = np.arange(q, dtype=np.int64)
-    cols = [(idx // place[i]) % orders[i] for i in range(len(factors))]
+    q = math.prod(orders)
     dt = _table_dtype(q)
-    add = np.empty((q, q), dtype=dt)
-    mul = np.empty((q, q), dtype=dt)
-    step = max(1, 500_000 // max(q, 1))
-    for lo in range(0, q, step):
-        hi = min(q, lo + step)
-        acc_add = np.zeros((hi - lo, q), dtype=np.int64)
-        acc_mul = np.zeros((hi - lo, q), dtype=np.int64)
-        for i, f in enumerate(factors):
-            fa = f.add_table.astype(np.int64)
-            fm = f.mul_table.astype(np.int64)
-            r = cols[i][lo:hi, None]
-            c = cols[i][None, :]
-            acc_add += fa[r, c] * place[i]
-            acc_mul += fm[r, c] * place[i]
-        add[lo:hi] = acc_add
-        mul[lo:hi] = acc_mul
-    zero = int(sum(f.zero * place[i] for i, f in enumerate(factors)))
-    one = int(sum(f.one * place[i] for i, f in enumerate(factors)))
-    names = [
-        "(" + ",".join(f.element_names[int(cols[i][x])] for i, f in enumerate(factors)) + ")"
-        for x in range(q)
-    ]
+    add = _fold([f.add_table for f in factors], dt)
+    mul = _fold([f.mul_table for f in factors], dt)
+    zero = np.ravel_multi_index([f.zero for f in factors], orders)
+    one = np.ravel_multi_index([f.one for f in factors], orders)
+    sources = [f._names for f in factors]
+
+    def names():
+        cols = np.unravel_index(np.arange(q), orders)
+        fn = [_materialise(s) for s in sources]
+        return [
+            "(" + ",".join(fn[i][c] for i, c in enumerate(cs)) + ")"
+            for cs in zip(*(c.tolist() for c in cols))
+        ]
+
     return FiniteRing(add, mul, zero, one, presentation, names)
 
 
@@ -475,19 +473,22 @@ def euler_phi(n: int) -> int:
     return out
 
 
+def _divisors_descending(n: int) -> list[int]:
+    return [d for d in range(n, 0, -1) if n % d == 0]
+
+
 def _fingerprints(ring: FiniteRing) -> tuple[tuple[int, ...], ...]:
     n = ring.order
     idx = np.arange(n)
-    add, mul = ring.add_table, ring.mul_table
+    mul = ring.mul_table
 
+    # each order is the least divisor d of the group's order that kills x:
+    # the additive group has exponent char R and d*x = x*(d*1)
+    prime = ring.prime_subring
+    char = len(prime)
     add_order = np.zeros(n, dtype=np.int64)
-    cur = idx.copy()
-    k = 1
-    while (add_order == 0).any():
-        hit = (cur == ring.zero) & (add_order == 0)
-        add_order[hit] = k
-        cur = add[cur, idx]
-        k += 1
+    for d in _divisors_descending(char):
+        add_order[mul[:, prime[d % char]] == ring.zero] = d
 
     nilp = np.zeros(n, dtype=np.int64)
     cur = idx.copy()
@@ -499,33 +500,24 @@ def _fingerprints(ring: FiniteRing) -> tuple[tuple[int, ...], ...]:
         cur = mul[cur, idx]
         k += 1
 
+    units = np.array(sorted(ring.units), dtype=np.int64)
     unit_mask = np.zeros(n, dtype=bool)
-    unit_mask[list(ring.units)] = True
+    unit_mask[units] = True
     mul_order = np.zeros(n, dtype=np.int64)
-    cur = idx.copy()
-    k = 1
-    pending = unit_mask.copy()
-    while pending.any():
-        hit = (cur == ring.one) & pending
-        mul_order[hit] = k
-        pending &= ~hit
-        cur = mul[cur, idx]
-        k += 1
+    for d in _divisors_descending(len(units)):
+        power = np.full(len(units), ring.one, dtype=np.int64)
+        base, e = units, d
+        while e:
+            if e & 1:
+                power = mul[power, base]
+            base = mul[base, base]
+            e >>= 1
+        mul_order[units[power == ring.one]] = d
 
     ann_size = (mul == ring.zero).sum(axis=0)
     fix_size = (mul == idx[:, None]).sum(axis=1)
-
-    return tuple(
-        (
-            int(add_order[x]),
-            int(nilp[x]),
-            int(unit_mask[x]),
-            int(mul_order[x]),
-            int(ann_size[x]),
-            int(fix_size[x]),
-        )
-        for x in range(n)
-    )
+    stats = np.column_stack([add_order, nilp, unit_mask, mul_order, ann_size, fix_size])
+    return tuple(map(tuple, stats.tolist()))
 
 
 def element_fingerprint(ring: FiniteRing, x: int) -> tuple[int, ...]:
@@ -664,14 +656,13 @@ def decompose_local(ring: FiniteRing):
             inv[carrier] = np.arange(len(carrier))
             sub_add = inv[ring.add_table[np.ix_(carrier, carrier)]]
             sub_mul = inv[ring.mul_table[np.ix_(carrier, carrier)]]
-            names = [ring.element_names[int(c)] for c in carrier]
             piece = FiniteRing(
                 sub_add.astype(_table_dtype(len(carrier))),
                 sub_mul.astype(_table_dtype(len(carrier))),
                 int(inv[ring.zero]),
                 int(inv[e]),
                 None,
-                names,
+                _names_at(ring._names, carrier),
             )
             pieces.append((piece, e, inv))
         pieces.sort(key=lambda t: (t[0].order, t[0].table_digest()))
@@ -687,6 +678,15 @@ def decompose_local(ring: FiniteRing):
         return [ring], identity_automorphism(ring)
     factors, target, image = split
     return factors, RingMorphism(ring, target, image)
+
+
+def _names_at(source, carrier: np.ndarray):
+    """Lazy names of the elements `carrier` of a ring whose name source is `source`.
+
+    The closure holds the source, not the ring, so a piece cached on its
+    parent does not refer back to it.
+    """
+    return lambda: [_materialise(source)[c] for c in carrier.tolist()]
 
 
 def residue_degree(ring: FiniteRing) -> int | None:

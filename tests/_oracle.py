@@ -177,3 +177,110 @@ def table_homomorphism(source, target, images):
             rhs = np.asarray(t_tab, dtype=np.int64)[chunk[:, :, None], chunk[:, None, :]]
             ok[lo:hi] &= (lhs == rhs).all(axis=(1, 2))
     return ok
+
+
+# ---------------------------------------------------------------------------
+# reference construction: each ring built from its definition with Python
+# integers, in the same carrier encoding as `make_ring`
+
+
+class ReferenceRing:
+    def __init__(self, elements, add, mul, zero, one, name):
+        index = {e: i for i, e in enumerate(elements)}
+        self.order = len(elements)
+        self.add = [[index[add(a, b)] for b in elements] for a in elements]
+        self.mul = [[index[mul(a, b)] for b in elements] for a in elements]
+        self.zero, self.one = index[zero], index[one]
+        self.names = [name(e) for e in elements]
+
+
+def _poly_name(coeffs):
+    terms = []
+    for k in range(len(coeffs) - 1, -1, -1):
+        c = coeffs[k]
+        if c == 0:
+            continue
+        power = "" if k == 0 else "x" if k == 1 else f"x^{k}"
+        terms.append(str(c) if k == 0 else power if c == 1 else f"{c}{power}")
+    return "+".join(terms) if terms else "0"
+
+
+def _digit_vectors(base, width):
+    """Carrier order of a little-endian base-`base` digit encoding."""
+    return [tuple((i // base**k) % base for k in range(width)) for i in range(base**width)]
+
+
+def reference_ring(expr):
+    """Tables, zero, one and element names of `expr`, without the library's builders.
+
+    Zn: residues.  GF and PolyQuot: coefficient vectors in ascending degree,
+    little-endian; the product is the polynomial product reduced mod
+    (modulus, n).  SquareZero: (a, v_1..v_m), little-endian over the base,
+    with (a, v)(b, w) = (ab, aw + bv).  Prod: tuples, big-endian.
+    """
+    from ringgraph import GF, PolyQuot, Prod, SquareZero, Zn
+
+    if isinstance(expr, Zn):
+        n = expr.n
+        return ReferenceRing(
+            list(range(n)), lambda a, b: (a + b) % n, lambda a, b: a * b % n, 0, 1 % n, str
+        )
+    if isinstance(expr, (GF, PolyQuot)):
+        n = expr.p if isinstance(expr, GF) else expr.n
+        f = expr.modulus
+        d = len(f) - 1
+
+        def mul(a, b):
+            prod = [0] * (2 * d - 1)
+            for i in range(d):
+                for j in range(d):
+                    prod[i + j] += a[i] * b[j]
+            for k in range(2 * d - 2, d - 1, -1):
+                c = prod[k]
+                for i in range(d + 1):
+                    prod[k - d + i] -= c * f[i]
+            return tuple(c % n for c in prod[:d])
+
+        def add(a, b):
+            return tuple((x + y) % n for x, y in zip(a, b))
+
+        one = (1 % n,) + (0,) * (d - 1)
+        return ReferenceRing(_digit_vectors(n, d), add, mul, (0,) * d, one, _poly_name)
+    if isinstance(expr, SquareZero):
+        base, m = reference_ring(expr.base), expr.m
+        ba, bm = base.add, base.mul
+
+        def add(x, y):
+            return tuple(ba[a][b] for a, b in zip(x, y))
+
+        def mul(x, y):
+            a, b = x[0], y[0]
+            return (bm[a][b],) + tuple(ba[bm[a][y[c]]][bm[x[c]][b]] for c in range(1, m + 1))
+
+        def name(x):
+            parts = []
+            if x[0] != base.zero:
+                nm = base.names[x[0]]
+                parts.append(f"({nm})" if "+" in nm else nm)
+            for i in range(1, m + 1):
+                if x[i] == base.zero:
+                    continue
+                nm = base.names[x[i]]
+                coeff = "" if x[i] == base.one else f"({nm})" if "+" in nm else nm
+                parts.append(f"{coeff}x{i}")
+            return "+".join(parts) if parts else base.names[base.zero]
+
+        zero = (base.zero,) * (m + 1)
+        one = (base.one,) + (base.zero,) * m
+        return ReferenceRing(_digit_vectors(base.order, m + 1), add, mul, zero, one, name)
+    if isinstance(expr, Prod):
+        fs = [reference_ring(f) for f in expr.factors]
+        return ReferenceRing(
+            list(product(*(range(f.order) for f in fs))),
+            lambda x, y: tuple(f.add[a][b] for f, a, b in zip(fs, x, y)),
+            lambda x, y: tuple(f.mul[a][b] for f, a, b in zip(fs, x, y)),
+            tuple(f.zero for f in fs),
+            tuple(f.one for f in fs),
+            lambda x: "(" + ",".join(f.names[a] for f, a in zip(fs, x)) + ")",
+        )
+    raise TypeError(f"no reference construction for {expr!r}")

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -35,6 +37,21 @@ def test_aut_group_order_matches_enumeration(entries32):
     for entry in entries32:
         group = rg.automorphisms(entry.ring)
         assert rg.aut_group_order(entry.ring) == group.order, str(entry.expr)
+
+
+def test_automorphisms_leaves_no_reference_cycle():
+    gc.disable()
+    try:
+        ring = fresh_copy(rg.make_ring(rg.gf(8)))
+        first = rg.automorphisms(ring)
+        again = rg.automorphisms(ring)
+        assert again.order == 3 and again._gen_rows == first._gen_rows
+        assert np.array_equal(again._images, first._images)
+        alive = weakref.ref(ring)
+        del ring, first, again
+        assert alive() is None
+    finally:
+        gc.enable()
 
 
 def test_chain_counts_large_group_without_enumeration():

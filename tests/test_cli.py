@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -220,6 +221,25 @@ def test_cmd_resource_limit_exit_3(capsys):
     assert "resource limit" in capsys.readouterr().err
     # an expression no other test touches, so no cached search state exists
     assert main(["--search-budget", "2", "aut", "Z11[x]/(x^2+1)"]) == 3
+
+
+def test_astronomical_order_exits_3(capsys):
+    assert main(["info", "Z2[x]/(x^3000000)"]) == 3
+    err = capsys.readouterr().err
+    assert "resource limit" in err and "exceeds cap" in err
+
+
+def test_huge_field_order_exits_3_quickly():
+    src = os.path.dirname(os.path.dirname(rg.__file__))
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "ringgraph", "info", "GF(1000000000000000003)"],
+        capture_output=True, text=True, env=env, timeout=10,
+    )
+    assert proc.returncode == 3 and "exceeds cap" in proc.stderr
+    assert time.perf_counter() - start < 10
 
 
 def test_env_vs_flag_precedence(monkeypatch, capsys):

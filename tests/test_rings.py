@@ -117,15 +117,53 @@ def test_decompose_local_leaves_no_reference_cycle():
     try:
         for expr in (rg.Zn(8), rg.Prod((rg.gf(4), rg.Zn(9)))):
             base = rg.make_ring(expr)
-            ring = rg.FiniteRing(
-                base.add_table, base.mul_table, base.zero, base.one, None, base.element_names
-            )
-            factors, iso = rg.decompose_local(ring)
-            alive = weakref.ref(ring)
-            del ring, factors, iso
-            assert alive() is None, str(expr)
+            for names in (base.element_names, lambda: base.element_names):
+                ring = rg.FiniteRing(
+                    base.add_table, base.mul_table, base.zero, base.one, None, names
+                )
+                factors, iso = rg.decompose_local(ring)
+                assert all(len(f.element_names) == f.order for f in factors)
+                alive = weakref.ref(ring)
+                del ring, factors, iso
+                assert alive() is None, str(expr)
     finally:
         gc.enable()
+
+
+def test_lazy_element_names():
+    calls = []
+
+    def names():
+        calls.append(1)
+        return ["a", "b"]
+
+    z2 = rg.make_ring(rg.Zn(2))
+    ring = rg.FiniteRing(z2.add_table, z2.mul_table, 0, 1, None, names)
+    assert calls == []
+    assert ring.element_names == ("a", "b") and ring.name(1) == "b"
+    assert calls == [1]
+
+
+_REFERENCE_EXTRA = (
+    rg.gf(64),
+    rg.SquareZero(rg.gf(4), 2),
+    rg.Prod((rg.Zn(4), rg.Zn(8), rg.Zn(3))),
+    rg.PolyQuot(2, (0,) * 8 + (1,)),
+)
+
+
+def test_tables_match_independent_reference():
+    from ringgraph.classify import _family_candidates
+
+    from _oracle import reference_ring
+
+    exprs = [e for _, e in _family_candidates(32, include_trivial=True)] + list(_REFERENCE_EXTRA)
+    for expr in exprs:
+        ring, ref = rg.make_ring(expr), reference_ring(expr)
+        assert np.array_equal(ring.add_table, ref.add), str(expr)
+        assert np.array_equal(ring.mul_table, ref.mul), str(expr)
+        assert (ring.zero, ring.one) == (ref.zero, ref.one), str(expr)
+        assert list(ring.element_names) == ref.names, str(expr)
 
 
 def test_decompose_product():
