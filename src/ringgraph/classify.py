@@ -6,6 +6,20 @@ local entries), deduplicated up to isomorphism.  Each verification sweeps
 the relevant slice of the catalog and reports any counterexample; the
 universe is always the constructor families, which is provably complete
 only at orders p and p**2.
+
+Candidates that cannot change the catalog are never built.  A quotient
+Z_n[x]/(f) of degree d is skipped when its affine orbit, the moduli
+u^-d * f(ux + a) for units u and all a in Z_n, holds a smaller code
+sum(c_i * n**i).  Proof that this changes nothing: x -> ux + a is an
+automorphism of Z_n[x] (its inverse is x -> u^-1 (x - a)), so it maps the
+ideal (f) onto (f(ux + a)), which u^-d, a unit, leaves unchanged; hence
+Z_n[x]/(f) is isomorphic to the quotient by the orbit minimum.  That
+quotient is never skipped and comes earlier in the candidate order, so by
+the time f is reached its isomorphism class, its local factors and its
+first hit are all registered, and building f would only repeat them.
+Likewise a product of local classes is built only when its class is
+missing or held by a lower-priority family; a Z_n or field entry of the
+same class always wins.
 """
 
 from __future__ import annotations
@@ -161,6 +175,35 @@ class _LocalRegistry:
         return idx
 
 
+def _affine_orbit_minima(n: int, d: int) -> np.ndarray:
+    """Least code in the orbit of every monic modulus of degree d over Z_n.
+
+    Index and value are codes sum(c_i * n**i) over the coefficients below
+    the leading one; the orbit of f is {u^-d * f(ux + a) : u a unit, a in
+    Z_n}.  One (pairs, codes, d+1) product of coefficient rows with the
+    substitution matrices M[i, j] = binom(i, j) u^j a^(i-j) u^-d mod n.
+    """
+    pairs = [(u, a) for u in range(1, n) if math.gcd(u, n) == 1 for a in range(n)]
+    subst = np.array(
+        [
+            [
+                [math.comb(i, j) * pow(u, j, n) * pow(a, i - j, n) * pow(u, -d, n) % n
+                 if j <= i else 0 for j in range(d + 1)]
+                for i in range(d + 1)
+            ]
+            for u, a in pairs
+        ],
+        dtype=np.int64,
+    )
+    codes = np.arange(n**d, dtype=np.int64)
+    radix = n ** np.arange(d, dtype=np.int64)
+    coeffs = np.concatenate(
+        [codes[:, None] // radix % n, np.ones((len(codes), 1), dtype=np.int64)], axis=1
+    )
+    images = (coeffs @ subst) % n
+    return (images[..., :d] @ radix).min(axis=0)
+
+
 def build_catalog(max_order: int = 64, include_trivial: bool = False, budget=None) -> Catalog:
     """Deduplicated catalog of all constructor-family rings up to max_order.
 
@@ -168,22 +211,38 @@ def build_catalog(max_order: int = 64, include_trivial: bool = False, budget=Non
     first hit in family priority order (Z_n, fields, products, quotients,
     square-zero), and the final listing is sorted by order then by the
     canonical expression string.
+
+    Two kinds of candidate are dropped before their tables are built,
+    with the same result as building them (proof in the module
+    docstring): a quotient Z_n[x]/(f) whose orbit under f -> u^-d *
+    f(ux + a) holds a smaller code, since it is isomorphic to that
+    earlier quotient, and a product whose class is already held by a Z_n
+    or field entry.
     """
     if max_order > MAX_CATALOG_ORDER:
         raise OrderLimitExceeded(f"catalog max_order capped at {MAX_CATALOG_ORDER}")
     registry = _LocalRegistry(budget)
     best: dict[tuple, tuple] = {}
-    seq = 0
+    orbit_minima: dict[tuple[int, int], np.ndarray] = {}
+
+    def wins(key, family):
+        return key not in best or _FAMILY_PRIORITY[family] < best[key][0]
 
     def offer(key, family, expr, ring):
-        nonlocal seq
-        candidate = (_FAMILY_PRIORITY[family], seq, expr, ring, family)
-        seq += 1
-        if key not in best or candidate[:2] < best[key][:2]:
-            best[key] = candidate
+        if wins(key, family):
+            best[key] = (_FAMILY_PRIORITY[family], expr, ring, family)
+
+    def affine_duplicate(expr):
+        n, d = expr.n, expr.degree
+        if (n, d) not in orbit_minima:
+            orbit_minima[n, d] = _affine_orbit_minima(n, d)
+        code = sum(c * n**i for i, c in enumerate(expr.modulus[:d]))
+        return orbit_minima[n, d][code] < code
 
     local_exprs: dict[int, tuple] = {}
     for family, expr in _family_candidates(max_order, include_trivial):
+        if family == "polyquot" and affine_duplicate(expr):
+            continue
         ring = make_ring(expr)
         factors, _ = decompose_local(ring)
         key = tuple(sorted(registry.classify(f) for f in factors))
@@ -198,8 +257,8 @@ def build_catalog(max_order: int = 64, include_trivial: bool = False, budget=Non
     )
 
     def expand(start: int, chosen: list[int], order: int):
-        if len(chosen) >= 2:
-            key = tuple(sorted(chosen))
+        key = tuple(sorted(chosen))
+        if len(chosen) >= 2 and wins(key, "product"):
             exprs = sorted(
                 (local_exprs[c] for c in chosen), key=lambda t: (t[1].order, str(t[0]))
             )
@@ -216,9 +275,7 @@ def build_catalog(max_order: int = 64, include_trivial: bool = False, budget=Non
 
     expand(0, [], 1)
 
-    entries = [
-        CatalogEntry(expr, ring, family) for _, _, expr, ring, family in best.values()
-    ]
+    entries = [CatalogEntry(expr, ring, family) for _, expr, ring, family in best.values()]
     entries.sort(key=lambda e: (e.ring.order, str(e.expr)))
     return Catalog(max_order, tuple(entries))
 

@@ -39,7 +39,7 @@ from .errors import (
     SearchBudgetExceeded,
     SemanticError,
 )
-from .expr import GF, Prod, PolyQuot, RingExpr, SquareZero, Zn, gf, prime_power
+from .expr import GF, Prod, PolyQuot, RingExpr, SquareZero, Zn, expr_order, gf, prime_power
 from .orbitgraph import aut_orbit_graph
 from .rings import DEFAULT_MAX_ORDER, FiniteRing, generating_set, local_structure, make_ring
 
@@ -107,7 +107,21 @@ class _Parser:
         return self.take()
 
     def expect_int(self, what: str = "integer") -> int:
-        return int(self.expect("int", what).text)
+        tok = self.expect("int", what)
+        try:
+            return int(tok.text)
+        except ValueError:  # above sys.get_int_max_str_digits()
+            raise ParseError(f"integer literal of {len(tok.text)} digits is too long",
+                             tok.column) from None
+
+    def refuse_huge_exponent(self, base: int, exponent: int, column: int) -> None:
+        """Refuse a ring of order base**exponent whose exponent alone puts it
+        above the cap, before a power or a list of that size is built;
+        `make_ring` checks the smaller orders."""
+        cap = self.max_order
+        # base**exponent >= 2**exponent > cap once exponent reaches cap's bit length
+        if cap is not None and base >= 2 and exponent >= cap.bit_length():
+            raise OrderLimitExceeded(f"ring order at column {column} exceeds cap {cap}")
 
     # -- grammar ------------------------------------------------------------
 
@@ -178,6 +192,8 @@ class _Parser:
             raise SemanticError(str(exc), column) from exc
 
     def _parse_quotient(self, n: int, column: int) -> RingExpr:
+        if n < 2:
+            raise SemanticError(f"quotient base must have n >= 2, got {n}", column)
         self.expect("[", "'['")
         var = self.expect("name", "'x'")
         if var.text != "x":
@@ -185,13 +201,19 @@ class _Parser:
         self.expect("]", "']'")
         self.expect("/", "'/'")
         self.expect("(", "'('")
-        coeffs = self._parse_poly(n)
+        coeffs = self._parse_poly()
         self.expect(")", "')'")
-        if coeffs[-1] % n != 1:
+        deg = max(coeffs)
+        if coeffs[deg] % n != 1:
             raise SemanticError("quotient modulus must be monic", column)
-        return self._semantic(lambda: PolyQuot(n, tuple(coeffs)), column)
+        # the dense coefficient list has deg + 1 entries, so the cap comes first
+        self.refuse_huge_exponent(n, deg, column)
+        return self._semantic(
+            lambda: PolyQuot(n, tuple(coeffs.get(k, 0) for k in range(deg + 1))), column
+        )
 
-    def _parse_poly(self, n: int) -> list[int]:
+    def _parse_poly(self) -> dict[int, int]:
+        """Sparse polynomial: {degree: summed coefficient}."""
         coeffs: dict[int, int] = {}
 
         def term():
@@ -222,8 +244,7 @@ class _Parser:
         while self.peek().kind == "+":
             self.take()
             term()
-        deg = max(coeffs)
-        return [(coeffs.get(k, 0)) % n for k in range(deg + 1)]
+        return coeffs
 
     def _power(self) -> int:
         if self.peek().kind == "^":
@@ -260,6 +281,7 @@ class _Parser:
         self.expect(",", "','")
         m = self.expect_int("generator count")
         self.expect(")", "')'")
+        self.refuse_huge_exponent(expr_order(base), m + 1, column)
         return self._semantic(lambda: SquareZero(base, m), column)
 
 
@@ -267,7 +289,9 @@ def parse_ring_expr(text: str, max_order: int | None = None) -> RingExpr:
     """Parse the ring-expression grammar; ParseError / SemanticError on failure.
 
     With `max_order`, a GF(q) with q above it raises OrderLimitExceeded
-    before q is factorized.
+    before q is factorized, and so does a quotient or square-zero ring of
+    order n**k with 2**k above it, before a power or a list of size k is
+    built.
     """
     return _Parser(text, max_order).parse()
 
@@ -331,13 +355,23 @@ def emit_dot(graph, collapse: bool = False) -> bytes:
 # command implementations
 
 
+def _env_int(name: str, default: int) -> int:
+    raw = os.environ.get(name)
+    if raw is None:
+        return default
+    try:
+        return int(raw)
+    except ValueError:
+        raise SemanticError(f"environment variable {name} must be an integer, got {raw!r}") from None
+
+
 def _resolve_limits(args):
     max_order = args.max_ring_order
     if max_order is None:
-        max_order = int(os.environ.get(ENV_MAX_ORDER, DEFAULT_MAX_ORDER))
+        max_order = _env_int(ENV_MAX_ORDER, DEFAULT_MAX_ORDER)
     budget = args.search_budget
     if budget is None:
-        budget = int(os.environ.get(ENV_BUDGET, DEFAULT_SEARCH_BUDGET))
+        budget = _env_int(ENV_BUDGET, DEFAULT_SEARCH_BUDGET)
     return max_order, budget
 
 

@@ -1,6 +1,12 @@
+import hashlib
+import math
+
+import numpy as np
 import pytest
 
 import ringgraph as rg
+from _oracle import table_homomorphism
+from ringgraph import classify
 
 
 def test_catalog_order_2():
@@ -51,6 +57,94 @@ def test_catalog_rebuild_is_identical(catalog64):
     again = rg.build_catalog(64)
     assert [str(e.expr) for e in again.entries] == [str(e.expr) for e in catalog64.entries]
     assert [e.provenance for e in again.entries] == [e.provenance for e in catalog64.entries]
+
+
+# max order -> (entries, sha256 of the sorted expression strings, sha256 of
+# the "expr|provenance" lines in entry order), recorded before candidates
+# were skipped
+CATALOG_DIGESTS = {
+    64: (346, "3ff3a0ad739e7e670ed4b14cbb2c49abff54d67f3e4474e1549660fe96b3f61b",
+         "b535ecd8fe50ec33ee378a39ca8c001a245d46fe25e2872ad73724f4e9f7f141"),
+    128: (831, "52f5abfe80ac9f184e2f2411c34eccf1eda020033c65d208692c380fbf317cdd",
+          "7c108d810678e7610d19c6ed5966c05f144831dcda0f76eb3651bb2ff6a769b1"),
+    256: (2046, "101cf43ebbfb5663079c06fb2e415bc337e0f8236d349052990e29402db603b2",
+          "a8b891696ef8898e26f602470c50a96ca51a487afd998619f72a85aa93fa8a96"),
+}
+
+
+def _sha256_lines(lines):
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("max_order", sorted(CATALOG_DIGESTS))
+def test_catalog_matches_recorded_digests(max_order):
+    entries, sorted_digest, ordered_digest = CATALOG_DIGESTS[max_order]
+    cat = rg.build_catalog(max_order)
+    assert len(cat.entries) == entries
+    assert _sha256_lines(sorted(str(e.expr) for e in cat.entries)) == sorted_digest
+    assert _sha256_lines([f"{e.expr}|{e.provenance}" for e in cat.entries]) == ordered_digest
+
+
+def _modulus_code(expr):
+    return sum(c * expr.n**i for i, c in enumerate(expr.modulus[:-1]))
+
+
+def test_skipped_quotients_are_isomorphic_to_their_orbit_minimum(monkeypatch):
+    built = set()
+    make_ring = classify.make_ring
+
+    def recording(expr, *args, **kwargs):
+        built.add(expr)
+        return make_ring(expr, *args, **kwargs)
+
+    monkeypatch.setattr(classify, "make_ring", recording)
+    rg.build_catalog(128)
+    quotients = [e for fam, e in classify._family_candidates(128, False) if fam == "polyquot"]
+    skipped = [e for e in quotients if e not in built]
+    assert (len(quotients), len(skipped)) == (729, 644)
+    for expr in skipped:
+        n, d = expr.n, expr.degree
+        least = int(classify._affine_orbit_minima(n, d)[_modulus_code(expr)])
+        rep = rg.PolyQuot(n, tuple(least // n**i % n for i in range(d)) + (1,))
+        assert rep in built, (str(expr), str(rep))
+        source, target = rg.make_ring(rep), rg.make_ring(expr)
+        iso = rg.isomorphism(source, target)
+        assert iso is not None, (str(rep), str(expr))
+        assert (np.sort(iso.image) == np.arange(target.order)).all()
+        assert table_homomorphism(source, target, iso.image).all(), (str(rep), str(expr))
+
+
+def _substituted_code(coeffs, u, a, n):
+    """Code of u^-d * f(ux + a) for f = coeffs (ascending, monic), by Horner
+    with Python integers."""
+    out = [0]
+    for c in reversed(coeffs):
+        nxt = [0] * (len(out) + 1)
+        for k, v in enumerate(out):
+            nxt[k] += v * a
+            nxt[k + 1] += v * u
+        nxt[0] += c
+        out = [v % n for v in nxt]
+    d = len(coeffs) - 1
+    inv = pow(out[d], -1, n)
+    assert out[d + 1:] == [0] * (len(out) - d - 1)
+    return sum(out[i] * inv % n * n**i for i in range(d))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_affine_orbit_minima_match_plain_expansion(n, d):
+    table = classify._affine_orbit_minima(n, d)
+    units = [u for u in range(1, n) if math.gcd(u, n) == 1]
+    expected = [
+        min(
+            _substituted_code([code // n**i % n for i in range(d)] + [1], u, a, n)
+            for u in units
+            for a in range(n)
+        )
+        for code in range(n**d)
+    ]
+    assert table.tolist() == expected
 
 
 def test_catalog_includes_trivial_ring_only_on_request():

@@ -227,19 +227,62 @@ def test_astronomical_order_exits_3(capsys):
     assert main(["info", "Z2[x]/(x^3000000)"]) == 3
     err = capsys.readouterr().err
     assert "resource limit" in err and "exceeds cap" in err
+    # the parser passes each factor; make_ring refuses the product, an order
+    # of more than 4300 digits, by its bit length
+    assert main(["info", " x ".join(["Z4096"] * 1200)]) == 3
+    err = capsys.readouterr().err
+    assert "of 14401 bits exceeds cap" in err  # 4096**1200 = 2**14400
 
 
-def test_huge_field_order_exits_3_quickly():
+def _run_cli(argv, timeout):
+    """Run `python -m ringgraph argv` on this checkout's package."""
     src = os.path.dirname(os.path.dirname(rg.__file__))
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
-    start = time.perf_counter()
-    proc = subprocess.run(
-        [sys.executable, "-m", "ringgraph", "info", "GF(1000000000000000003)"],
-        capture_output=True, text=True, env=env, timeout=10,
+    return subprocess.run(
+        [sys.executable, "-m", "ringgraph", *argv],
+        capture_output=True, text=True, env=env, timeout=timeout,
     )
+
+
+def test_huge_field_order_exits_3_quickly():
+    start = time.perf_counter()
+    proc = _run_cli(["info", "GF(1000000000000000003)"], timeout=10)
     assert proc.returncode == 3 and "exceeds cap" in proc.stderr
     assert time.perf_counter() - start < 10
+
+
+@pytest.mark.parametrize("text", ["Z3[x]/(x^20000000)", "SZ(Z3,100000000)"])
+def test_huge_exponent_exits_3_quickly(text):
+    # the order n**k is refused from k alone: no dense coefficient list and
+    # no power of that size is built
+    start = time.perf_counter()
+    proc = _run_cli(["info", text], timeout=10)
+    assert proc.returncode == 3 and "exceeds cap" in proc.stderr
+    assert time.perf_counter() - start < 10
+
+
+def test_overlong_integer_literal_exits_2(capsys):
+    digits = "9" * 5000  # above CPython's 4300-digit int() conversion limit
+    assert main(["info", "Z" + digits]) == 2
+    assert "too long" in capsys.readouterr().err
+    assert main(["info", f"Z2[x]/(x^{digits})"]) == 2
+    assert main(["info", f"GF({digits})"]) == 2
+    assert "too long" in capsys.readouterr().err
+
+
+def test_quotient_base_below_2_exits_2(capsys):
+    assert main(["info", "Z0[x]/(x)"]) == 2
+    assert main(["info", "Z1[x]/(x^2)"]) == 2
+    assert "n >= 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("var", ["RINGGRAPH_MAX_ORDER", "RINGGRAPH_BUDGET"])
+def test_non_integer_environment_limit_exits_2(monkeypatch, capsys, var):
+    monkeypatch.setenv(var, "abc")
+    assert main(["info", "Z4"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and var in captured.err and "'abc'" in captured.err
 
 
 def test_env_vs_flag_precedence(monkeypatch, capsys):
@@ -273,13 +316,7 @@ def test_cmd_verify_rejects_empty_universe(capsys):
 
 
 def test_python_m_ringgraph_runs_cleanly():
-    src = os.path.dirname(os.path.dirname(rg.__file__))
-    path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
-    proc = subprocess.run(
-        [sys.executable, "-m", "ringgraph", "info", "Z4"],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
+    proc = _run_cli(["info", "Z4"], timeout=120)
     assert proc.returncode == 0 and proc.stderr == ""
     assert json.loads(proc.stdout)["order"] == 4
 
