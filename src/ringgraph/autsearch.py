@@ -10,7 +10,12 @@ every round, and the survivors must pass `_certify`, a check against an
 additive generating set of S_i, before the search goes one level deeper.
 Whole groups are assembled from a stabilizer chain of coset
 representatives, which keeps huge symmetric-type groups countable without
-enumerating them.
+enumerating them.  The chain is built deepest level first: the maps found
+so far form a strong generating set, and a Schreier transversal of the
+orbit of g_i under them gives most representatives by composition, so a
+depth-first search runs only for images the known maps do not reach yet
+(Sims 1970; Holt, Eick & O'Brien 2005, ch. 4).  Orbits and generator-based
+group queries read the strong generators, not every representative.
 """
 
 from __future__ import annotations
@@ -321,33 +326,116 @@ def _orbits_from_images(n: int, images) -> tuple[tuple[int, ...], ...]:
 def _stabilizer_chain(ring: FiniteRing, budget=None):
     """Coset representatives for the chain of generator stabilizers.
 
-    Level i holds, for each reachable image y of generator g_i, one
-    automorphism fixing g_1..g_{i-1} and sending g_i to y.  The level
-    sizes multiply to |Aut R| and the representatives generate it.  One
-    engine serves every level and candidate; the budget applies to each
-    level's batch and to each candidate's completion separately.
+    Level i holds, for each image y of generator g_i under G_{i-1} (the
+    automorphisms fixing S_{i-1} pointwise, so G_0 = Aut R), one element of
+    G_{i-1} sending g_i to y, in ascending y.  The level sizes multiply to
+    |Aut R| and the representatives generate it.  The maps that the search
+    found, a strong generating set, are cached beside the chain and read
+    by `_strong_generators`.
+
+    Levels are built deepest first, i = k .. 1, where S_k = R and G_k = 1.
+    On entry to level i the strong generators found so far generate G_i.
+    H is the group they generate together with the maps found at level i,
+    and `orbit` is a Schreier transversal of H·g_i: point y -> a product of
+    generators sending g_i to y.  The certified candidates of
+    `_Engine.expand` for g_i are walked in ascending y:
+
+    - y in the orbit already has a representative, with no search;
+    - y marked unreachable is skipped;
+    - otherwise `_Engine.first` completes the candidate row or proves that
+      nothing does.  A map found joins the strong generators and the orbit
+      is regrown.  If none exists, no element of G_{i-1} sends g_i to y, and
+      the whole H-orbit of y is marked unreachable: if sigma in G_{i-1} sent
+      g_i to h(y), h in H, then h^-1 sigma would lie in G_{i-1} (H does) and
+      send g_i to y.
+
+    Soundness: every element of G_{i-1}·g_i is the generator image of a row
+    that `expand` certifies, so it is walked, and it is never marked
+    unreachable; hence at the end the orbit is exactly G_{i-1}·g_i.  The
+    stabilizer of g_i in G_{i-1} fixes S_{i-1} and g_i, which generate S_i,
+    so it is G_i; H contains G_i, so the stabilizer of g_i in H is G_i too.
+    By orbit-stabilizer, |H| = |G_i|·|orbit| = |G_{i-1}|, and since H lies
+    in G_{i-1}, H = G_{i-1}, which carries the invariant to level i-1.
+    Each level's representatives are certified again, in one batch, before
+    they are returned.
+
+    One engine serves every level and candidate; the budget applies to each
+    level's batch and to each `first` call separately.
     """
     cached = ring._aut_cache.get("chain")
     if cached is not None:
         return cached
     engine = _Engine(ring, ring, budget)
     plan = engine.plan
+    strong: list[np.ndarray] = []
     chain = []
-    for i in range(1, len(plan)):
-        fixed = plan[i - 1].elements
+    for i in range(len(plan) - 1, 0, -1):
+        fixed, gen = plan[i - 1].elements, plan[i].gen
         row = np.full(ring.order, -1, dtype=np.int64)
         row[fixed] = fixed
+        orbit = {gen: np.arange(ring.order, dtype=np.int64)}
+        dead: set[int] = set()
         engine.nodes = 0
-        level = []
         for cand in engine.expand(row, i):
+            y = int(cand[gen])
+            if y in orbit or y in dead:
+                continue
             engine.nodes = 0
             found = engine.first(cand, i)
-            if found is not None:
-                level.append((int(cand[plan[i].gen]), found))
-        assert any(y == plan[i].gen for y, _ in level)
-        chain.append(level)
+            if found is None:
+                dead |= _orbit(y, strong)
+            else:
+                strong.append(found.copy())
+                _extend_transversal(orbit, strong, list(orbit), strong[-1:])
+        ys = sorted(orbit)
+        reps = np.stack([orbit[y] for y in ys])
+        ok = _certify(ring, ring, reps) & (reps[:, fixed] == fixed).all(axis=1)
+        if not (ok & (reps[:, gen] == ys)).all():  # pragma: no cover - products of verified maps
+            raise RuntimeError("internal error: stabilizer chain representative is not valid")
+        chain.append(list(zip(ys, reps)))
+    chain.reverse()
     ring._aut_cache["chain"] = chain
+    ring._aut_cache["strong"] = strong
     return chain
+
+
+def _strong_generators(ring: FiniteRing, budget=None) -> list[np.ndarray]:
+    """The maps the stabilizer chain search found; they generate Aut R."""
+    _stabilizer_chain(ring, budget)
+    return ring._aut_cache["strong"]
+
+
+def _extend_transversal(orbit: dict, gens, frontier, use) -> None:
+    """Close the transversal `orbit` (point -> map sending the base point there) under `gens`.
+
+    The points in `frontier` still lack their images under the maps in
+    `use`; every point added needs its images under all of `gens`.
+    """
+    while frontier:
+        nxt = []
+        for s in use:
+            for y in frontier:
+                z = int(s[y])
+                if z not in orbit:
+                    orbit[z] = s[orbit[y]]
+                    nxt.append(z)
+        frontier, use = nxt, gens
+
+
+def _orbit(point: int, gens) -> set[int]:
+    """The orbit of one point under the group the maps `gens` generate."""
+    seen = {point}
+    frontier = [point]
+    while frontier:
+        nxt = []
+        for s in gens:
+            for y in frontier:
+                z = int(s[y])
+                if z not in seen:
+                    seen.add(z)
+                    nxt.append(z)
+        frontier = nxt
+    return seen
 
 
 def aut_group_order(ring: FiniteRing, budget=None) -> int:
@@ -377,9 +465,7 @@ def automorphisms(ring: FiniteRing, budget=None) -> AutGroup:
     if not _certify(ring, ring, stack).all():  # pragma: no cover - closure of verified maps
         raise RuntimeError("internal error: transversal product is not an automorphism")
     group = AutGroup(ring, stack)
-    gen_arrays = [rep for level in chain for _, rep in level]
-    if gen_arrays:
-        group._gen_rows = sorted({group._index[np.ascontiguousarray(g).tobytes()] for g in gen_arrays})
+    group._gen_rows = sorted({group._index[g.tobytes()] for g in _strong_generators(ring)})
     ring._aut_cache["group"] = (group._images, group._gen_rows)
     return group
 
@@ -387,15 +473,13 @@ def automorphisms(ring: FiniteRing, budget=None) -> AutGroup:
 def aut_orbits(ring: FiniteRing, budget=None) -> tuple[tuple[int, ...], ...]:
     """Orbit partition of the carrier under the full automorphism group.
 
-    Works from the stabilizer-chain representatives, so it stays cheap
-    even when the group itself is too large to enumerate.
+    Works from the strong generators of the stabilizer chain, so it stays
+    cheap even when the group itself is too large to enumerate.
     """
     cached = ring._aut_cache.get("orbits")
     if cached is not None:
         return cached
-    chain = _stabilizer_chain(ring, budget)
-    reps = [rep for level in chain for _, rep in level]
-    orbits = _orbits_from_images(ring.order, reps)
+    orbits = _orbits_from_images(ring.order, _strong_generators(ring, budget))
     ring._aut_cache["orbits"] = orbits
     return orbits
 
@@ -406,14 +490,22 @@ def isomorphism(source: FiniteRing, target: FiniteRing, budget=None) -> RingMorp
     Cheap rejections first: order, characteristic, then the fingerprint
     multiset; after that the generator-image search runs against the
     target's fingerprint classes.
+
+    When the characteristic equals the order, both rings are their own
+    prime subrings, Z_n, and k*1 -> k*1 is returned without a search: it
+    is the only unital map between prime rings of equal characteristic,
+    and it is additive, multiplicative and bijective because it is the
+    identity of Z_n read in both carriers.
     """
     if source.order != target.order or source.characteristic != target.characteristic:
-        return None
-    if sorted(source.fingerprints) != sorted(target.fingerprints):
         return None
     # k*1 -> k*1 embeds the prime subring, S_0, when the characteristics agree
     row = np.full(source.order, -1, dtype=np.int64)
     row[list(source.prime_subring)] = target.prime_subring
+    if source.characteristic == source.order:
+        return RingMorphism(source, target, row)
+    if sorted(source.fingerprints) != sorted(target.fingerprints):
+        return None
     found = _Engine(source, target, budget).first(row, 0)
     return None if found is None else RingMorphism(source, target, found)
 

@@ -107,9 +107,9 @@ def build_graph(ring: FiniteRing, group: AutGroup) -> OrbitGraph:
 def aut_orbit_graph(ring: FiniteRing, budget=None) -> OrbitGraph:
     """Orbit graph under the full automorphism group.
 
-    The partition comes from stabilizer-chain representatives, so this
-    works even when Aut R is too large to list element by element; the
-    group reference is omitted in that case.
+    The partition comes from the stabilizer chain's strong generators, so
+    this works even when Aut R is too large to list element by element;
+    the group reference is omitted in that case.
     """
     return OrbitGraph(ring, aut_orbits(ring, budget=budget), None)
 

@@ -7,7 +7,8 @@ import pytest
 
 import ringgraph as rg
 from _oracle import naive_generating_set, oracle_automorphism_images, table_homomorphism
-from ringgraph.autsearch import _certify, _stabilizer_chain
+from ringgraph.autsearch import _certify, _orbits_from_images, _stabilizer_chain, _strong_generators
+from ringgraph.rings import _closure_plan
 
 
 def fresh_copy(ring):
@@ -316,6 +317,79 @@ def test_deep_chain_on_relabelled_square_zero_ring():
     assert len(rg.generating_set(ring)) == 5
     # |GL(3,4)| times the Frobenius of GF(4)
     assert rg.aut_group_order(ring) == 362880
+
+
+def test_deep_square_zero_chain_is_gl_8_2():
+    ring = fresh_copy(rg.make_ring(rg.SquareZero(rg.Zn(2), 8)))
+    # Aut acts on the square-zero ideal F_2^8 as GL(8,2)
+    assert rg.aut_group_order(ring) == math.prod(2**8 - 2**i for i in range(8))
+
+
+def test_strong_generators_generate_the_group(entries32):
+    for entry in entries32:
+        ring = entry.ring
+        gens = [rg.RingMorphism(ring, ring, g) for g in _strong_generators(ring)]
+        assert rg.subgroup_closure(ring, gens).order == rg.aut_group_order(ring), str(entry.expr)
+
+
+def test_strong_generator_orbits_match_every_representative(catalog64):
+    for entry in catalog64.entries:
+        ring = entry.ring
+        reps = [rep for level in _stabilizer_chain(ring) for _, rep in level]
+        expected = _orbits_from_images(ring.order, reps)
+        assert _orbits_from_images(ring.order, _strong_generators(ring)) == expected, str(entry.expr)
+        assert rg.aut_orbits(ring) == expected, str(entry.expr)
+
+
+def test_chain_levels_are_transversals(catalog64):
+    extra = [
+        rg.make_ring(rg.SquareZero(rg.Zn(2), 6)),
+        shuffled_copy(rg.make_ring(rg.SquareZero(rg.gf(4), 2)), np.random.default_rng(3))[0],
+    ]
+    for ring in [entry.ring for entry in catalog64.entries] + extra:
+        plan = _closure_plan(ring)
+        chain = _stabilizer_chain(ring)
+        assert len(chain) == len(plan) - 1
+        for i, level in enumerate(chain, start=1):
+            ys = [y for y, _ in level]
+            assert ys == sorted(set(ys)) and plan[i].gen in ys
+            fixed = plan[i - 1].elements
+            for y, rep in level:
+                assert np.array_equal(rep[fixed], fixed), (ring, i, y)
+                assert rep[plan[i].gen] == y, (ring, i, y)
+
+
+def test_chain_answers_survive_relabelling(catalog64):
+    # a relabelling changes the generators, the candidate order and which
+    # searches fail, so this exercises the unreachable-orbit pruning
+    rng = np.random.default_rng(1)
+    for entry in catalog64.entries:
+        twisted, perm = shuffled_copy(entry.ring, rng)
+        assert rg.aut_group_order(twisted) == rg.aut_group_order(entry.ring), str(entry.expr)
+        moved = sorted(tuple(sorted(int(perm[x]) for x in b)) for b in rg.aut_orbits(entry.ring))
+        assert sorted(rg.aut_orbits(twisted)) == moved, str(entry.expr)
+
+
+def test_cyclic_isomorphism_onto_coprime_products():
+    for n in range(2, 201):
+        source = rg.make_ring(rg.Zn(n))
+        for a in range(2, n // 2 + 1):
+            b = n // a
+            if a * b != n or math.gcd(a, b) != 1:
+                continue
+            target = rg.make_ring(rg.Prod((rg.Zn(a), rg.Zn(b))))
+            iso = rg.isomorphism(source, target)
+            assert iso is not None and iso.is_bijective, (a, b)
+            assert table_homomorphism(source, target, iso.image).all(), (a, b)
+    for cyclic, other in [
+        (rg.Zn(4), rg.gf(4)),
+        (rg.Zn(4), rg.PolyQuot(2, (0, 0, 1))),
+        (rg.Zn(8), rg.SquareZero(rg.Zn(2), 2)),
+        (rg.Zn(12), rg.Prod((rg.Zn(2), rg.Zn(6)))),
+        (rg.Zn(36), rg.Prod((rg.Zn(6), rg.Zn(6)))),
+    ]:
+        a, b = rg.make_ring(cyclic), rg.make_ring(other)
+        assert rg.isomorphism(a, b) is None and rg.isomorphism(b, a) is None, (cyclic, other)
 
 
 def test_certificate_agrees_with_full_table_check():
