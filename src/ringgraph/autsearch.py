@@ -6,8 +6,10 @@ S_i = <prime subring, g_1..g_i> from earlier ones, so the images on S_i are
 computed by replaying that recipe, for all candidate images of g_i at once:
 each recipe round is one gather on a matrix holding one candidate per row.
 Rows whose new images change an element's fingerprint are dropped after
-every round, and the survivors must pass `_certify`, a check against an
-additive generating set of S_i, before the search goes one level deeper.
+every round.  Only complete maps, at the last level, must pass `_certify`,
+which checks sums along an additive coset tree of the ring and products of
+its additive generators: a row that is not a homomorphism on S_i has no
+extension that is one, so checking it earlier would only prune sooner.
 Whole groups are assembled from a stabilizer chain of coset
 representatives, which keeps huge symmetric-type groups countable without
 enumerating them.  The chain is built deepest level first: the maps found
@@ -30,7 +32,7 @@ from .errors import (
     NotComposable,
     SearchBudgetExceeded,
 )
-from .rings import FiniteRing, _closure_plan
+from .rings import FiniteRing, _certificate, _closure_plan
 
 __all__ = [
     "DEFAULT_SEARCH_BUDGET",
@@ -114,37 +116,50 @@ def is_homomorphism(morphism: RingMorphism) -> bool:
     return morphism.is_homomorphism
 
 
-def _certify(source: FiniteRing, target: FiniteRing, rows, level=-1, injective=True) -> np.ndarray:
-    """Which image rows are injective ring homomorphisms on S = S_level.
+def _certify(source: FiniteRing, target: FiniteRing, rows, injective=True) -> np.ndarray:
+    """Which complete image rows are injective unital ring homomorphisms.
 
-    A row f passes when f(0) = 0, f(1) = 1, exactly one x in S has f(x) = 0,
-    and f(x+s) = f(x)+f(s) and f(x*s) = f(x)*f(s) for every x in S and every
-    s in the level's additive generating set A.  Entries outside S are not
-    read.  With injective=False the zero count is skipped.
+    A row f passes when f(0) = 0, f(1) = 1, exactly one x has f(x) = 0, and
+    f(c) = f(a) op f(b) for every triple (c, a, b) of the source's
+    `_Certificate`: c = a + b on the additive coset tree of an additive
+    generating set A = (a_1..a_K) and on one wrap edge per a_k, and
+    c = a * b for a <= b in A.  With injective=False the zero count is
+    skipped.  A row costs O(|R| + |A|^2) lookups, not O(|R|^2).
 
-    Soundness: every y in S is a sum s_1 + ... + s_m of elements of A,
-    since A generates the finite additive group S.  By induction on m,
-    f(x+y) = f((x + s_1+..+s_{m-1}) + s_m) = f(x + s_1+..+s_{m-1}) + f(s_m)
-    = f(x) + f(y), using that S is closed under + and f(0) = 0 for m = 0.
-    Then f(x*y) = f(sum x*s_j) = sum f(x*s_j) = f(x) * sum f(s_j)
-    = f(x)*f(y) by additivity and distributivity.  So f is a unital ring
-    homomorphism on S, and one zero means its kernel is trivial, so it is
-    injective.  The check costs O(|S| log |S|) per row, not O(|S|^2).
+    Soundness.  Let span_k be the additive span of a_1..a_k and m_k the
+    least m > 0 with m a_k in span_{k-1}; every x in span_k is z + c a_k
+    for exactly one z in span_{k-1} and 0 <= c < m_k.  By induction on k,
+    f is additive on span_k.  span_0 = {0} and f(0) = 0.  The tree edges
+    z + c a_k = (z + (c-1) a_k) + a_k give f(z + c a_k) = f(z) + c f(a_k),
+    by induction on c.  The wrap edge m_k a_k = (m_k - 1) a_k + a_k then
+    gives f(m_k a_k) = m_k f(a_k).  For x = z + c a_k and x' = z' + c' a_k,
+    x + x' = (z + z') + (c + c') a_k; if c + c' >= m_k, it is
+    (z + z' + m_k a_k) + (c + c' - m_k) a_k with the first term in
+    span_{k-1}.  Either way, additivity on span_{k-1} and the two
+    identities give f(x + x') = f(x) + f(x').  span_K is the whole ring,
+    so f is additive.  Every x is a sum of elements of A, and products
+    distribute, so f(x y) = sum f(a b) over the summands a of x and b of
+    y; both rings are commutative, so the pairs a <= b cover every a b,
+    and f(x y) = sum f(a) f(b) = f(x) f(y).  So f is a unital ring
+    homomorphism, and one zero means its kernel is trivial, so it is
+    injective.  This is the consistency check of a polycyclic
+    presentation (Holt, Eick & O'Brien 2005, ch. 8).  The order-1 ring has
+    no triples, and its one row passes on f(0) = 0 = f(1) alone.
     """
-    level = _closure_plan(source)[level]
-    dom, gens = level.elements, level.additive_gens
+    cert = _certificate(source)
     rows = np.atleast_2d(rows)
     ok = (rows[:, source.zero] == target.zero) & (rows[:, source.one] == target.one)
-    if injective:
-        ok &= (rows[:, dom] == target.zero).sum(axis=1) == 1
-    pairs = tuple(zip(level.grids, (target.add_table, target.mul_table)))
-    step = max(1, 2_000_000 // max(dom.size * gens.size, 1))
+    checks = ((cert.sums, target.add_table), (cert.products, target.mul_table))
+    # at most 2*10^6 entries per chunk in the gather of the sum triples (the
+    # product triples are fewer) and in the zero count
+    step = max(1, 2_000_000 // (3 * cert.sums.shape[1] + rows.shape[1]))
     for lo in range(0, len(rows), step):
         chunk = rows[lo : lo + step]
-        x = chunk[:, dom][:, :, None]
-        s = chunk[:, gens][:, None, :]
-        for s_idx, t_tab in pairs:
-            ok[lo : lo + step] &= (chunk[:, s_idx] == t_tab[x, s]).all(axis=(1, 2))
+        if injective:
+            ok[lo : lo + step] &= (chunk == target.zero).sum(axis=1) == 1
+        for triples, table in checks:
+            c, a, b = chunk[:, triples].transpose(1, 0, 2)
+            ok[lo : lo + step] &= (table[a, b] == c).all(axis=1)
     return ok
 
 
@@ -173,9 +188,18 @@ class _Engine:
         self.tfp = np.array([ids.setdefault(fp, len(ids)) for fp in target.fingerprints])
 
     def expand(self, row: np.ndarray, i: int) -> np.ndarray:
-        """Every certified extension to S_i of a row certified on S_{i-1}.
+        """The extensions to S_i of a row on S_{i-1} that keep their fingerprints.
 
-        Rows come out in ascending order of the image of g_i.
+        Rows come out in ascending order of the image of g_i.  At the last
+        level they are complete maps, and only those that pass `_certify`
+        are returned; earlier levels return every row that keeps its
+        fingerprints.  That loses no exactness: the recipe fixes the images
+        on S_i, so two homomorphisms that agree on S_{i-1} and g_i agree on
+        S_i, and a row that is not a homomorphism on S_i has no extension
+        that is one.  Every completion of such a row fails the final
+        certificate, so `first` returns None for it, as if the row had
+        been rejected at its own level, and marking its orbit dead in the
+        stabilizer chain stays sound.
         """
         level = self.plan[i]
         cands = np.flatnonzero(self.tfp == self.sfp[level.gen])
@@ -196,10 +220,15 @@ class _Engine:
             raise SearchBudgetExceeded(
                 f"search exceeded {self.budget} nodes; raise the budget to continue"
             )
-        return rows[_certify(self.source, self.target, rows, i)]
+        if i + 1 < len(self.plan):
+            return rows
+        return rows[_certify(self.source, self.target, rows)]
 
     def first(self, row: np.ndarray, i: int) -> np.ndarray | None:
-        """The first full map, depth first, extending a row certified on S_i."""
+        """The first certified full map, depth first, extending a row on S_i.
+
+        A row on the last level must come from `expand`, which certified it.
+        """
         if i + 1 == len(self.plan):
             return row
         for nxt in self.expand(row, i + 1):
@@ -301,26 +330,28 @@ class AutGroup:
 
 
 def _orbits_from_images(n: int, images) -> tuple[tuple[int, ...], ...]:
-    parent = list(range(n))
+    """Orbits of 0..n-1 under the group the permutations `images` generate.
 
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for img in images:
-        for x in range(n):
-            ra, rb = find(x), find(int(img[x]))
-            if ra != rb:
-                if ra < rb:
-                    parent[rb] = ra
-                else:
-                    parent[ra] = rb
-    blocks: dict[int, list[int]] = {}
-    for x in range(n):
-        blocks.setdefault(find(x), []).append(x)
-    return tuple(tuple(blocks[r]) for r in sorted(blocks))
+    Blocks are sorted ascending and listed by their least element.  Each
+    sweep gives x the smaller of its label and the label of g(x), for every
+    g, and then jumps every label to its label's label.  Labels only fall
+    and stay inside their orbit.  At the fixed point label(x) <= label(g(x))
+    for every x and g, and going round the cycle of g through x makes these
+    equal, so each orbit carries one label: its least element.
+    """
+    label = np.arange(n)
+    if len(images):
+        maps = np.stack(images)
+        while True:
+            before = label
+            label = np.minimum(label, label[maps].min(axis=0))
+            label = label[label]
+            if np.array_equal(label, before):
+                break
+    order = np.argsort(label, kind="stable")
+    cuts = [0, *(np.flatnonzero(np.diff(label[order])) + 1).tolist(), n]
+    order = order.tolist()
+    return tuple(tuple(order[lo:hi]) for lo, hi in zip(cuts, cuts[1:]))
 
 
 def _stabilizer_chain(ring: FiniteRing, budget=None):
@@ -337,20 +368,23 @@ def _stabilizer_chain(ring: FiniteRing, budget=None):
     On entry to level i the strong generators found so far generate G_i.
     H is the group they generate together with the maps found at level i,
     and `orbit` is a Schreier transversal of H·g_i: point y -> a product of
-    generators sending g_i to y.  The certified candidates of
-    `_Engine.expand` for g_i are walked in ascending y:
+    generators sending g_i to y.  The candidates of `_Engine.expand` for
+    g_i, rows on S_i that keep their fingerprints (certified when i = k),
+    are walked in ascending y:
 
     - y in the orbit already has a representative, with no search;
     - y marked unreachable is skipped;
-    - otherwise `_Engine.first` completes the candidate row or proves that
-      nothing does.  A map found joins the strong generators and the orbit
-      is regrown.  If none exists, no element of G_{i-1} sends g_i to y, and
+    - otherwise `_Engine.first` completes the candidate row to a certified
+      map or proves that nothing does.  An element of G_{i-1} sending g_i
+      to y equals the row on S_i, where the recipe fixes it, so it would
+      be found.  A map found joins the strong generators and the orbit is
+      regrown.  If none exists, no element of G_{i-1} sends g_i to y, and
       the whole H-orbit of y is marked unreachable: if sigma in G_{i-1} sent
       g_i to h(y), h in H, then h^-1 sigma would lie in G_{i-1} (H does) and
       send g_i to y.
 
     Soundness: every element of G_{i-1}·g_i is the generator image of a row
-    that `expand` certifies, so it is walked, and it is never marked
+    that `expand` returns, so it is walked, and it is never marked
     unreachable; hence at the end the orbit is exactly G_{i-1}·g_i.  The
     stabilizer of g_i in G_{i-1} fixes S_{i-1} and g_i, which generate S_i,
     so it is G_i; H contains G_i, so the stabilizer of g_i in H is G_i too.
@@ -365,8 +399,9 @@ def _stabilizer_chain(ring: FiniteRing, budget=None):
     cached = ring._aut_cache.get("chain")
     if cached is not None:
         return cached
-    engine = _Engine(ring, ring, budget)
-    plan = engine.plan
+    plan = _closure_plan(ring)
+    # a ring that is its prime subring has no levels, and needs no fingerprints
+    engine = _Engine(ring, ring, budget) if len(plan) > 1 else None
     strong: list[np.ndarray] = []
     chain = []
     for i in range(len(plan) - 1, 0, -1):

@@ -94,6 +94,9 @@ class Catalog:
 
 @dataclass(frozen=True)
 class VerificationReport:
+    """One verification's outcome: it passes when it checked at least one
+    ring and found no counterexample."""
+
     theorem_id: str
     universe: str
     checked: int
@@ -115,8 +118,10 @@ class VerificationReport:
 
 
 def _report(theorem_id, universe, checked, counterexamples, notes=()) -> VerificationReport:
+    # a verification that checked nothing has shown nothing, so it does not pass
+    passed = checked > 0 and not counterexamples
     return VerificationReport(
-        theorem_id, universe, checked, not counterexamples, tuple(counterexamples), tuple(notes)
+        theorem_id, universe, checked, passed, tuple(counterexamples), tuple(notes)
     )
 
 
@@ -164,7 +169,12 @@ class _LocalRegistry:
         self._probes: dict[tuple, list[int]] = {}
 
     def classify(self, ring: FiniteRing) -> int:
-        probe = (ring.order, ring.characteristic, tuple(sorted(ring.fingerprints)))
+        probe = (ring.order, ring.characteristic)
+        if ring.characteristic != ring.order:
+            # a ring whose characteristic is its order is Z_n, so its order
+            # fixes its class; `isomorphism` answers such pairs without
+            # fingerprints or a search
+            probe += (tuple(sorted(ring.fingerprints)),)
         bucket = self._probes.setdefault(probe, [])
         for idx in bucket:
             if isomorphism(self.reps[idx], ring, budget=self.budget) is not None:

@@ -458,13 +458,20 @@ def _cmd_verify(args, out):
         out.write(emit_json([r.as_dict() for r in reports]).decode())
     else:
         for r in reports:
-            status = "PASS" if r.passed else "FAIL"
+            status = "PASS" if r.passed else "FAIL" if r.counterexamples else "EMPTY"
             out.write(f"{status} {r.theorem_id}: checked {r.checked} over {r.universe}\n")
             for expr, detail in r.counterexamples:
                 out.write(f"  counterexample {expr}: {detail}\n")
             if r.notes:
                 out.write(f"  ({len(r.notes)} observations recorded; see --json)\n")
-    return 0 if all(r.passed for r in reports) else 1
+    if any(r.counterexamples for r in reports):
+        return 1
+    empty = [r.theorem_id for r in reports if not r.checked]
+    if empty:
+        print(f"error: {', '.join(empty)} checked no ring at --max-order {args.max_order}",
+              file=sys.stderr)
+        return 2
+    return 0
 
 
 def _sanitize(name: str) -> str:

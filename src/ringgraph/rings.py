@@ -482,8 +482,8 @@ def _fingerprints(ring: FiniteRing) -> tuple[tuple[int, ...], ...]:
     idx = np.arange(n)
     mul = ring.mul_table
 
-    # each order is the least divisor d of the group's order that kills x:
-    # the additive group has exponent char R and d*x = x*(d*1)
+    # the additive order is the least divisor d of char R with d*x = 0: the
+    # additive group has exponent char R and d*x = x*(d*1)
     prime = ring.prime_subring
     char = len(prime)
     add_order = np.zeros(n, dtype=np.int64)
@@ -503,21 +503,31 @@ def _fingerprints(ring: FiniteRing) -> tuple[tuple[int, ...], ...]:
     units = np.array(sorted(ring.units), dtype=np.int64)
     unit_mask = np.zeros(n, dtype=bool)
     unit_mask[units] = True
+    # the order of x in U is the product over p^a || |U| of the least p^e
+    # with (x^(|U|/p^a))^(p^e) = 1
     mul_order = np.zeros(n, dtype=np.int64)
-    for d in _divisors_descending(len(units)):
-        power = np.full(len(units), ring.one, dtype=np.int64)
-        base, e = units, d
-        while e:
-            if e & 1:
-                power = mul[power, base]
-            base = mul[base, base]
-            e >>= 1
-        mul_order[units[power == ring.one]] = d
+    mul_order[units] = 1
+    for p, a in factorize(len(units)).items():
+        y = _powers(mul, ring.one, units, len(units) // p**a)
+        for _ in range(a):
+            mul_order[units[y != ring.one]] *= p
+            y = _powers(mul, ring.one, y, p)
 
     ann_size = (mul == ring.zero).sum(axis=0)
     fix_size = (mul == idx[:, None]).sum(axis=1)
     stats = np.column_stack([add_order, nilp, unit_mask, mul_order, ann_size, fix_size])
     return tuple(map(tuple, stats.tolist()))
+
+
+def _powers(mul: np.ndarray, one: int, base: np.ndarray, e: int) -> np.ndarray:
+    """x^e for every x in `base`, by square-and-multiply."""
+    out = np.full(len(base), one, dtype=np.int64)
+    while e:
+        if e & 1:
+            out = mul[out, base]
+        base = mul[base, base]
+        e >>= 1
+    return out
 
 
 def element_fingerprint(ring: FiniteRing, x: int) -> tuple[int, ...]:
@@ -536,38 +546,60 @@ class _ClosureLevel:
 
     Each of the `rounds` derives elements new at this level from known ones:
     a pair of (c, a, b) index triples, c = a + b then c = a * b.  `elements`
-    is S_i; `additive_gens`, a set A_i of at most log2 |S_i| elements that
-    generates S_i additively, extends A_{i-1}; `grids` holds the sum and
-    product tables on S_i x A_i.
+    is S_i.
     """
 
     gen: int | None
     rounds: tuple
     elements: np.ndarray
-    additive_gens: np.ndarray
-    grids: tuple
+
+
+@dataclass(frozen=True)
+class _Certificate:
+    """The checks of `autsearch._certify`, as (3, m) index arrays of (c, a, b).
+
+    `sums` holds c = a + b for the additive coset tree of an additive
+    generating set A = (a_1..a_K) of the ring, built as span_k = span_{k-1}
+    + {0, a_k, .., (m_k - 1) a_k}: a tree edge joins each element of span_k
+    outside span_{k-1} to its parent, one a_k lower, and one wrap edge per
+    a_k joins m_k a_k, the first multiple back in span_{k-1}, to
+    (m_k - 1) a_k.  So there are |R| - 1 + K sum triples, kept in the
+    order of k.  `products` holds c = a * b for every pair a <= b of A.
+    """
+
+    sums: np.ndarray
+    products: np.ndarray
 
 
 def _close(ring: FiniteRing, known: np.ndarray, frontier: np.ndarray) -> tuple:
     """Close `known` (updated in place) under + and *, starting from `frontier`.
 
     Each round pairs only the last round's new elements with all known ones;
-    the tables are commutative, so every other pair was formed before.
+    the tables are commutative, so every other pair was formed before.  It
+    stops when nothing new appears or every element is known.
     """
     rounds = []
     while frontier.size:
-        have = np.flatnonzero(known)
+        have = known.nonzero()[0]
         rnd = []
         for table in (ring.add_table, ring.mul_table):
-            c = table[np.ix_(frontier, have)].ravel()
-            pos = np.flatnonzero(~known[c])
-            c, first = np.unique(c[pos], return_index=True)
+            c = table[frontier[:, None], have].ravel()
+            pos = (~known[c]).nonzero()[0]
+            if pos.size > 1:
+                # the first pair giving each new element, elements ascending
+                pos = pos[np.argsort(c[pos], kind="stable")]
+                first = np.ones(len(pos), dtype=bool)
+                np.not_equal(c[pos[1:]], c[pos[:-1]], out=first[1:])
+                pos = pos[first]
+            c = c[pos].astype(np.int64)
             known[c] = True
-            pos = pos[first]
-            rnd.append((c.astype(np.int64), frontier[pos // have.size], have[pos % have.size]))
+            i, j = np.divmod(pos, have.size)
+            rnd.append((c, frontier[i], have[j]))
         frontier = np.concatenate([rnd[0][0], rnd[1][0]])
         if frontier.size:
             rounds.append(tuple(rnd))
+        if have.size + frontier.size == ring.order:
+            break
     return tuple(rounds)
 
 
@@ -579,44 +611,64 @@ def _closure_plan(ring: FiniteRing) -> tuple[_ClosureLevel, ...]:
     of levels 1..i on images of the prime subring and the generators gives
     the image of every element of S_i.
     """
+    return ring._get("closure_plan", lambda: _build_plan(ring))[0]
 
-    def build():
-        known = np.zeros(ring.order, dtype=bool)
-        span = known.copy()  # additive span of add_gens
-        span[ring.zero] = True
-        add_gens: list[int] = []
-        levels = []
-        gen, rounds = None, ()
-        new = np.array(ring.prime_subring, dtype=np.int64)
-        known[new] = True
-        while True:
-            # each element taken at least doubles the span, a subgroup, so
-            # at most log2 |S_i| are taken
-            for x in new:
-                if span[x]:
-                    continue
-                base = np.flatnonzero(span)
-                cosets = []
-                k = int(x)
-                while not span[k]:
-                    cosets.append(ring.add_table[base, k])
-                    k = int(ring.add_table[k, x])
-                span[np.concatenate(cosets)] = True
-                add_gens.append(int(x))
-            elements = np.flatnonzero(known)
-            grid = np.ix_(elements, add_gens)
-            grids = (ring.add_table[grid], ring.mul_table[grid])
-            levels.append(
-                _ClosureLevel(gen, rounds, elements, np.array(add_gens, dtype=np.int64), grids)
-            )
-            if len(elements) == ring.order:
-                return tuple(levels)
-            gen = int(np.argmin(known))
-            known[gen] = True
-            rounds = _close(ring, known, np.array([gen]))
-            new = np.concatenate([[gen]] + [c for rnd in rounds for c, _, _ in rnd])
 
-    return ring._get("closure_plan", build)
+def _certificate(ring: FiniteRing) -> _Certificate:
+    """The homomorphism certificate of the whole ring, built with its closure plan."""
+    return ring._get("closure_plan", lambda: _build_plan(ring))[1]
+
+
+def _build_plan(ring: FiniteRing) -> tuple[tuple[_ClosureLevel, ...], _Certificate]:
+    """The levels of `_closure_plan` and the `_Certificate`, in one pass."""
+    add, mul = ring.add_table, ring.mul_table
+    known = np.zeros(ring.order, dtype=bool)
+    span = known.copy()  # additive span of the generators taken so far
+    span[ring.zero] = True
+    tree = []
+    levels = []
+    gen, rounds = None, ()
+    prime = np.array(ring.prime_subring, dtype=np.int64)
+    new = prime
+    known[new] = True
+    while True:
+        # each element taken at least doubles the span, a subgroup, so at
+        # most log2 |R| are taken
+        for x in new.tolist():
+            if span[x]:
+                continue
+            mults = mul[x, prime]  # c*x = x*(c*1) for c < char R
+            hit = span[mults]
+            hit[0] = False
+            # the least m > 0 with m*x in the span, at most char R
+            m = int(hit.argmax()) or len(prime)
+            cosets = add[mults[:m, None], span.nonzero()[0]]  # row c: c*x + span
+            span[cosets] = True
+            tree.append((cosets, int(mults[m % len(prime)]), int(mults[m - 1]), x))
+        elements = known.nonzero()[0]
+        levels.append(_ClosureLevel(gen, rounds, elements))
+        if len(elements) == ring.order:
+            break
+        gen = int(known.argmin())
+        known[gen] = True
+        rounds = _close(ring, known, np.array([gen]))
+        new = np.concatenate([[gen]] + [c for rnd in rounds for c, _, _ in rnd])
+    # the sum triples: coset c*x is coset (c-1)*x plus x, and the wrap edge
+    # m*x = (m-1)*x + x
+    sums = np.zeros((3, sum(cosets[1:].size + 1 for cosets, *_ in tree)), dtype=np.int64)
+    lo = 0
+    for cosets, wrap, prev, x in tree:
+        hi = lo + cosets[1:].size
+        sums[0, lo:hi] = cosets[1:].ravel()
+        sums[1, lo:hi] = cosets[:-1].ravel()
+        sums[2, lo:hi] = x
+        sums[:, hi] = wrap, prev, x
+        lo = hi + 1
+    gens = [x for *_, x in tree]
+    pairs = [(a, b) for i, a in enumerate(gens) for b in gens[i:]]
+    a, b = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    products = np.stack([mul[a, b], a, b]).astype(np.int64)
+    return tuple(levels), _Certificate(sums, products)
 
 
 def generating_set(ring: FiniteRing) -> tuple[int, ...]:
@@ -640,13 +692,10 @@ def decompose_local(ring: FiniteRing):
     # the cache must not refer back to the ring, or every ring that was
     # decomposed lives until the cyclic collector runs
     def build():
-        idem = sorted(idempotents(ring))
-        nontrivial = [e for e in idem if e != ring.zero]
-        prims = [
-            e
-            for e in nontrivial
-            if not any(f != e and ring.mul(e, f) == f for f in nontrivial)
-        ]
+        idem = np.array(sorted(idempotents(ring) - {ring.zero}), dtype=np.int64)
+        # e is primitive when no other nonzero idempotent f has e*f = f
+        below = (ring.mul_table[idem[:, None], idem] == idem) & (idem[:, None] != idem)
+        prims = idem[~below.any(axis=1)].tolist()
         if len(prims) <= 1:
             return None
         pieces = []

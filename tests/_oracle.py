@@ -162,6 +162,26 @@ def oracle_automorphism_images(ring):
     return {tuple(map(int, row)) for row in imgs[ok]}
 
 
+def reference_orbits(n, images):
+    """Orbits of 0..n-1 under the maps `images`, by a plain union-find:
+    blocks ascending, listed by their least element."""
+    parent = list(range(n))
+
+    def find(a):
+        while parent[a] != a:
+            a = parent[a]
+        return a
+
+    for img in images:
+        for x in range(n):
+            ra, rb = find(x), find(int(img[x]))
+            parent[max(ra, rb)] = min(ra, rb)
+    blocks = {}
+    for x in range(n):
+        blocks.setdefault(find(x), []).append(x)
+    return tuple(tuple(blocks[r]) for r in sorted(blocks))
+
+
 def table_homomorphism(source, target, images):
     """Full O(n^2) check of each image row: f(1) = 1 and f(a op b) = f(a) op f(b)
     for every pair (a, b) and both operations.  Returns one bool per row."""

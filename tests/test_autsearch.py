@@ -6,9 +6,15 @@ import numpy as np
 import pytest
 
 import ringgraph as rg
-from _oracle import naive_generating_set, oracle_automorphism_images, table_homomorphism
+from _oracle import (
+    naive_generating_set,
+    oracle_automorphism_images,
+    reference_orbits,
+    table_homomorphism,
+)
 from ringgraph.autsearch import _certify, _orbits_from_images, _stabilizer_chain, _strong_generators
-from ringgraph.rings import _closure_plan
+from ringgraph.classify import _LocalRegistry
+from ringgraph.rings import _certificate, _closure_plan
 
 
 def fresh_copy(ring):
@@ -416,3 +422,94 @@ def test_certificate_agrees_with_full_table_check():
         assert np.array_equal(_certify(ring, ring, rows), expected), str(entry.expr)
         assert np.array_equal(_certify(ring, ring, rows, injective=False), expected)
         assert rg.RingMorphism(ring, ring, rows[-1]).is_homomorphism == expected[-1]
+
+
+def test_order_one_ring_certifies():
+    ring = fresh_copy(rg.make_ring(rg.Zn(1)))
+    assert rg.identity_automorphism(ring).is_homomorphism
+    assert _certify(ring, ring, np.zeros((2, 1), dtype=np.int64)).all()
+    assert rg.aut_group_order(ring) == 1
+    assert rg.aut_orbits(ring) == ((0,),)
+    assert rg.automorphisms(ring).order == 1
+
+
+def _tree_rows(ring):
+    """Maps extended along the certificate's additive coset tree.
+
+    Each row is the identity on the additive generators but for one, which
+    goes to any element; the other images follow the tree edges.  Returns
+    the rows that fix 1 and, per row, the failing sum triples and product
+    triples.
+    """
+    cert = _certificate(ring)
+    gens = list(dict.fromkeys(cert.sums[2].tolist()))
+    n = ring.order
+    rows = np.tile(np.arange(n), (len(gens) * n, 1))
+    for k, g in enumerate(gens):
+        rows[k * n : (k + 1) * n, g] = np.arange(n)
+    assigned = {ring.zero, *gens}
+    for c, a, b in cert.sums.T.tolist():
+        if c not in assigned:
+            rows[:, c] = ring.add_table[rows[:, a], rows[:, b]]
+            assigned.add(c)
+    assert len(assigned) == n
+    rows = rows[rows[:, ring.one] == ring.one]
+    fails = [
+        rows[:, c] != table[rows[:, a], rows[:, b]]
+        for (c, a, b), table in ((cert.sums, ring.add_table), (cert.products, ring.mul_table))
+    ]
+    return rows, fails
+
+
+def test_certificate_rejects_a_single_broken_wrap_edge_or_product(entries32):
+    # rows that follow the tree can break only wrap edges and products; each
+    # failing triple is a sum or product f does not preserve, so the rows
+    # are not homomorphisms, and the rows that pass must be
+    single_wrap = single_product = 0
+    for entry in entries32:
+        ring = entry.ring
+        rows, (sum_fails, product_fails) = _tree_rows(ring)
+        expected = table_homomorphism(ring, ring, rows)
+        loose = _certify(ring, ring, rows, injective=False)
+        assert np.array_equal(loose, expected), str(entry.expr)
+        injective = (rows == ring.zero).sum(axis=1) == 1
+        assert np.array_equal(_certify(ring, ring, rows), expected & injective), str(entry.expr)
+        n_sum, n_product = sum_fails.sum(axis=1), product_fails.sum(axis=1)
+        single_wrap += int(((n_sum == 1) & (n_product == 0)).sum())
+        single_product += int(((n_sum == 0) & (n_product == 1)).sum())
+    assert single_wrap > 0 and single_product > 0
+
+
+def test_isomorphism_onto_relabelled_copy_is_a_table_homomorphism(catalog64):
+    rng = np.random.default_rng(17)
+    for entry in catalog64.entries:
+        twisted, _ = shuffled_copy(entry.ring, rng)
+        iso = rg.isomorphism(entry.ring, twisted)
+        assert iso is not None and iso.is_bijective, str(entry.expr)
+        assert table_homomorphism(entry.ring, twisted, iso.image).all(), str(entry.expr)
+
+
+def test_cyclic_rings_need_no_fingerprints():
+    for n in (1, 2, 12, 64):
+        ring = fresh_copy(rg.make_ring(rg.Zn(n)))
+        assert rg.aut_group_order(ring) == 1
+        assert rg.aut_orbits(ring) == tuple((x,) for x in range(n))
+        registry = _LocalRegistry(None)
+        twisted, _ = shuffled_copy(ring, np.random.default_rng(n))
+        assert registry.classify(ring) == registry.classify(twisted) == 0
+        assert "fingerprints" not in ring._derived and "fingerprints" not in twisted._derived
+
+
+def test_orbit_sweep_matches_union_find():
+    rng = np.random.default_rng(5)
+    for n in (1, 2, 7, 64, 300):
+        for k in range(4):
+            images = []
+            for _ in range(k):
+                # a permutation of a random part of the carrier, so that
+                # orbits come in many sizes
+                img = np.arange(n)
+                part = rng.choice(n, size=rng.integers(0, n + 1), replace=False)
+                img[part] = rng.permutation(part)
+                images.append(img)
+            assert _orbits_from_images(n, images) == reference_orbits(n, images), (n, k)

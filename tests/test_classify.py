@@ -239,6 +239,11 @@ def test_verify_all_small():
     assert [r.theorem_id for r in reports] == list(THEOREM_IDS)
 
 
+def test_report_that_checked_nothing_does_not_pass():
+    rep = rg.verify_residue_field_remark(rg.build_catalog(4))
+    assert rep.checked == 0 and not rep.counterexamples and rep.passed is False
+
+
 def test_units_connected_records_non_local_observations():
     rep = rg.verify_units_connected_classification(rg.build_catalog(8))
     assert rep.passed

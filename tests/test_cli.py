@@ -315,6 +315,18 @@ def test_cmd_verify_rejects_empty_universe(capsys):
     assert captured.out == "" and "--max-order" in captured.err
 
 
+def test_cmd_verify_that_checks_nothing_is_not_a_pass(capsys):
+    # no local ring of order <= 4 has residue degree above 2
+    assert main(["verify", "residue-remark", "--max-order", "4", "--json"]) == 2
+    captured = capsys.readouterr()
+    data = json.loads(captured.out)
+    assert data[0]["checked"] == 0 and data[0]["passed"] is False
+    assert "residue-remark" in captured.err
+    assert main(["verify", "residue-remark", "--max-order", "4"]) == 2
+    assert capsys.readouterr().out.startswith("EMPTY residue-remark: checked 0")
+    assert main(["verify", "residue-remark", "--max-order", "8"]) == 0
+
+
 def test_python_m_ringgraph_runs_cleanly():
     proc = _run_cli(["info", "Z4"], timeout=120)
     assert proc.returncode == 0 and proc.stderr == ""

@@ -253,6 +253,16 @@ def test_fingerprints_against_naive(catalog64):
             ), (str(entry.expr), x)
 
 
+def test_fingerprints_match_plain_computation_on_family_rings():
+    from _oracle import naive_fingerprint
+    from ringgraph.classify import _family_candidates
+
+    for _, expr in _family_candidates(32, include_trivial=True):
+        ring = rg.make_ring(expr)
+        plain = [naive_fingerprint(ring, x) for x in range(ring.order)]
+        assert list(ring.fingerprints) == plain, str(expr)
+
+
 def test_generating_set():
     assert rg.generating_set(rg.make_ring(rg.Zn(12))) == ()
     d = rg.make_ring(rg.PolyQuot(5, (0, 0, 1)))
