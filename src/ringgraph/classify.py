@@ -40,7 +40,7 @@ from .expr import Prod, PolyQuot, RingExpr, SquareZero, Zn, gf, prime_power
 from .orbitgraph import aut_orbit_graph, build_graph
 from .rings import (
     FiniteRing,
-    decompose_local,
+    _local_factors,
     euler_phi,
     local_structure,
     make_ring,
@@ -254,8 +254,7 @@ def build_catalog(max_order: int = 64, include_trivial: bool = False, budget=Non
         if family == "polyquot" and affine_duplicate(expr):
             continue
         ring = make_ring(expr)
-        factors, _ = decompose_local(ring)
-        key = tuple(sorted(registry.classify(f) for f in factors))
+        key = tuple(sorted(registry.classify(f) for f in _local_factors(ring)))
         offer(key, family, expr, ring)
         if len(key) == 1 and key[0] not in local_exprs:
             local_exprs[key[0]] = (expr, ring)
@@ -297,7 +296,7 @@ def build_catalog(max_order: int = 64, include_trivial: bool = False, budget=Non
 def _is_product_of_distinct_rigid_locals(ring: FiniteRing, budget) -> bool:
     """R isomorphic to a product of pairwise non-isomorphic factors drawn
     from the cyclic prime-power rings and the 4-element square-zero ring."""
-    factors, _ = decompose_local(ring)
+    factors = _local_factors(ring)
     for f in factors:
         ok = False
         if prime_power(f.order):

@@ -366,13 +366,18 @@ def _env_int(name: str, default: int) -> int:
 
 
 def _resolve_limits(args):
-    max_order = args.max_ring_order
-    if max_order is None:
-        max_order = _env_int(ENV_MAX_ORDER, DEFAULT_MAX_ORDER)
-    budget = args.search_budget
-    if budget is None:
-        budget = _env_int(ENV_BUDGET, DEFAULT_SEARCH_BUDGET)
-    return max_order, budget
+    limits = []
+    for value, flag, env, default in (
+        (args.max_ring_order, "--max-ring-order", ENV_MAX_ORDER, DEFAULT_MAX_ORDER),
+        (args.search_budget, "--search-budget", ENV_BUDGET, DEFAULT_SEARCH_BUDGET),
+    ):
+        source = flag
+        if value is None:
+            value, source = _env_int(env, default), f"environment variable {env}"
+        if value < 0:
+            raise SemanticError(f"{source} must be >= 0, got {value}")
+        limits.append(value)
+    return tuple(limits)
 
 
 def _cmd_info(args, out):

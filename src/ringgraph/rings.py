@@ -3,7 +3,9 @@
 A ring of order n lives on the carrier 0..n-1 with two n-by-n lookup
 tables.  Tables are built once from a RingExpr and are immutable; every
 structural question (units, nilpotents, local structure, idempotents,
-annihilators, ...) reduces to an exhaustive finite scan of the tables.
+annihilators, ...) reduces to an exhaustive finite scan of the tables.  A
+ring that `product_ring` built keeps its factors, and answers its local
+factors and fingerprints from theirs.
 
 Construction works on whole tables.  An additive group B^d, and any
 direct product, is a mixed-radix fold of the factors' tables.  Z_n[x]/(f),
@@ -187,15 +189,21 @@ class FiniteRing:
 
     @property
     def fingerprints(self) -> tuple[tuple[int, ...], ...]:
-        return self._get("fingerprints", lambda: _fingerprints(self))
+        return self._get(
+            "fingerprints", lambda: tuple(map(tuple, _fingerprint_table(self).tolist()))
+        )
 
     def table_digest(self) -> str:
         """Stable hash of the operation tables, used for deterministic tie-breaks."""
-        h = hashlib.sha256()
-        h.update(np.asarray(self.add_table, dtype=np.int32).tobytes())
-        h.update(np.asarray(self.mul_table, dtype=np.int32).tobytes())
-        h.update(bytes([self.zero & 0xFF, self.one & 0xFF]))
-        return h.hexdigest()
+
+        def build():
+            h = hashlib.sha256()
+            h.update(np.asarray(self.add_table, dtype=np.int32).tobytes())
+            h.update(np.asarray(self.mul_table, dtype=np.int32).tobytes())
+            h.update(bytes([self.zero & 0xFF, self.one & 0xFF]))
+            return h.hexdigest()
+
+        return self._get("table_digest", build)
 
     def __repr__(self):
         label = str(self.presentation) if self.presentation is not None else f"order={self.order}"
@@ -390,7 +398,26 @@ def _squarezero_name(dig, base_names, zero: int, one: int) -> str:
 
 
 def product_ring(factors, presentation=None) -> FiniteRing:
-    """Direct product with big-endian mixed-radix element encoding."""
+    """Direct product with big-endian mixed-radix element encoding.
+
+    The ring records its factors when their tables are in the table dtype,
+    as every built ring's are.  Its local factors and fingerprints then come
+    from theirs, with no scan of the product's tables:
+
+    - A finite commutative ring is a product of local rings in one way up
+      to isomorphism and order (Atiyah & Macdonald, Thm 8.7), and its local
+      factors are the rings eR for its primitive idempotents e.  An
+      idempotent's coordinates are idempotents, and one with two nonzero
+      coordinates is the sum of two orthogonal nonzero idempotents, so the
+      primitive idempotents of F_1 x .. x F_k have one primitive
+      coordinate e_j and zeros elsewhere, and eR is e_j F_j in coordinate
+      j.  So the local factors of the product are those of the F_j; an
+      order-1 F_j has none, its only idempotent being zero.
+      `decompose_local` gives the order and labelling that make them the
+      very rings a scan builds.
+    - Each fingerprint component is an exact function of the coordinates'
+      components (see `_fingerprint_table`).
+    """
     factors = list(factors)
     orders = [f.order for f in factors]
     q = math.prod(orders)
@@ -409,7 +436,10 @@ def product_ring(factors, presentation=None) -> FiniteRing:
             for cs in zip(*(c.tolist() for c in cols))
         ]
 
-    return FiniteRing(add, mul, zero, one, presentation, names)
+    ring = FiniteRing(add, mul, zero, one, presentation, names)
+    if all(f.add_table.dtype == f.mul_table.dtype == _table_dtype(f.order) for f in factors):
+        ring._derived["factors"] = tuple(factors)
+    return ring
 
 
 # ---------------------------------------------------------------------------
@@ -477,7 +507,43 @@ def _divisors_descending(n: int) -> list[int]:
     return [d for d in range(n, 0, -1) if n % d == 0]
 
 
-def _fingerprints(ring: FiniteRing) -> tuple[tuple[int, ...], ...]:
+def _fingerprint_table(ring: FiniteRing) -> np.ndarray:
+    """The fingerprints of `element_fingerprint` as an (n, 6) int64 array.
+
+    A ring with recorded factors combines its factors' tables, one factor
+    at a time in the big-endian order of `product_ring`.  Each rule is an
+    identity for x = (x_1..x_k), since the operations act coordinatewise:
+
+    - additive order: d*x = 0 iff d*x_j = 0 for all j, so it is the lcm;
+    - nilpotency index: x^m = 0 iff x_j^m = 0 for all j, and x_j^m = 0
+      stays 0 for larger m, so it is the max if every x_j is nilpotent,
+      else 0 (x is not nilpotent);
+    - unit flag: xy = 1 iff x_j y_j = 1 for all j, so x is a unit iff
+      every x_j is;
+    - multiplicative order: x^m = 1 iff x_j^m = 1 for all j, so it is the
+      lcm when x is a unit; a non-unit coordinate has 0, and lcm(0, .) = 0;
+    - annihilator size and fix size: {y : xy = 0} and {y : xy = x} are the
+      products of the coordinates' sets, so the sizes multiply.
+    """
+
+    def build():
+        factors = ring._derived.get("factors")
+        if factors is None:
+            return _scan_fingerprints(ring)
+        out = _fingerprint_table(factors[0])
+        for factor in factors[1:]:
+            a, b = out[:, None, :], _fingerprint_table(factor)[None, :, :]
+            out = a * b  # the unit flag and both sizes; components are >= 0
+            out[..., [0, 3]] = np.lcm(a[..., [0, 3]], b[..., [0, 3]])
+            out[..., 1] = np.where(out[..., 1] > 0, np.maximum(a[..., 1], b[..., 1]), 0)
+            out = out.reshape(-1, 6)
+        return out
+
+    return ring._get("fingerprint_table", build)
+
+
+def _scan_fingerprints(ring: FiniteRing) -> np.ndarray:
+    """The fingerprint table computed from the ring's own tables."""
     n = ring.order
     idx = np.arange(n)
     mul = ring.mul_table
@@ -515,8 +581,7 @@ def _fingerprints(ring: FiniteRing) -> tuple[tuple[int, ...], ...]:
 
     ann_size = (mul == ring.zero).sum(axis=0)
     fix_size = (mul == idx[:, None]).sum(axis=1)
-    stats = np.column_stack([add_order, nilp, unit_mask, mul_order, ann_size, fix_size])
-    return tuple(map(tuple, stats.tolist()))
+    return np.column_stack([add_order, nilp, unit_mask, mul_order, ann_size, fix_size])
 
 
 def _powers(mul: np.ndarray, one: int, base: np.ndarray, e: int) -> np.ndarray:
@@ -683,50 +748,97 @@ def generating_set(ring: FiniteRing) -> tuple[int, ...]:
 def decompose_local(ring: FiniteRing):
     """Split a ring along its primitive idempotents.
 
-    Returns (factors, iso) where the factors are local rings sorted by
-    order then table digest, and iso maps the ring onto their product.
-    The order-1 ring is returned unchanged as its own single factor.
+    Returns (factors, iso) where the factors are the local rings eR, one for
+    each primitive idempotent e, sorted by order, then table digest, then
+    the index of e; eR is labelled by the rank of each element in eR, so x
+    maps to the rank of xe in eR.  iso maps the ring onto the product of the
+    factors, which is built on each call.  A ring with at most one
+    primitive idempotent, the order-1 ring included, is returned unchanged
+    as its own single factor.
+
+    For a ring that `product_ring` built, the factors are its factors'
+    local factors, the same objects, in this order; no table is scanned for
+    them.  They equal the rings a scan builds: the nonzero coordinate of
+    eR = (0, .., e_j F_j, .., 0) runs through e_j F_j in ascending index,
+    since the encoding is monotone in each coordinate, so the ranks in eR
+    are the ranks in e_j F_j, the labels of F_j's own factor.
     """
     from .autsearch import RingMorphism, identity_automorphism
 
-    # the cache must not refer back to the ring, or every ring that was
-    # decomposed lives until the cyclic collector runs
-    def build():
-        idem = np.array(sorted(idempotents(ring) - {ring.zero}), dtype=np.int64)
-        # e is primitive when no other nonzero idempotent f has e*f = f
-        below = (ring.mul_table[idem[:, None], idem] == idem) & (idem[:, None] != idem)
-        prims = idem[~below.any(axis=1)].tolist()
-        if len(prims) <= 1:
-            return None
-        pieces = []
-        for e in prims:
-            carrier = np.unique(ring.mul_table[:, e])
-            inv = np.full(ring.order, -1, dtype=np.int64)
-            inv[carrier] = np.arange(len(carrier))
-            sub_add = inv[ring.add_table[np.ix_(carrier, carrier)]]
-            sub_mul = inv[ring.mul_table[np.ix_(carrier, carrier)]]
-            piece = FiniteRing(
-                sub_add.astype(_table_dtype(len(carrier))),
-                sub_mul.astype(_table_dtype(len(carrier))),
-                int(inv[ring.zero]),
-                int(inv[e]),
-                None,
-                _names_at(ring._names, carrier),
-            )
-            pieces.append((piece, e, inv))
-        pieces.sort(key=lambda t: (t[0].order, t[0].table_digest()))
-        factors = [p[0] for p in pieces]
-        # product_ring's big-endian mixed radix is C order
-        image = np.ravel_multi_index(
-            tuple(inv[ring.mul_table[:, e]] for _, e, inv in pieces), [f.order for f in factors]
-        )
-        return factors, product_ring(factors), image
-
-    split = ring._get("decompose_local", build)
+    split = _local_split(ring)
     if split is None:
         return [ring], identity_automorphism(ring)
-    factors, target, image = split
-    return factors, RingMorphism(ring, target, image)
+    factors = [piece for piece, _ in split]
+    # product_ring's big-endian mixed radix is C order
+    image = np.ravel_multi_index(
+        tuple(np.unique(ring.mul_table[:, e], return_inverse=True)[1] for _, e in split),
+        [f.order for f in factors],
+    )
+    return factors, RingMorphism(ring, product_ring(factors), image)
+
+
+def _local_factors(ring: FiniteRing) -> list[FiniteRing]:
+    """The factors of `decompose_local`, without the map onto their product."""
+    split = _local_split(ring)
+    return [ring] if split is None else [piece for piece, _ in split]
+
+
+def _local_split(ring: FiniteRing) -> tuple | None:
+    """(factor, primitive idempotent) pairs in `decompose_local` order, or
+    None when the ring is its own factor.
+
+    The cache must not refer back to the ring, or every ring that was
+    decomposed lives until the cyclic collector runs.
+    """
+
+    def build():
+        factors = ring._derived.get("factors")
+        if factors is None:
+            return _split_by_idempotents(ring)
+        orders = [f.order for f in factors]
+        pieces = []
+        for j, factor in enumerate(factors):
+            for piece, e in _local_split(factor) or [(factor, factor.one)]:
+                if piece.order > 1:
+                    coords = [f.zero for f in factors]
+                    coords[j] = e
+                    pieces.append((piece, int(np.ravel_multi_index(coords, orders))))
+        return _sorted_split(pieces)
+
+    return ring._get("local_split", build)
+
+
+def _split_by_idempotents(ring: FiniteRing) -> tuple | None:
+    """`_local_split` from the ring's own tables: one piece eR per primitive e."""
+    idem = np.array(sorted(idempotents(ring) - {ring.zero}), dtype=np.int64)
+    # e is primitive when no other nonzero idempotent f has e*f = f
+    below = (ring.mul_table[idem[:, None], idem] == idem) & (idem[:, None] != idem)
+    prims = idem[~below.any(axis=1)].tolist()
+    if len(prims) <= 1:
+        return None
+    pieces = []
+    for e in prims:
+        carrier = np.unique(ring.mul_table[:, e])
+        inv = np.full(ring.order, -1, dtype=np.int64)
+        inv[carrier] = np.arange(len(carrier))
+        dt = _table_dtype(len(carrier))
+        piece = FiniteRing(
+            inv[ring.add_table[np.ix_(carrier, carrier)]].astype(dt),
+            inv[ring.mul_table[np.ix_(carrier, carrier)]].astype(dt),
+            int(inv[ring.zero]),
+            int(inv[e]),
+            None,
+            _names_at(ring._names, carrier),
+        )
+        pieces.append((piece, e))
+    return _sorted_split(pieces)
+
+
+def _sorted_split(pieces: list) -> tuple | None:
+    """(piece, idempotent) pairs in decomposition order, or None for fewer than two."""
+    if len(pieces) <= 1:
+        return None
+    return tuple(sorted(pieces, key=lambda t: (t[0].order, t[0].table_digest(), t[1])))
 
 
 def _names_at(source, carrier: np.ndarray):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -285,6 +286,29 @@ def test_non_integer_environment_limit_exits_2(monkeypatch, capsys, var):
     assert captured.out == "" and var in captured.err and "'abc'" in captured.err
 
 
+@pytest.mark.parametrize("flag", ["--search-budget", "--max-ring-order"])
+def test_negative_limit_flag_exits_2(capsys, flag):
+    assert main([flag, "-1", "type", "GF(4)"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and flag in captured.err and "-1" in captured.err
+
+
+@pytest.mark.parametrize("var", ["RINGGRAPH_MAX_ORDER", "RINGGRAPH_BUDGET"])
+def test_negative_environment_limit_exits_2(monkeypatch, capsys, var):
+    monkeypatch.setenv(var, "-5")
+    assert main(["type", "GF(4)"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and var in captured.err and "-5" in captured.err
+
+
+def test_zero_search_budget_is_a_limit(capsys):
+    # a ring cached by an earlier test may hold its chain already
+    rg.rings._build_ring.cache_clear()
+    assert main(["--search-budget", "0", "type", "Z4"]) == 0
+    assert main(["--search-budget", "0", "type", "GF(4)"]) == 3
+    assert "resource limit" in capsys.readouterr().err
+
+
 def test_env_vs_flag_precedence(monkeypatch, capsys):
     monkeypatch.setenv("RINGGRAPH_MAX_ORDER", "8")
     assert main(["info", "Z100"]) == 3
@@ -325,6 +349,17 @@ def test_cmd_verify_that_checks_nothing_is_not_a_pass(capsys):
     assert main(["verify", "residue-remark", "--max-order", "4"]) == 2
     assert capsys.readouterr().out.startswith("EMPTY residue-remark: checked 0")
     assert main(["verify", "residue-remark", "--max-order", "8"]) == 0
+
+
+# sha256 of the stdout of `ringgraph verify all --max-order 64 --json`: a
+# speed change must leave every report byte for byte as it was
+VERIFY_ALL_64_SHA256 = "1f35989a3d90730eb0fec3400be691a73a3e6701eda127e56f3869078d2bdbad"
+
+
+def test_verify_all_json_is_byte_stable(capsys):
+    assert main(["verify", "all", "--max-order", "64", "--json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_ALL_64_SHA256
 
 
 def test_python_m_ringgraph_runs_cleanly():

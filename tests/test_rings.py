@@ -184,6 +184,91 @@ def test_decompose_catalog(catalog64):
         assert iso.is_homomorphism and iso.is_bijective, str(entry.expr)
 
 
+_PRODUCTS = (
+    "Z1 x Z2",
+    "Z4 x Z1 x Z1",
+    "Z6 x Z4",
+    "GF(4) x GF(4) x Z2",
+    "SZ(Z2,2) x Z12",
+    "Z6[x]/(x^2+1) x Z3",
+)
+
+
+def _scanned_copy(ring):
+    """The same tables with no recorded factors, so every query scans them."""
+    return rg.FiniteRing(ring.add_table, ring.mul_table, ring.zero, ring.one, None, ring._names)
+
+
+def _assert_product_matches_scan(ring, label):
+    ref = _scanned_copy(ring)
+    factors, iso = rg.decompose_local(ring)
+    ref_factors, ref_iso = rg.decompose_local(ref)
+    assert len(factors) == len(ref_factors), label
+    for f, g in zip(factors, ref_factors):
+        assert f.add_table.dtype == g.add_table.dtype, label
+        assert f.mul_table.dtype == g.mul_table.dtype, label
+        assert np.array_equal(f.add_table, g.add_table), label
+        assert np.array_equal(f.mul_table, g.mul_table), label
+        assert (f.zero, f.one) == (g.zero, g.one), label
+    assert np.array_equal(iso.image, ref_iso.image), label
+    assert iso.is_homomorphism and iso.is_bijective, label
+    assert ring.fingerprints == ref.fingerprints, label
+
+
+def test_product_factors_and_fingerprints_match_the_scan():
+    from ringgraph.classify import build_catalog
+
+    products = [e for e in build_catalog(128).entries if e.provenance == "product"]
+    assert len(products) > 500
+    rings = [(str(e.expr), e.ring) for e in products]
+    rings += [(text, rg.make_ring(rg.parse_ring_expr(text))) for text in _PRODUCTS]
+    for label, ring in rings:
+        _assert_product_matches_scan(ring, label)
+        # on a fresh copy, neither query scans the product's tables
+        fresh = rg.product_ring(ring._derived["factors"])
+        assert rg.decompose_local(fresh) and fresh.fingerprints
+        assert not {"idempotents", "units", "prime_subring"} & fresh._derived.keys(), label
+        _assert_product_matches_scan(fresh, label)
+        own = [p for f in ring._derived["factors"] for p in rg.decompose_local(f)[0]]
+        pieces = rg.decompose_local(ring)[0]
+        assert pieces == [ring] or all(any(p is q for q in own) for p in pieces), label
+
+
+def test_product_of_factors_outside_the_table_dtype_scans():
+    z2 = rg.make_ring(rg.Zn(2))
+    wide = rg.FiniteRing(z2.add_table.astype(np.int64), z2.mul_table.astype(np.int64), 0, 1,
+                         None, ["0", "1"])
+    ring = rg.product_ring([wide, rg.make_ring(rg.Zn(3))])
+    assert "factors" not in ring._derived
+    factors, _ = rg.decompose_local(ring)
+    assert [f.add_table.dtype for f in factors] == [np.int16, np.int16]
+    nested = rg.product_ring([rg.make_ring(rg.Zn(6)), rg.make_ring(rg.gf(4))])
+    _assert_product_matches_scan(nested, "Z6 x GF(4), unnamed")
+
+
+def test_product_pieces_carry_their_factors_names():
+    ring = rg.make_ring(rg.parse_ring_expr("Z2[x]/(x^2) x Z3"))
+    factors, _ = rg.decompose_local(ring)
+    assert [f.element_names for f in factors] == [("0", "1", "2"), ("0", "1", "x", "x+1")]
+    ref_factors, _ = rg.decompose_local(_scanned_copy(ring))
+    assert ref_factors[1].element_names == ("(0,0)", "(1,0)", "(x,0)", "(x+1,0)")
+
+
+def test_decomposing_a_product_leaves_no_reference_cycle():
+    gc.disable()
+    try:
+        inner = rg.make_ring(rg.Prod((rg.Zn(2), rg.Zn(3))))
+        for parts in ([rg.gf(4), rg.Zn(9)], [rg.Zn(4), rg.Zn(1)]):
+            ring = rg.product_ring([inner] + [rg.make_ring(e) for e in parts])
+            factors, iso = rg.decompose_local(ring)
+            assert ring.fingerprints and iso.is_homomorphism
+            alive, target = weakref.ref(ring), weakref.ref(iso.target)
+            del ring, factors, iso
+            assert alive() is None and target() is None, parts
+    finally:
+        gc.enable()
+
+
 def test_idempotents():
     assert rg.idempotents(rg.make_ring(rg.Zn(4))) == {0, 1}
     assert rg.idempotents(rg.make_ring(rg.Zn(6))) == {0, 1, 3, 4}
