@@ -531,7 +531,16 @@ def isomorphism(source: FiniteRing, target: FiniteRing, budget=None) -> RingMorp
     is the only unital map between prime rings of equal characteristic,
     and it is additive, multiplicative and bijective because it is the
     identity of Z_n read in both carriers.
+
+    A ring tested against itself gets the identity without a search, the
+    map the search would return first.  Every index below g_i lies in
+    S_{i-1}, since g_i is the least index outside it, so under the
+    identity on S_{i-1} each of them is a used image, and g_i is the first
+    candidate image of g_i; the identity on S_i keeps every fingerprint,
+    and the complete identity passes the certificate.
     """
+    if source is target:
+        return identity_automorphism(source)
     if source.order != target.order or source.characteristic != target.characteristic:
         return None
     # k*1 -> k*1 embeds the prime subring, S_0, when the characteristics agree

@@ -20,6 +20,41 @@ first hit are all registered, and building f would only repeat them.
 Likewise a product of local classes is built only when its class is
 missing or held by a lower-priority family; a Z_n or field entry of the
 same class always wins.
+
+Only local candidates are classified.  A finite commutative ring is the
+product of its local factors in one way (Atiyah & Macdonald, Thm 8.7),
+and a non-local candidate changes nothing when its local factors are
+isomorphic to local factors of earlier candidates: then every class it
+would register is registered, and its own class, a product of two or more
+of them with order |R| <= max_order, is one that `expand` reaches and that
+a product (priority 2) takes from a quotient (3) or a square-zero ring
+(4).  This holds for three kinds of candidate:
+
+- Z_n with n = p_1^a_1 .. p_k^a_k is Z_{p_1^a_1} x .. x Z_{p_k^a_k}
+  (CRT); its pieces come from `rings._crt_split`, with no scan, and Z_n
+  is kept, since Z_n wins its class.
+- Z_n[x]/(f) with n not a prime power is the product over p^a || n of
+  Z_{p^a}[x]/(f mod p^a), and SZ(Z_b, m) with b not a prime power that
+  of the SZ(Z_{p^a}, m) over p^a || b.  Each factor is a candidate of the
+  same family over a smaller base, so it came earlier; it is local, or
+  its own local factors are those of earlier candidates by the other
+  cases here and the affine skip.  Both are skipped before their tables
+  are built.
+- Z_{p^a}[x]/(f) with an idempotent other than 0 and 1 is non-local, and
+  so is its quotient F_p[x]/(f mod p), since idempotents lift modulo the
+  nil ideal (p).  So f mod p is the product of two coprime monic factors
+  of positive degree, which lift to f = g h with g, h monic and comaximal
+  over Z_{p^a} (Hensel; McDonald, *Finite Rings with Identity*, ch. XIII),
+  and the ring is Z_{p^a}[x]/(g) x Z_{p^a}[x]/(h).  These have lower
+  degree: degree 1 gives Z_{p^a}, and degree 2 a quotient candidate, or
+  one isomorphic to its orbit minimum, met before every cubic one.  By
+  induction on the degree their local factors are those of earlier
+  candidates.  The ring is dropped after that one check.
+
+The factors named in each case have order at most the candidate's, so
+they are all candidates at this max_order.  Every other candidate (a
+field, SZ over a local base, a quotient with only 0 and 1 as idempotents)
+is local, and is classified as its own single factor.
 """
 
 from __future__ import annotations
@@ -36,12 +71,13 @@ from .autsearch import (
     isomorphism,
 )
 from .errors import OrderLimitExceeded
-from .expr import Prod, PolyQuot, RingExpr, SquareZero, Zn, gf, prime_power
+from .expr import Prod, PolyQuot, RingExpr, SquareZero, Zn, expr_order, gf, prime_power
 from .orbitgraph import aut_orbit_graph, build_graph
 from .rings import (
     FiniteRing,
     _local_factors,
     euler_phi,
+    idempotents,
     local_structure,
     make_ring,
     residue_degree,
@@ -222,12 +258,23 @@ def build_catalog(max_order: int = 64, include_trivial: bool = False, budget=Non
     square-zero), and the final listing is sorted by order then by the
     canonical expression string.
 
-    Two kinds of candidate are dropped before their tables are built,
-    with the same result as building them (proof in the module
-    docstring): a quotient Z_n[x]/(f) whose orbit under f -> u^-d *
-    f(ux + a) holds a smaller code, since it is isomorphic to that
-    earlier quotient, and a product whose class is already held by a Z_n
-    or field entry.
+    Candidates that cannot change the result are dropped, with the same
+    result as classifying them (proofs in the module docstring):
+
+    - before their tables are built, a quotient Z_n[x]/(f) whose orbit
+      under f -> u^-d * f(ux + a) holds a smaller code, since it is
+      isomorphic to that earlier quotient; a quotient or square-zero ring
+      over Z_n with n not a prime power, the product of the same
+      construction over the prime-power parts of n; and a product whose
+      class is already held by a Z_n or field entry;
+    - after them, a quotient with an idempotent other than 0 and 1, a
+      product of lower-degree quotients.
+
+    In the last two cases the candidate's class is a product of local
+    classes registered before it, of order at most max_order, so `expand`
+    offers it as a product, which wins over a quotient or square-zero
+    ring.  Z_n is split by CRT; every other candidate kept has only 0 and
+    1 as idempotents, so it is local and is its own single factor.
     """
     if max_order > MAX_CATALOG_ORDER:
         raise OrderLimitExceeded(f"catalog max_order capped at {MAX_CATALOG_ORDER}")
@@ -251,10 +298,18 @@ def build_catalog(max_order: int = 64, include_trivial: bool = False, budget=Non
 
     local_exprs: dict[int, tuple] = {}
     for family, expr in _family_candidates(max_order, include_trivial):
-        if family == "polyquot" and affine_duplicate(expr):
+        if family == "polyquot" and (not prime_power(expr.n) or affine_duplicate(expr)):
+            continue
+        if family == "squarezero" and not prime_power(expr_order(expr.base)):
             continue
         ring = make_ring(expr)
-        key = tuple(sorted(registry.classify(f) for f in _local_factors(ring)))
+        if family == "zn":
+            factors = _local_factors(ring)  # by CRT, with no scan
+        elif len(idempotents(ring)) > 2:
+            continue  # a non-local quotient
+        else:
+            factors = [ring]
+        key = tuple(sorted(registry.classify(f) for f in factors))
         offer(key, family, expr, ring)
         if len(key) == 1 and key[0] not in local_exprs:
             local_exprs[key[0]] = (expr, ring)

@@ -454,10 +454,15 @@ def _run_verifications(theorem: str, max_order: int, budget):
                         f"{', '.join(classify.THEOREM_IDS)} or 'all'")
 
 
+def _check_catalog_order(max_order: int) -> None:
+    # a catalog below order 2 holds no classified ring
+    if max_order < 2:
+        raise SemanticError(f"--max-order must be at least 2, got {max_order}")
+
+
 def _cmd_verify(args, out):
     _, budget = _resolve_limits(args)
-    if args.max_order < 2:
-        raise SemanticError(f"--max-order must be at least 2, got {args.max_order}")
+    _check_catalog_order(args.max_order)
     reports = _run_verifications(args.theorem, args.max_order, budget)
     if args.json:
         out.write(emit_json([r.as_dict() for r in reports]).decode())
@@ -485,6 +490,7 @@ def _sanitize(name: str) -> str:
 
 def _cmd_atlas(args, out):
     _, budget = _resolve_limits(args)
+    _check_catalog_order(args.max_order)
     catalog = classify.build_catalog(args.max_order, budget=budget)
     os.makedirs(args.out, exist_ok=True)
     index = []

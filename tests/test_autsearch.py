@@ -110,6 +110,22 @@ def test_isomorphism_examples():
     assert rg.isomorphism(c, d) is not None
 
 
+def test_isomorphism_of_a_ring_onto_itself_is_the_identity(entries32):
+    # a ring against itself answers without a search, with the map the
+    # search returns first on a copy of it
+    for entry in entries32:
+        ring, label = entry.ring, str(entry.expr)
+        ident = np.arange(ring.order)
+        same = rg.isomorphism(ring, ring)
+        assert same.source is ring and same.target is ring, label
+        assert np.array_equal(same.image, ident) and same.is_automorphism, label
+        copy = fresh_copy(ring)
+        assert np.array_equal(rg.isomorphism(ring, copy).image, ident), label
+    ring = fresh_copy(rg.make_ring(rg.gf(16)))
+    assert rg.isomorphism(ring, ring) is not None
+    assert "closure_plan" not in ring._derived and "fingerprints" not in ring._derived
+
+
 def test_subgroup_closure():
     f8 = rg.make_ring(rg.gf(8))
     assert rg.subgroup_closure(f8, []).order == 1
@@ -279,6 +295,21 @@ def test_isomorphism_found_under_relabeling(entries32):
         iso = rg.isomorphism(entry.ring, twisted)
         assert iso is not None, str(entry.expr)
         assert iso.is_homomorphism and iso.is_bijective
+
+
+def test_relabelled_cyclic_ring_is_split_by_its_idempotents():
+    z30 = rg.make_ring(rg.Zn(30))
+    twisted, _ = shuffled_copy(z30, np.random.default_rng(30))
+    # the presentation claims Z30, but element k is not k*1
+    twisted = rg.FiniteRing(twisted.add_table, twisted.mul_table, twisted.zero, twisted.one,
+                            rg.Zn(30), twisted.element_names)
+    factors, iso = rg.decompose_local(twisted)
+    assert "idempotents" in twisted._derived
+    expected = rg.decompose_local(z30)[0]
+    assert [f.order for f in factors] == [f.order for f in expected] == [2, 3, 5]
+    for f, g in zip(factors, expected):
+        assert rg.isomorphism(f, g) is not None
+    assert iso.is_bijective and table_homomorphism(twisted, iso.target, iso.image).all()
 
 
 def test_search_matches_oracle_on_relabeled_rings():

@@ -89,29 +89,70 @@ def _modulus_code(expr):
     return sum(c * expr.n**i for i, c in enumerate(expr.modulus[:-1]))
 
 
-def test_skipped_quotients_are_isomorphic_to_their_orbit_minimum(monkeypatch):
-    built = set()
-    make_ring = classify.make_ring
+def test_candidates_left_out_are_isomorphic_to_a_catalog_entry(monkeypatch):
+    # every quotient and square-zero candidate that the catalog does not
+    # classify is isomorphic to one entry of its order: the class of its
+    # orbit minimum for an affine duplicate, a product entry for the others
+    built, classified = {}, set()
+    make_ring, register = classify.make_ring, classify._LocalRegistry.classify
 
-    def recording(expr, *args, **kwargs):
-        built.add(expr)
-        return make_ring(expr, *args, **kwargs)
+    def recording_make(expr, *args, **kwargs):
+        built[expr] = make_ring(expr, *args, **kwargs)
+        return built[expr]
 
-    monkeypatch.setattr(classify, "make_ring", recording)
-    rg.build_catalog(128)
-    quotients = [e for fam, e in classify._family_candidates(128, False) if fam == "polyquot"]
-    skipped = [e for e in quotients if e not in built]
-    assert (len(quotients), len(skipped)) == (729, 644)
-    for expr in skipped:
-        n, d = expr.n, expr.degree
-        least = int(classify._affine_orbit_minima(n, d)[_modulus_code(expr)])
-        rep = rg.PolyQuot(n, tuple(least // n**i % n for i in range(d)) + (1,))
-        assert rep in built, (str(expr), str(rep))
-        source, target = rg.make_ring(rep), rg.make_ring(expr)
-        iso = rg.isomorphism(source, target)
-        assert iso is not None, (str(rep), str(expr))
-        assert (np.sort(iso.image) == np.arange(target.order)).all()
-        assert table_homomorphism(source, target, iso.image).all(), (str(rep), str(expr))
+    def recording_register(self, ring):
+        classified.add(id(ring))
+        return register(self, ring)
+
+    monkeypatch.setattr(classify, "make_ring", recording_make)
+    monkeypatch.setattr(classify._LocalRegistry, "classify", recording_register)
+    catalog = rg.build_catalog(128)
+    monkeypatch.undo()
+    by_invariants = {}
+    for entry in catalog.entries:
+        key = (entry.ring.order, tuple(sorted(entry.ring.fingerprints)))
+        by_invariants.setdefault(key, []).append(entry)
+
+    def entry_of(ring, label):
+        key = (ring.order, tuple(sorted(ring.fingerprints)))
+        found = [(e, rg.isomorphism(e.ring, ring)) for e in by_invariants.get(key, [])]
+        found = [(e, iso) for e, iso in found if iso is not None]
+        assert len(found) == 1, label
+        entry, iso = found[0]
+        assert (np.sort(iso.image) == np.arange(ring.order)).all(), label
+        assert table_homomorphism(entry.ring, ring, iso.image).all(), label
+        return entry
+
+    counts = {"polyquot": [0, 0, 0], "squarezero": [0, 0, 0]}
+    for family, expr in classify._family_candidates(128, False):
+        if family not in counts:
+            continue
+        counts[family][0] += 1
+        if expr in built and id(built[expr]) in classified:
+            continue
+        counts[family][1 if expr not in built else 2] += 1
+        ring, label = rg.make_ring(expr), str(expr)
+        entry = entry_of(ring, label)
+        if family == "polyquot":
+            n, d = expr.n, expr.degree
+            least = int(classify._affine_orbit_minima(n, d)[_modulus_code(expr)])
+            if least < _modulus_code(expr):
+                rep = rg.PolyQuot(n, tuple(least // n**i % n for i in range(d)) + (1,))
+                assert entry is entry_of(rg.make_ring(rep), str(rep)), label
+                continue
+        assert entry.provenance == "product", label
+    # (candidates, never built, built and left out)
+    assert counts == {"polyquot": [729, 662, 25], "squarezero": [23, 2, 0]}
+
+
+def test_catalog_at_every_bound_is_a_prefix():
+    # a candidate left out at one bound is left out at every bound, so the
+    # catalog up to m is the part of the catalog up to 256 of order <= m
+    full = rg.build_catalog(256).entries
+    for max_order in [*range(2, 65), 100, 128, 200]:
+        want = [(str(e.expr), e.provenance) for e in full if e.ring.order <= max_order]
+        got = [(str(e.expr), e.provenance) for e in rg.build_catalog(max_order).entries]
+        assert got == want, max_order
 
 
 def _substituted_code(coeffs, u, a, n):

@@ -409,3 +409,16 @@ def test_atlas_json_matches_info(tmp_path, capsys):
     direct = json.loads(capsys.readouterr().out)
     stored = json.loads((out_dir / "GF(4).json").read_text())
     assert direct == stored
+
+
+@pytest.mark.parametrize("max_order", ["-5", "1"])
+def test_atlas_rejects_max_order_below_2(tmp_path, capsys, max_order):
+    out_dir = tmp_path / "atlas"
+    assert main(["atlas", "--max-order", max_order, "--out", str(out_dir)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --max-order must be at least 2, got {max_order}\n"
+    assert not out_dir.exists()
+    # the same refusal as verify's
+    assert main(["verify", "all", "--max-order", max_order]) == 2
+    assert capsys.readouterr().err == captured.err

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import ringgraph as rg
+from ringgraph import rings
 
 
 def assert_ring_axioms(ring):
@@ -265,6 +266,49 @@ def test_decomposing_a_product_leaves_no_reference_cycle():
             alive, target = weakref.ref(ring), weakref.ref(iso.target)
             del ring, factors, iso
             assert alive() is None and target() is None, parts
+    finally:
+        gc.enable()
+
+
+def _assert_split_matches_scan(ring, label):
+    split, ref_split = rings._local_split(ring), rings._local_split(_scanned_copy(ring))
+    if ref_split is None:
+        assert split is None, label
+        return
+    assert len(split) == len(ref_split), label
+    for (f, e), (g, ref_e) in zip(split, ref_split):
+        assert f.order == g.order and e == ref_e, label
+        assert (f.add_table.dtype, f.mul_table.dtype) == (g.add_table.dtype, g.mul_table.dtype)
+        assert np.array_equal(f.add_table, g.add_table), label
+        assert np.array_equal(f.mul_table, g.mul_table), label
+        assert (f.zero, f.one) == (g.zero, g.one), label
+        assert f.element_names == g.element_names, label
+    image = rg.decompose_local(ring)[1].image
+    assert np.array_equal(image, rg.decompose_local(_scanned_copy(ring))[1].image), label
+
+
+def test_cyclic_split_matches_the_scan():
+    for n in range(1, 257):
+        ring = rings._make_zn(rg.Zn(n))
+        _assert_split_matches_scan(ring, n)
+        assert "idempotents" not in ring._derived, n  # split by CRT, not scanned
+    for modulus in ((5, 1), (0, 1), (11, 1)):
+        ring = rg.make_ring(rg.PolyQuot(12, modulus))
+        _assert_split_matches_scan(ring, modulus)
+        assert [f.element_names for f in rg.decompose_local(ring)[0]] == [
+            ("0", "4", "8"), ("0", "3", "6", "9")]
+
+
+def test_splitting_a_cyclic_ring_leaves_no_reference_cycle():
+    gc.disable()
+    try:
+        ring = rings._make_zn(rg.Zn(60))
+        factors, iso = rg.decompose_local(ring)
+        assert [f.order for f in factors] == [3, 4, 5] and iso.is_homomorphism
+        assert factors[0].element_names == ("0", "20", "40")
+        refs = [weakref.ref(r) for r in (ring, iso.target, *factors)]
+        del ring, factors, iso
+        assert all(r() is None for r in refs)
     finally:
         gc.enable()
 
