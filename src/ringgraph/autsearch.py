@@ -10,14 +10,14 @@ every round.  Only complete maps, at the last level, must pass `_certify`,
 which checks sums along an additive coset tree of the ring and products of
 its additive generators: a row that is not a homomorphism on S_i has no
 extension that is one, so checking it earlier would only prune sooner.
-Whole groups are assembled from a stabilizer chain of coset
-representatives, which keeps huge symmetric-type groups countable without
-enumerating them.  The chain is built deepest level first: the maps found
-so far form a strong generating set, and a Schreier transversal of the
-orbit of g_i under them gives most representatives by composition, so a
-depth-first search runs only for images the known maps do not reach yet
-(Sims 1970; Holt, Eick & O'Brien 2005, ch. 4).  Orbits and generator-based
-group queries read the strong generators, not every representative.
+A group is held as a stabilizer chain: the orbit of each g_i under the
+automorphisms fixing S_{i-1}, and a strong generating set.  That keeps
+huge symmetric-type groups countable without enumerating them.  The chain
+is built deepest level first: an image of g_i already in the orbit of the
+maps found so far needs no search, so a depth-first search runs only for
+images they do not reach yet (Sims 1970; Holt, Eick & O'Brien 2005,
+ch. 4).  Coset representatives are traced from the strong generators only
+when `automorphisms` lists the group.
 """
 
 from __future__ import annotations
@@ -246,20 +246,24 @@ class AutGroup:
     """Composition-closed set of automorphisms of one ring.
 
     Element 0 is the identity; elements are sorted lexicographically by
-    image tuple, so group listings are reproducible.
+    image tuple, so group listings are reproducible.  `images` must hold
+    the identity and no row twice, or ValueError is raised.
     """
 
     def __init__(self, ring: FiniteRing, images: np.ndarray, generator_rows=None):
         order = np.lexsort(images.T[::-1])
         images = np.ascontiguousarray(images[order])
         images.setflags(write=False)
+        self._index = {images[i].tobytes(): i for i in range(len(images))}
+        if len(self._index) != len(images):
+            raise ValueError("duplicate group elements")
+        # the identity is the least permutation, so it sorts first
+        if not len(images) or not np.array_equal(images[0], np.arange(ring.order)):
+            raise ValueError("group images must include the identity")
         self.ring = ring
         self._images = images
         self.elements = tuple(RingMorphism(ring, ring, images[i]) for i in range(len(images)))
-        self._index = {images[i].tobytes(): i for i in range(len(images))}
         self._gen_rows = generator_rows
-        assert len(self._index) == len(self.elements), "duplicate group elements"
-        assert np.array_equal(images[0], np.arange(ring.order))
 
     @property
     def order(self) -> int:
@@ -329,10 +333,10 @@ class AutGroup:
         return _orbits_from_images(self.ring.order, gens)
 
 
-def _orbits_from_images(n: int, images) -> tuple[tuple[int, ...], ...]:
-    """Orbits of 0..n-1 under the group the permutations `images` generate.
+def _orbit_labels(n: int, images) -> np.ndarray:
+    """Each of 0..n-1 labelled by the least element of its orbit under `images`.
 
-    Blocks are sorted ascending and listed by their least element.  Each
+    The orbits are those of the group the permutations generate.  Each
     sweep gives x the smaller of its label and the label of g(x), for every
     g, and then jumps every label to its label's label.  Labels only fall
     and stay inside their orbit.  At the fixed point label(x) <= label(g(x))
@@ -348,50 +352,57 @@ def _orbits_from_images(n: int, images) -> tuple[tuple[int, ...], ...]:
             label = label[label]
             if np.array_equal(label, before):
                 break
+    return label
+
+
+def _orbits_from_images(n: int, images) -> tuple[tuple[int, ...], ...]:
+    """The orbits of `_orbit_labels`: ascending blocks, listed by least element."""
+    label = _orbit_labels(n, images)
     order = np.argsort(label, kind="stable")
     cuts = [0, *(np.flatnonzero(np.diff(label[order])) + 1).tolist(), n]
     order = order.tolist()
     return tuple(tuple(order[lo:hi]) for lo, hi in zip(cuts, cuts[1:]))
 
 
-def _stabilizer_chain(ring: FiniteRing, budget=None):
-    """Coset representatives for the chain of generator stabilizers.
+def _stabilizer_chain(ring: FiniteRing, budget=None) -> list[np.ndarray]:
+    """The basic orbits of the chain of generator stabilizers.
 
-    Level i holds, for each image y of generator g_i under G_{i-1} (the
-    automorphisms fixing S_{i-1} pointwise, so G_0 = Aut R), one element of
-    G_{i-1} sending g_i to y, in ascending y.  The level sizes multiply to
-    |Aut R| and the representatives generate it.  The maps that the search
-    found, a strong generating set, are cached beside the chain and read
-    by `_strong_generators`.
+    Level i is the orbit G_{i-1}·g_i of generator g_i, as an ascending
+    index array, where G_{i-1} is the group of automorphisms fixing S_{i-1}
+    pointwise, so G_0 = Aut R.  The orbit lengths multiply to |Aut R|.  The
+    maps that the search found, a strong generating set, are cached beside
+    the chain and read by `_strong_generators`.  No coset representative is
+    stored: `automorphisms` traces them with `_transversal` to list a group.
 
     Levels are built deepest first, i = k .. 1, where S_k = R and G_k = 1.
     On entry to level i the strong generators found so far generate G_i.
     H is the group they generate together with the maps found at level i,
-    and `orbit` is a Schreier transversal of H·g_i: point y -> a product of
-    generators sending g_i to y.  The candidates of `_Engine.expand` for
-    g_i, rows on S_i that keep their fingerprints (certified when i = k),
-    are walked in ascending y:
+    and `label` gives each point the least element of its H-orbit, so y
+    lies in the orbit H·g_i exactly when label[y] == label[g_i].  The
+    candidates of `_Engine.expand` for g_i, rows on S_i that keep their
+    fingerprints (certified when i = k), are walked in ascending y:
 
-    - y in the orbit already has a representative, with no search;
+    - y in the orbit is skipped: an element of H sends g_i there;
     - y marked unreachable is skipped;
     - otherwise `_Engine.first` completes the candidate row to a certified
       map or proves that nothing does.  An element of G_{i-1} sending g_i
       to y equals the row on S_i, where the recipe fixes it, so it would
-      be found.  A map found joins the strong generators and the orbit is
-      regrown.  If none exists, no element of G_{i-1} sends g_i to y, and
-      the whole H-orbit of y is marked unreachable: if sigma in G_{i-1} sent
-      g_i to h(y), h in H, then h^-1 sigma would lie in G_{i-1} (H does) and
-      send g_i to y.
+      be found.  A map found joins the strong generators and the labels
+      are recomputed.  If none exists, no element of G_{i-1} sends g_i to
+      y, and the whole H-orbit of y is marked unreachable: if sigma in
+      G_{i-1} sent g_i to h(y), h in H, then h^-1 sigma would lie in
+      G_{i-1} (H does) and send g_i to y.
 
     Soundness: every element of G_{i-1}·g_i is the generator image of a row
     that `expand` returns, so it is walked, and it is never marked
-    unreachable; hence at the end the orbit is exactly G_{i-1}·g_i.  The
-    stabilizer of g_i in G_{i-1} fixes S_{i-1} and g_i, which generate S_i,
-    so it is G_i; H contains G_i, so the stabilizer of g_i in H is G_i too.
-    By orbit-stabilizer, |H| = |G_i|·|orbit| = |G_{i-1}|, and since H lies
-    in G_{i-1}, H = G_{i-1}, which carries the invariant to level i-1.
-    Each level's representatives are certified again, in one batch, before
-    they are returned.
+    unreachable; hence at the end the orbit H·g_i is exactly G_{i-1}·g_i.
+    The stabilizer of g_i in G_{i-1} fixes S_{i-1} and g_i, which generate
+    S_i, so it is G_i; H contains G_i, so the stabilizer of g_i in H is G_i
+    too.  By orbit-stabilizer, |H| = |G_i|·|orbit| = |G_{i-1}|, and since
+    H lies in G_{i-1}, H = G_{i-1}, which carries the invariant to level
+    i-1.  So the strong generators that fix S_{i-1} generate G_{i-1}: those
+    found at levels k..i do, and any other that fixes S_{i-1} lies in it.
+    Every strong generator is a complete map that `expand` certified.
 
     One engine serves every level and candidate; the budget applies to each
     level's batch and to each `first` call separately.
@@ -403,31 +414,26 @@ def _stabilizer_chain(ring: FiniteRing, budget=None):
     # a ring that is its prime subring has no levels, and needs no fingerprints
     engine = _Engine(ring, ring, budget) if len(plan) > 1 else None
     strong: list[np.ndarray] = []
+    label = np.arange(ring.order)
     chain = []
     for i in range(len(plan) - 1, 0, -1):
         fixed, gen = plan[i - 1].elements, plan[i].gen
         row = np.full(ring.order, -1, dtype=np.int64)
         row[fixed] = fixed
-        orbit = {gen: np.arange(ring.order, dtype=np.int64)}
-        dead: set[int] = set()
+        dead = np.zeros(ring.order, dtype=bool)
         engine.nodes = 0
         for cand in engine.expand(row, i):
             y = int(cand[gen])
-            if y in orbit or y in dead:
+            if label[y] == label[gen] or dead[y]:
                 continue
             engine.nodes = 0
             found = engine.first(cand, i)
             if found is None:
-                dead |= _orbit(y, strong)
+                dead |= label == label[y]
             else:
                 strong.append(found.copy())
-                _extend_transversal(orbit, strong, list(orbit), strong[-1:])
-        ys = sorted(orbit)
-        reps = np.stack([orbit[y] for y in ys])
-        ok = _certify(ring, ring, reps) & (reps[:, fixed] == fixed).all(axis=1)
-        if not (ok & (reps[:, gen] == ys)).all():  # pragma: no cover - products of verified maps
-            raise RuntimeError("internal error: stabilizer chain representative is not valid")
-        chain.append(list(zip(ys, reps)))
+                label = _orbit_labels(ring.order, strong)
+        chain.append(np.flatnonzero(label == label[gen]))
     chain.reverse()
     ring._aut_cache["chain"] = chain
     ring._aut_cache["strong"] = strong
@@ -440,46 +446,32 @@ def _strong_generators(ring: FiniteRing, budget=None) -> list[np.ndarray]:
     return ring._aut_cache["strong"]
 
 
-def _extend_transversal(orbit: dict, gens, frontier, use) -> None:
-    """Close the transversal `orbit` (point -> map sending the base point there) under `gens`.
-
-    The points in `frontier` still lack their images under the maps in
-    `use`; every point added needs its images under all of `gens`.
-    """
-    while frontier:
-        nxt = []
-        for s in use:
-            for y in frontier:
-                z = int(s[y])
-                if z not in orbit:
-                    orbit[z] = s[orbit[y]]
-                    nxt.append(z)
-        frontier, use = nxt, gens
-
-
-def _orbit(point: int, gens) -> set[int]:
-    """The orbit of one point under the group the maps `gens` generate."""
-    seen = {point}
+def _transversal(n: int, point: int, gens) -> dict:
+    """Point y -> a product of the maps `gens` sending `point` to y, by one BFS."""
+    orbit = {point: np.arange(n, dtype=np.int64)}
     frontier = [point]
     while frontier:
         nxt = []
         for s in gens:
             for y in frontier:
                 z = int(s[y])
-                if z not in seen:
-                    seen.add(z)
+                if z not in orbit:
+                    orbit[z] = s[orbit[y]]
                     nxt.append(z)
         frontier = nxt
-    return seen
+    return orbit
 
 
 def aut_group_order(ring: FiniteRing, budget=None) -> int:
     """|Aut R| from the stabilizer chain, without enumerating the group."""
-    return math.prod(len(level) for level in _stabilizer_chain(ring, budget))
+    return math.prod(len(orbit) for orbit in _stabilizer_chain(ring, budget))
 
 
 def automorphisms(ring: FiniteRing, budget=None) -> AutGroup:
-    """The full automorphism group as an explicit, verified element list."""
+    """The full automorphism group as an explicit, verified element list.
+
+    Each element is r_1 .. r_k, r_i from a transversal of G_i in G_{i-1}.
+    """
     # the cache holds arrays only: an AutGroup refers to the ring, and a
     # cached one would keep every ring that was enumerated alive until the
     # cyclic collector runs
@@ -488,19 +480,26 @@ def automorphisms(ring: FiniteRing, budget=None) -> AutGroup:
         return AutGroup(ring, *cached)
     eff_budget = DEFAULT_SEARCH_BUDGET if budget is None else budget
     chain = _stabilizer_chain(ring, budget)
-    total = math.prod(len(level) for level in chain)
+    total = math.prod(len(orbit) for orbit in chain)
     if total * ring.order > eff_budget:
         raise SearchBudgetExceeded(
             f"|Aut R| = {total} is too large to enumerate within budget {eff_budget}"
         )
+    plan = _closure_plan(ring)
+    strong = _strong_generators(ring)
     images = [np.arange(ring.order, dtype=np.int64)]
-    for level in chain:
-        images = [acc[rep] for acc in images for _, rep in level]
+    for i, orbit in enumerate(chain, start=1):
+        fixed = plan[i - 1].elements
+        gens = [g for g in strong if np.array_equal(g[fixed], fixed)]
+        level = _transversal(ring.order, plan[i].gen, gens)
+        if sorted(level) != orbit.tolist():  # pragma: no cover - the chain's invariant
+            raise RuntimeError("internal error: transversal does not cover the chain orbit")
+        images = [acc[rep] for acc in images for rep in level.values()]
     stack = np.stack(images)
     if not _certify(ring, ring, stack).all():  # pragma: no cover - closure of verified maps
         raise RuntimeError("internal error: transversal product is not an automorphism")
     group = AutGroup(ring, stack)
-    group._gen_rows = sorted({group._index[g.tobytes()] for g in _strong_generators(ring)})
+    group._gen_rows = sorted({group._index[g.tobytes()] for g in strong})
     ring._aut_cache["group"] = (group._images, group._gen_rows)
     return group
 

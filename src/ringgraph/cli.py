@@ -380,18 +380,21 @@ def _resolve_limits(args):
     return tuple(limits)
 
 
-def _cmd_info(args, out):
+def _load_ring(args):
+    """The expression, ring and search budget of a single-ring command."""
     max_order, budget = _resolve_limits(args)
     expr = parse_ring_expr(args.expr, max_order)
-    ring = make_ring(expr, max_order=max_order)
+    return expr, make_ring(expr, max_order=max_order), budget
+
+
+def _cmd_info(args, out):
+    expr, ring, budget = _load_ring(args)
     out.write(emit_json(ring_summary(expr, ring, budget=budget)).decode())
     return 0
 
 
 def _cmd_type(args, out):
-    max_order, budget = _resolve_limits(args)
-    expr = parse_ring_expr(args.expr, max_order)
-    ring = make_ring(expr, max_order=max_order)
+    _, ring, budget = _load_ring(args)
     out.write(f"{aut_orbit_graph(ring, budget=budget).graph_type()}\n")
     return 0
 
@@ -400,9 +403,7 @@ _AUT_LISTING_LIMIT = 1000
 
 
 def _cmd_aut(args, out):
-    max_order, budget = _resolve_limits(args)
-    expr = parse_ring_expr(args.expr, max_order)
-    ring = make_ring(expr, max_order=max_order)
+    expr, ring, budget = _load_ring(args)
     order = aut_group_order(ring, budget=budget)
     out.write(f"ring: {expr}\n")
     out.write(f"aut_order: {order}\n")
@@ -423,9 +424,7 @@ def _cmd_aut(args, out):
 
 
 def _cmd_graph(args, out):
-    max_order, budget = _resolve_limits(args)
-    expr = parse_ring_expr(args.expr, max_order)
-    ring = make_ring(expr, max_order=max_order)
+    expr, ring, budget = _load_ring(args)
     if args.format == "json":
         out.write(emit_json(ring_summary(expr, ring, budget=budget)).decode())
     else:
@@ -573,7 +572,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args, sys.stdout)
-    except (ParseError, SemanticError, InvalidModulus) as exc:
+    except (ParseError, SemanticError, InvalidModulus, OSError) as exc:
+        # OSError: such as an atlas --out that names a file; 1 means a counterexample
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (OrderLimitExceeded, SearchBudgetExceeded) as exc:

@@ -12,7 +12,13 @@ from _oracle import (
     reference_orbits,
     table_homomorphism,
 )
-from ringgraph.autsearch import _certify, _orbits_from_images, _stabilizer_chain, _strong_generators
+from ringgraph.autsearch import (
+    _certify,
+    _orbits_from_images,
+    _stabilizer_chain,
+    _strong_generators,
+    _transversal,
+)
 from ringgraph.classify import _LocalRegistry
 from ringgraph.rings import _certificate, _closure_plan
 
@@ -165,6 +171,17 @@ def test_group_lookup_tables():
             composed = g.elements[i].image[g.elements[j].image]
             k = g.compose_indices(j, i)  # elements[j] applied first
             assert np.array_equal(g.elements[k].image, composed)
+
+
+def test_group_rejects_duplicate_rows_and_missing_identity():
+    ring = rg.make_ring(rg.gf(4))
+    images = rg.automorphisms(ring)._images
+    with pytest.raises(ValueError, match="duplicate"):
+        rg.AutGroup(ring, np.concatenate([images, images[1:]]))
+    with pytest.raises(ValueError, match="identity"):
+        rg.AutGroup(ring, images[1:])
+    with pytest.raises(ValueError, match="identity"):
+        rg.AutGroup(ring, images[:0])
 
 
 # -- invariants over the catalog ----------------------------------------------
@@ -369,31 +386,73 @@ def test_strong_generators_generate_the_group(entries32):
         assert rg.subgroup_closure(ring, gens).order == rg.aut_group_order(ring), str(entry.expr)
 
 
+def _traced_levels(ring):
+    """Per chain level: the transversal traced over the strong generators fixing S_{i-1}."""
+    plan, strong = _closure_plan(ring), _strong_generators(ring)
+    levels = []
+    for i in range(1, len(plan)):
+        fixed = plan[i - 1].elements
+        gens = [g for g in strong if np.array_equal(g[fixed], fixed)]
+        levels.append(_transversal(ring.order, plan[i].gen, gens))
+    return levels
+
+
+def _listed_images(ring):
+    """Every automorphism as a row, or None when the group is too large to list."""
+    try:
+        return rg.automorphisms(ring)._images
+    except rg.SearchBudgetExceeded:
+        return None
+
+
 def test_strong_generator_orbits_match_every_representative(catalog64):
     for entry in catalog64.entries:
         ring = entry.ring
-        reps = [rep for level in _stabilizer_chain(ring) for _, rep in level]
-        expected = _orbits_from_images(ring.order, reps)
-        assert _orbits_from_images(ring.order, _strong_generators(ring)) == expected, str(entry.expr)
+        expected = _orbits_from_images(ring.order, _strong_generators(ring))
         assert rg.aut_orbits(ring) == expected, str(entry.expr)
+        reps = [rep for level in _traced_levels(ring) for rep in level.values()]
+        assert _orbits_from_images(ring.order, reps) == expected, str(entry.expr)
+        images = _listed_images(ring)
+        if images is not None:
+            assert reference_orbits(ring.order, images) == expected, str(entry.expr)
 
 
 def test_chain_levels_are_transversals(catalog64):
+    def gl_order(m, q):
+        return math.prod(q**m - q**j for j in range(m))
+
+    sz25 = next(e.ring for e in catalog64.entries if str(e.expr) == "SZ(Z2,5)")
+    sz26 = rg.make_ring(rg.SquareZero(rg.Zn(2), 6))
     extra = [
-        rg.make_ring(rg.SquareZero(rg.Zn(2), 6)),
+        sz26,
         shuffled_copy(rg.make_ring(rg.SquareZero(rg.gf(4), 2)), np.random.default_rng(3))[0],
     ]
+    # the groups too large to list: |Aut SZ(Z2,m)| = |GL(m,2)|
+    unlisted = {id(sz25): gl_order(5, 2), id(sz26): gl_order(6, 2)}
     for ring in [entry.ring for entry in catalog64.entries] + extra:
         plan = _closure_plan(ring)
         chain = _stabilizer_chain(ring)
         assert len(chain) == len(plan) - 1
-        for i, level in enumerate(chain, start=1):
-            ys = [y for y, _ in level]
-            assert ys == sorted(set(ys)) and plan[i].gen in ys
-            fixed = plan[i - 1].elements
-            for y, rep in level:
+        images = _listed_images(ring)
+        order = unlisted[id(ring)] if images is None else len(images)
+        assert math.prod(len(orbit) for orbit in chain) == order, ring
+        strong = _strong_generators(ring)
+        for i, (orbit, level) in enumerate(zip(chain, _traced_levels(ring)), start=1):
+            gen, fixed = plan[i].gen, plan[i - 1].elements
+            ys = orbit.tolist()
+            assert ys == sorted(set(ys)) and gen in ys, (ring, i)
+            assert sorted(level) == ys, (ring, i)
+            for y, rep in level.items():
                 assert np.array_equal(rep[fixed], fixed), (ring, i, y)
-                assert rep[plan[i].gen] == y, (ring, i, y)
+                assert rep[gen] == y, (ring, i, y)
+            if images is None:
+                gens = [g for g in strong if np.array_equal(g[fixed], fixed)]
+                reached = next(b for b in reference_orbits(ring.order, gens) if gen in b)
+                assert list(reached) == ys, (ring, i)
+            else:
+                # exactness: the orbit is {sigma(g_i) : sigma in Aut R fixes S_{i-1}}
+                fixing = (images[:, fixed] == fixed).all(axis=1)
+                assert np.unique(images[fixing, gen]).tolist() == ys, (ring, i)
 
 
 def test_chain_answers_survive_relabelling(catalog64):
@@ -434,7 +493,8 @@ def test_certificate_agrees_with_full_table_check():
     for entry in rg.build_catalog(128).entries:
         ring = entry.ring
         n = ring.order
-        maps = [np.arange(n)] + [rep for level in _stabilizer_chain(ring) for _, rep in level]
+        strong = _strong_generators(ring)
+        maps = [np.arange(n), *strong, *(g[h] for g in strong for h in strong)]
         perturbed = []
         for image in maps:
             if n > 1:

@@ -422,3 +422,15 @@ def test_atlas_rejects_max_order_below_2(tmp_path, capsys, max_order):
     # the same refusal as verify's
     assert main(["verify", "all", "--max-order", max_order]) == 2
     assert capsys.readouterr().err == captured.err
+
+
+def test_atlas_out_that_cannot_be_a_directory_exits_2(tmp_path, capsys):
+    blocker = tmp_path / "taken"
+    blocker.write_text("not a directory\n")
+    for out in (blocker, blocker / "atlas"):
+        assert main(["atlas", "--max-order", "4", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and str(out) in captured.err
+        assert "Traceback" not in captured.err
+    assert blocker.read_text() == "not a directory\n"
