@@ -174,15 +174,16 @@ class _Engine:
     generator, and each image a recipe round derives on a row that keeps
     its fingerprints.  A level that takes it past the budget raises, so a
     too-large instance never yields a partial answer.  Callers reset
-    `nodes` to scope the budget.
+    `nodes` to scope the budget; `peak` is the largest count any scope
+    reached.
     """
 
     def __init__(self, source: FiniteRing, target: FiniteRing, budget=None):
         self.source = source
         self.target = target
         self.plan = _closure_plan(source)
-        self.budget = DEFAULT_SEARCH_BUDGET if budget is None else budget
-        self.nodes = 0
+        self.budget = budget
+        self.nodes = self.peak = 0
         ids: dict = {}
         self.sfp = np.array([ids.setdefault(fp, len(ids)) for fp in source.fingerprints])
         self.tfp = np.array([ids.setdefault(fp, len(ids)) for fp in target.fingerprints])
@@ -216,10 +217,8 @@ class _Engine:
             rows = rows[(self.tfp[rows[:, new]] == self.sfp[new]).all(axis=1)]
             nodes += len(rows) * len(new)
         self.nodes += nodes
-        if self.nodes > self.budget:
-            raise SearchBudgetExceeded(
-                f"search exceeded {self.budget} nodes; raise the budget to continue"
-            )
+        self.peak = max(self.peak, self.nodes)
+        _check_budget(self.nodes, self.budget)
         if i + 1 < len(self.plan):
             return rows
         return rows[_certify(self.source, self.target, rows)]
@@ -236,6 +235,12 @@ class _Engine:
             if found is not None:
                 return found
         return None
+
+
+def _check_budget(nodes: int, budget) -> None:
+    budget = DEFAULT_SEARCH_BUDGET if budget is None else budget
+    if nodes > budget:
+        raise SearchBudgetExceeded(f"search exceeded {budget} nodes; raise the budget to continue")
 
 
 # ---------------------------------------------------------------------------
@@ -405,10 +410,16 @@ def _stabilizer_chain(ring: FiniteRing, budget=None) -> list[np.ndarray]:
     Every strong generator is a complete map that `expand` certified.
 
     One engine serves every level and candidate; the budget applies to each
-    level's batch and to each `first` call separately.
+    level's batch and to each `first` call separately.  The chain is cached
+    with the largest count any of these scopes reached, and a cached chain
+    raises for a budget below it.  That is what a fresh run does: the
+    search does not depend on the budget, so every run builds the same
+    scopes, and a scope's count only grows, so a run raises exactly when
+    some scope's final count exceeds its budget.
     """
     cached = ring._aut_cache.get("chain")
     if cached is not None:
+        _check_budget(ring._aut_cache["nodes"], budget)
         return cached
     plan = _closure_plan(ring)
     # a ring that is its prime subring has no levels, and needs no fingerprints
@@ -437,6 +448,7 @@ def _stabilizer_chain(ring: FiniteRing, budget=None) -> list[np.ndarray]:
     chain.reverse()
     ring._aut_cache["chain"] = chain
     ring._aut_cache["strong"] = strong
+    ring._aut_cache["nodes"] = engine.peak if engine else 0
     return chain
 
 
@@ -472,12 +484,6 @@ def automorphisms(ring: FiniteRing, budget=None) -> AutGroup:
 
     Each element is r_1 .. r_k, r_i from a transversal of G_i in G_{i-1}.
     """
-    # the cache holds arrays only: an AutGroup refers to the ring, and a
-    # cached one would keep every ring that was enumerated alive until the
-    # cyclic collector runs
-    cached = ring._aut_cache.get("group")
-    if cached is not None:
-        return AutGroup(ring, *cached)
     eff_budget = DEFAULT_SEARCH_BUDGET if budget is None else budget
     chain = _stabilizer_chain(ring, budget)
     total = math.prod(len(orbit) for orbit in chain)
@@ -485,6 +491,12 @@ def automorphisms(ring: FiniteRing, budget=None) -> AutGroup:
         raise SearchBudgetExceeded(
             f"|Aut R| = {total} is too large to enumerate within budget {eff_budget}"
         )
+    # the cache holds arrays only: an AutGroup refers to the ring, and a
+    # cached one would keep every ring that was enumerated alive until the
+    # cyclic collector runs
+    cached = ring._aut_cache.get("group")
+    if cached is not None:
+        return AutGroup(ring, *cached)
     plan = _closure_plan(ring)
     strong = _strong_generators(ring)
     images = [np.arange(ring.order, dtype=np.int64)]
@@ -510,12 +522,10 @@ def aut_orbits(ring: FiniteRing, budget=None) -> tuple[tuple[int, ...], ...]:
     Works from the strong generators of the stabilizer chain, so it stays
     cheap even when the group itself is too large to enumerate.
     """
-    cached = ring._aut_cache.get("orbits")
-    if cached is not None:
-        return cached
-    orbits = _orbits_from_images(ring.order, _strong_generators(ring, budget))
-    ring._aut_cache["orbits"] = orbits
-    return orbits
+    strong = _strong_generators(ring, budget)  # raises as a fresh run would
+    if "orbits" not in ring._aut_cache:
+        ring._aut_cache["orbits"] = _orbits_from_images(ring.order, strong)
+    return ring._aut_cache["orbits"]
 
 
 def isomorphism(source: FiniteRing, target: FiniteRing, budget=None) -> RingMorphism | None:

@@ -31,8 +31,8 @@ a product (priority 2) takes from a quotient (3) or a square-zero ring
 (4).  This holds for three kinds of candidate:
 
 - Z_n with n = p_1^a_1 .. p_k^a_k is Z_{p_1^a_1} x .. x Z_{p_k^a_k}
-  (CRT); its pieces come from `rings._crt_split`, with no scan, and Z_n
-  is kept, since Z_n wins its class.
+  (CRT); `_local_factors_of` returns those earlier candidates, with no
+  scan, and Z_n is kept, since Z_n wins its class.
 - Z_n[x]/(f) with n not a prime power is the product over p^a || n of
   Z_{p^a}[x]/(f mod p^a), and SZ(Z_b, m) with b not a prime power that
   of the SZ(Z_{p^a}, m) over p^a || b.  Each factor is a candidate of the
@@ -71,7 +71,7 @@ from .autsearch import (
     isomorphism,
 )
 from .errors import OrderLimitExceeded
-from .expr import Prod, PolyQuot, RingExpr, SquareZero, Zn, expr_order, gf, prime_power
+from .expr import Prod, PolyQuot, RingExpr, SquareZero, Zn, expr_order, factorize, gf, prime_power
 from .orbitgraph import aut_orbit_graph, build_graph
 from .rings import (
     FiniteRing,
@@ -196,6 +196,27 @@ def _family_candidates(max_order: int, include_trivial: bool):
                 m += 1
 
 
+def _local_factors_of(expr: RingExpr, ring: FiniteRing) -> list[FiniteRing]:
+    """The local factors of `ring`, the ring `expr` names, up to isomorphism.
+
+    Zn(n) with n = q_1 .. q_k, k >= 2 pairwise coprime prime powers
+    q_j = p_j^a_j, gives Z_{q_1} .. Z_{q_k} in ascending order: x -> (x mod
+    q_j)_j is a unital homomorphism into their product, injective since
+    its kernel is (lcm q_j) = (n), and onto by counting (Chinese remainder
+    theorem).  Z_{q_j} is local, its non-units being the ideal (p_j), and
+    local factors are unique up to isomorphism (Atiyah & Macdonald,
+    Thm 8.7), so these are the factors of `rings.decompose_local`, in its
+    order, as distinct prime powers sort by order.  Z_1 and Z_{p^a} are
+    their own factor, and any other ring gets `rings._local_factors`.
+    """
+    if isinstance(expr, Zn):
+        parts = sorted(p**a for p, a in factorize(expr.n).items())
+        if len(parts) >= 2:
+            return [make_ring(Zn(q)) for q in parts]
+        return [ring]
+    return _local_factors(ring)
+
+
 class _LocalRegistry:
     """Isomorphism classes of the local rings met during catalog construction."""
 
@@ -273,8 +294,9 @@ def build_catalog(max_order: int = 64, include_trivial: bool = False, budget=Non
     In the last two cases the candidate's class is a product of local
     classes registered before it, of order at most max_order, so `expand`
     offers it as a product, which wins over a quotient or square-zero
-    ring.  Z_n is split by CRT; every other candidate kept has only 0 and
-    1 as idempotents, so it is local and is its own single factor.
+    ring.  Z_n is split by CRT from n (`_local_factors_of`); every other
+    candidate kept has only 0 and 1 as idempotents, so it is local and is
+    its own single factor.
     """
     if max_order > MAX_CATALOG_ORDER:
         raise OrderLimitExceeded(f"catalog max_order capped at {MAX_CATALOG_ORDER}")
@@ -304,7 +326,7 @@ def build_catalog(max_order: int = 64, include_trivial: bool = False, budget=Non
             continue
         ring = make_ring(expr)
         if family == "zn":
-            factors = _local_factors(ring)  # by CRT, with no scan
+            factors = _local_factors_of(expr, ring)
         elif len(idempotents(ring)) > 2:
             continue  # a non-local quotient
         else:
@@ -348,16 +370,21 @@ def build_catalog(max_order: int = 64, include_trivial: bool = False, budget=Non
 # verification sweeps
 
 
-def _is_product_of_distinct_rigid_locals(ring: FiniteRing, budget) -> bool:
-    """R isomorphic to a product of pairwise non-isomorphic factors drawn
-    from the cyclic prime-power rings and the 4-element square-zero ring."""
-    factors = _local_factors(ring)
+def _isomorphic_to(ring: FiniteRing, expr: RingExpr, budget) -> bool:
+    """Whether `ring` is isomorphic to the ring `expr` names."""
+    return isomorphism(ring, make_ring(expr), budget=budget) is not None
+
+
+def _is_product_of_distinct_rigid_locals(entry: CatalogEntry, budget) -> bool:
+    """The entry's ring isomorphic to a product of pairwise non-isomorphic factors
+    drawn from the cyclic prime-power rings and the 4-element square-zero ring."""
+    factors = _local_factors_of(entry.expr, entry.ring)
     for f in factors:
         ok = False
         if prime_power(f.order):
-            ok = isomorphism(f, make_ring(Zn(f.order)), budget=budget) is not None
+            ok = _isomorphic_to(f, Zn(f.order), budget)
             if not ok and f.order == 4 and f.characteristic == 2:
-                ok = isomorphism(f, make_ring(PolyQuot(2, (0, 0, 1))), budget=budget) is not None
+                ok = _isomorphic_to(f, PolyQuot(2, (0, 0, 1)), budget)
         if not ok:
             return False
     for i in range(len(factors)):
@@ -374,7 +401,7 @@ def verify_trivial_aut_classification(catalog: Catalog, budget=None) -> Verifica
     entries = tuple(e for e in catalog.entries if e.ring.order > 1)
     for entry in entries:
         rigid = aut_group_order(entry.ring, budget=budget) == 1
-        expected = _is_product_of_distinct_rigid_locals(entry.ring, budget)
+        expected = _is_product_of_distinct_rigid_locals(entry, budget)
         if rigid != expected:
             detail = (
                 "trivial automorphism group but not of the classified shape"
@@ -414,14 +441,10 @@ def verify_units_connected_classification(catalog: Catalog, budget=None) -> Veri
         if ring.order == 2 or ring.order == 3:
             expected = True
         elif ring.order == 4:
-            expected = (
-                isomorphism(ring, make_ring(Zn(4)), budget=budget) is not None
-                or isomorphism(ring, make_ring(gf(4)), budget=budget) is not None
-            )
+            expected = _isomorphic_to(ring, Zn(4), budget) or _isomorphic_to(ring, gf(4), budget)
         pp = prime_power(ring.order)
         if not expected and pp and pp[0] == 2:
-            target = make_ring(SquareZero(Zn(2), pp[1] - 1))
-            expected = isomorphism(ring, target, budget=budget) is not None
+            expected = _isomorphic_to(ring, SquareZero(Zn(2), pp[1] - 1), budget)
         if connected != expected:
             detail = (
                 "units minus one connected but ring not in the classified list"
@@ -448,7 +471,7 @@ def verify_m_connected_classification(catalog: Catalog, budget=None) -> Verifica
         graph = aut_orbit_graph(ring, budget=budget)
         subset = ls.maximal_ideal - {ring.zero}
         connected = graph.subset_connected(subset)
-        expected = ring.order == 4 and isomorphism(ring, make_ring(Zn(4)), budget=budget) is not None
+        expected = ring.order == 4 and _isomorphic_to(ring, Zn(4), budget)
         if not expected:
             q = ls.residue_field_order
             m = 0
@@ -458,8 +481,7 @@ def verify_m_connected_classification(catalog: Catalog, budget=None) -> Verifica
                 m += 1
             if size == ring.order:
                 base = Zn(q) if prime_power(q)[1] == 1 else gf(q)
-                target = make_ring(SquareZero(base, m))
-                expected = isomorphism(ring, target, budget=budget) is not None
+                expected = _isomorphic_to(ring, SquareZero(base, m), budget)
         if connected != expected:
             detail = (
                 "maximal ideal minus zero connected but ring not classified"

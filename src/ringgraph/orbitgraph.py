@@ -109,7 +109,7 @@ def aut_orbit_graph(ring: FiniteRing, budget=None) -> OrbitGraph:
 
     The partition comes from the stabilizer chain's strong generators, so
     this works even when Aut R is too large to list element by element;
-    the group reference is omitted in that case.
+    the graph's `group` is always None, since no group is listed.
     """
     return OrbitGraph(ring, aut_orbits(ring, budget=budget), None)
 

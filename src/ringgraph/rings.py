@@ -260,10 +260,8 @@ def _make_zn(expr: Zn) -> FiniteRing:
 
 
 def _cyclic_ring(n: int, presentation, names) -> FiniteRing:
-    """Z_n on `_cyclic_tables`, recording that element k is k*1 (see `_crt_split`)."""
-    ring = FiniteRing(*_cyclic_tables(n), 0, 1 % n, presentation, names)
-    ring._derived["cyclic"] = True
-    return ring
+    """Z_n on `_cyclic_tables`, element k being k*1."""
+    return FiniteRing(*_cyclic_tables(n), 0, 1 % n, presentation, names)
 
 
 def _cyclic_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -767,10 +765,8 @@ def decompose_local(ring: FiniteRing):
     them.  They equal the rings a scan builds: the nonzero coordinate of
     eR = (0, .., e_j F_j, .., 0) runs through e_j F_j in ascending index,
     since the encoding is monotone in each coordinate, so the ranks in eR
-    are the ranks in e_j F_j, the labels of F_j's own factor.  For Z_n as
-    `make_ring` builds it, element k being k*1, the factors are the CRT
-    pieces of `_crt_split`, computed from n alone; they too equal the
-    scan's rings.  Any other ring, a relabelled Z_n included, is scanned.
+    are the ranks in e_j F_j, the labels of F_j's own factor.  Any other
+    ring, Z_n included, is scanned.
     """
     from .autsearch import RingMorphism, identity_automorphism
 
@@ -797,14 +793,11 @@ def _local_split(ring: FiniteRing) -> tuple | None:
     None when the ring is its own factor.
 
     The cache must not refer back to the ring, or every ring that was
-    decomposed lives until the cyclic collector runs.  Z_n on its cyclic
-    tables splits by `_crt_split`, a product by its recorded factors, and
-    any other ring by `_split_by_idempotents`.
+    decomposed lives until the cyclic collector runs.  A product splits by
+    its recorded factors, and any other ring by `_split_by_idempotents`.
     """
 
     def build():
-        if ring._derived.get("cyclic"):
-            return _crt_split(ring)
         factors = ring._derived.get("factors")
         if factors is None:
             return _split_by_idempotents(ring)
@@ -819,33 +812,6 @@ def _local_split(ring: FiniteRing) -> tuple | None:
         return _sorted_split(pieces)
 
     return ring._get("local_split", build)
-
-
-def _crt_split(ring: FiniteRing) -> tuple | None:
-    """`_local_split` of Z_n, element k being k*1, from n alone.
-
-    For p^a || n and m = n / p^a, e = m * (m^-1 mod p^a) is 1 mod p^a and
-    0 mod m; these are the primitive idempotents (Chinese remainder
-    theorem).  eR = mR is {0, m, .., (p^a - 1) m}, so the scan labels k*m
-    by k.  Then k*m + j*m = ((k + j) mod p^a) m and (k*m)(j*m) =
-    (k j m mod p^a) m: the piece has the add table of Z_{p^a}, the mul
-    table mul[mul[k, j], m mod p^a] over Z_{p^a}'s, zero 0 and one
-    e / m = m^-1 mod p^a, all in the dtype of order p^a.  These are the
-    scan's pieces, and their orders, distinct prime powers, sort them.
-    """
-    n = ring.order
-    pieces = []
-    for p, a in factorize(n).items():
-        q = p**a
-        m = n // q
-        add, mul = _cyclic_tables(q)
-        inv = pow(m, -1, q)
-        carrier = np.arange(0, n, m)
-        piece = FiniteRing(add, mul[mul, m % q], 0, inv, None, _names_at(ring._names, carrier))
-        pieces.append((piece, m * inv))
-    if len(pieces) <= 1:
-        return None
-    return tuple(sorted(pieces, key=lambda t: t[0].order))
 
 
 def _split_by_idempotents(ring: FiniteRing) -> tuple | None:

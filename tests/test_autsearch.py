@@ -263,6 +263,31 @@ def test_search_budget_raises_on_fresh_ring():
         rg.automorphisms(ring, budget=3)
 
 
+def _answers(query, ring, budget) -> bool:
+    try:
+        query(ring, budget=budget)
+    except rg.SearchBudgetExceeded:
+        return False
+    return True
+
+
+def test_cached_chain_answers_only_where_a_fresh_one_does():
+    # Z12 is its prime subring, so its chain searches nothing
+    cases = ((rg.gf(4), True), (rg.PolyQuot(5, (0, 0, 1)), True),
+             (rg.SquareZero(rg.Zn(2), 2), True), (rg.Zn(12), False))
+    for expr, searches in cases:
+        ring = fresh_copy(rg.make_ring(expr))
+        rg.automorphisms(ring)
+        need = ring._aut_cache["nodes"]
+        assert (need > 0) == searches, str(expr)
+        for query in (rg.aut_group_order, rg.aut_orbits, rg.automorphisms):
+            for budget in {0, 3, max(need - 1, 0), need, 10**7}:
+                want = _answers(query, fresh_copy(ring), budget)
+                assert _answers(query, ring, budget) == want, (str(expr), query, budget)
+                if query is rg.aut_group_order:
+                    assert want == (budget >= need), (str(expr), budget)
+
+
 def test_enumeration_is_deterministic():
     a = fresh_copy(rg.make_ring(rg.SquareZero(rg.Zn(2), 2)))
     b = fresh_copy(rg.make_ring(rg.SquareZero(rg.Zn(2), 2)))

@@ -220,7 +220,6 @@ def test_cmd_parse_error_exit_2(capsys):
 def test_cmd_resource_limit_exit_3(capsys):
     assert main(["--max-ring-order", "8", "info", "Z100"]) == 3
     assert "resource limit" in capsys.readouterr().err
-    # an expression no other test touches, so no cached search state exists
     assert main(["--search-budget", "2", "aut", "Z11[x]/(x^2+1)"]) == 3
 
 
@@ -302,9 +301,14 @@ def test_negative_environment_limit_exits_2(monkeypatch, capsys, var):
 
 
 def test_zero_search_budget_is_a_limit(capsys):
-    # a ring cached by an earlier test may hold its chain already
-    rg.rings._build_ring.cache_clear()
     assert main(["--search-budget", "0", "type", "Z4"]) == 0
+    assert main(["--search-budget", "0", "type", "GF(4)"]) == 3
+    assert "resource limit" in capsys.readouterr().err
+
+
+def test_cached_chain_does_not_lift_the_budget(capsys):
+    # the first call caches GF(4)'s chain; the second must still be refused
+    assert main(["type", "GF(4)"]) == 0
     assert main(["--search-budget", "0", "type", "GF(4)"]) == 3
     assert "resource limit" in capsys.readouterr().err
 

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import ringgraph as rg
+from _oracle import table_homomorphism
 from ringgraph import rings
+from ringgraph.classify import _local_factors_of
 
 
 def assert_ring_axioms(ring):
@@ -287,11 +289,26 @@ def _assert_split_matches_scan(ring, label):
     assert np.array_equal(image, rg.decompose_local(_scanned_copy(ring))[1].image), label
 
 
+def _assert_factors_match_pieces(factors, pieces, label):
+    """Same orders, and each factor maps onto its piece by a verified isomorphism."""
+    assert [f.order for f in factors] == [p.order for p in pieces], label
+    for f, piece in zip(factors, pieces):
+        iso = rg.isomorphism(f, piece)
+        assert iso is not None and iso.is_bijective, label
+        assert table_homomorphism(f, piece, iso.image).all(), label
+
+
 def test_cyclic_split_matches_the_scan():
     for n in range(1, 257):
         ring = rings._make_zn(rg.Zn(n))
         _assert_split_matches_scan(ring, n)
-        assert "idempotents" not in ring._derived, n  # split by CRT, not scanned
+        pieces = rg.decompose_local(ring)[0]
+        _assert_factors_match_pieces(_local_factors_of(rg.Zn(n), ring), pieces, n)
+    for text in _PRODUCTS:
+        expr = rg.parse_ring_expr(text)
+        ring = rg.make_ring(expr)
+        pieces = rg.decompose_local(_scanned_copy(ring))[0]
+        _assert_factors_match_pieces(_local_factors_of(expr, ring), pieces, text)
     for modulus in ((5, 1), (0, 1), (11, 1)):
         ring = rg.make_ring(rg.PolyQuot(12, modulus))
         _assert_split_matches_scan(ring, modulus)
