@@ -1,11 +1,14 @@
 """Finite commutative rings with identity, stored as dense operation tables.
 
 A ring of order n lives on the carrier 0..n-1 with two n-by-n lookup
-tables.  Tables are built once from a RingExpr and are immutable; every
-structural question (units, nilpotents, local structure, idempotents,
-annihilators, ...) reduces to an exhaustive finite scan of the tables.  A
-ring that `product_ring` built keeps its factors, and answers its local
-factors and fingerprints from theirs.
+tables.  Tables are built at most once from a RingExpr and are immutable;
+every structural question (units, nilpotents, local structure,
+idempotents, annihilators, ...) reduces to an exhaustive finite scan of
+the tables.  A ring that `product_ring` built keeps its factors, and
+answers its local factors and fingerprints from theirs.  Products and
+Z_n know their order, zero and one without tables, so they build their
+tables on the first read of `add_table` or `mul_table`; a catalog
+product whose tables nothing reads never builds them.
 
 Construction works on whole tables.  An additive group B^d, and any
 direct product, is a mixed-radix fold of the factors' tables.  Z_n[x]/(f),
@@ -69,33 +72,81 @@ def _materialise(names) -> tuple[str, ...]:
     return tuple(names()) if callable(names) else names
 
 
+class _DeferredTable:
+    """`add_table` or `mul_table` of a ring whose tables are not built yet.
+
+    A non-data descriptor: the first read builds both tables and stores them
+    on the instance, whose attributes then shadow it, so it runs once per
+    ring.
+    """
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, ring, owner=None):
+        if ring is None:
+            return self
+        add, mul = ring._build_tables()
+        # `product_ring` relies on this dtype without building the tables
+        dt = np.dtype(_table_dtype(ring.order))
+        if not add.dtype == mul.dtype == dt:
+            raise ValueError(f"deferred operation tables must be {dt}")
+        ring._set_tables(add, mul)
+        return getattr(ring, self.name)
+
+
 class FiniteRing:
     """Table-backed finite commutative ring with identity.
 
     Instances are immutable after construction and safe to share; derived
     data (units, fingerprints, automorphism search state, ...) is cached
-    on first use.
+    on first use.  Rings that `product_ring` and Z_n's constructor build
+    know their order, zero and one up front and build their tables on the
+    first read of `add_table` or `mul_table`; their builder holds the
+    factors or n, never the ring, and is dropped once it has run.
     """
+
+    add_table = _DeferredTable()
+    mul_table = _DeferredTable()
 
     def __init__(self, add_table, mul_table, zero, one, presentation, element_names):
         """`element_names` is a sequence, or a zero-argument callable that
         returns one; a callable runs on the first read of `element_names`."""
         add_table = np.ascontiguousarray(add_table)
-        mul_table = np.ascontiguousarray(mul_table)
-        n = add_table.shape[0]
-        if add_table.shape != (n, n) or mul_table.shape != (n, n):
-            raise ValueError("operation tables must be square and equally sized")
-        add_table.setflags(write=False)
-        mul_table.setflags(write=False)
-        self.order = n
-        self.add_table = add_table
-        self.mul_table = mul_table
+        self._setup(add_table.shape[0], zero, one, presentation, element_names, None)
+        self._set_tables(add_table, mul_table)
+
+    @classmethod
+    def _deferred(cls, order, build_tables, zero, one, presentation, element_names):
+        """A ring of `order` whose tables are `build_tables()`, run on the
+        first read of either; they must be in `_table_dtype(order)`."""
+        ring = cls.__new__(cls)
+        ring._setup(order, zero, one, presentation, element_names, build_tables)
+        return ring
+
+    def _setup(self, order, zero, one, presentation, element_names, build_tables):
+        # both paths set the attributes in one order, the tables last, so
+        # instances keep CPython's shared attribute layout
+        self.order = order
         self.zero = int(zero)
         self.one = int(one)
         self.presentation = presentation
         self._names = element_names if callable(element_names) else tuple(element_names)
         self._aut_cache: dict = {}
         self._derived: dict = {}
+        self._build_tables = build_tables
+
+    def _set_tables(self, add_table, mul_table):
+        add_table = np.ascontiguousarray(add_table)
+        mul_table = np.ascontiguousarray(mul_table)
+        n = self.order
+        if add_table.shape != (n, n) or mul_table.shape != (n, n):
+            raise ValueError("operation tables must be square and equally sized")
+        add_table.setflags(write=False)
+        mul_table.setflags(write=False)
+        self.add_table = add_table
+        self.mul_table = mul_table
+        self._build_tables = None
 
     # -- basic arithmetic ---------------------------------------------------
 
@@ -260,8 +311,8 @@ def _make_zn(expr: Zn) -> FiniteRing:
 
 
 def _cyclic_ring(n: int, presentation, names) -> FiniteRing:
-    """Z_n on `_cyclic_tables`, element k being k*1."""
-    return FiniteRing(*_cyclic_tables(n), 0, 1 % n, presentation, names)
+    """Z_n on `_cyclic_tables`, element k being k*1, built on first read."""
+    return FiniteRing._deferred(n, lambda: _cyclic_tables(n), 0, 1 % n, presentation, names)
 
 
 def _cyclic_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -404,9 +455,15 @@ def _squarezero_name(dig, base_names, zero: int, one: int) -> str:
 def product_ring(factors, presentation=None) -> FiniteRing:
     """Direct product with big-endian mixed-radix element encoding.
 
+    The tables are folded from the factors' tables on the first read of
+    either, which builds the factors' tables too if they are deferred.
+    The builder holds the factors and not the product, so no reference
+    cycle forms.
+
     The ring records its factors when their tables are in the table dtype,
-    as every built ring's are.  Its local factors and fingerprints then come
-    from theirs, with no scan of the product's tables:
+    as every built ring's are; a factor whose tables are deferred will be,
+    so it is not built to check.  The product's local factors and
+    fingerprints then come from theirs, with no scan of its tables:
 
     - A finite commutative ring is a product of local rings in one way up
       to isomorphism and order (Atiyah & Macdonald, Thm 8.7), and its local
@@ -423,11 +480,10 @@ def product_ring(factors, presentation=None) -> FiniteRing:
       components (see `_fingerprint_table`).
     """
     factors = list(factors)
+    if not factors:
+        raise ValueError("a product needs at least one factor")
     orders = [f.order for f in factors]
     q = math.prod(orders)
-    dt = _table_dtype(q)
-    add = _fold([f.add_table for f in factors], dt)
-    mul = _fold([f.mul_table for f in factors], dt)
     zero = np.ravel_multi_index([f.zero for f in factors], orders)
     one = np.ravel_multi_index([f.one for f in factors], orders)
     sources = [f._names for f in factors]
@@ -440,8 +496,16 @@ def product_ring(factors, presentation=None) -> FiniteRing:
             for cs in zip(*(c.tolist() for c in cols))
         ]
 
-    ring = FiniteRing(add, mul, zero, one, presentation, names)
-    if all(f.add_table.dtype == f.mul_table.dtype == _table_dtype(f.order) for f in factors):
+    def tables():
+        dt = _table_dtype(q)
+        return _fold([f.add_table for f in factors], dt), _fold([f.mul_table for f in factors], dt)
+
+    ring = FiniteRing._deferred(q, tables, zero, one, presentation, names)
+    if all(
+        f._build_tables is not None
+        or f.add_table.dtype == f.mul_table.dtype == _table_dtype(f.order)
+        for f in factors
+    ):
         ring._derived["factors"] = tuple(factors)
     return ring
 

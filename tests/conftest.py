@@ -3,6 +3,7 @@ import time
 import pytest
 
 import ringgraph as rg
+from ringgraph import rings
 
 
 @pytest.fixture(scope="session")
@@ -17,3 +18,9 @@ def catalog64():
 @pytest.fixture(scope="session")
 def entries32(catalog64):
     return tuple(e for e in catalog64.entries if e.ring.order <= 32)
+
+
+@pytest.fixture
+def cold_ring_cache():
+    """Empty the `make_ring` cache, so the test builds its rings afresh."""
+    rings._build_ring.cache_clear()

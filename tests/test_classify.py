@@ -7,6 +7,7 @@ import pytest
 import ringgraph as rg
 from _oracle import table_homomorphism
 from ringgraph import classify
+from ringgraph.expr import prime_power
 
 
 def test_catalog_order_2():
@@ -83,6 +84,32 @@ def test_catalog_matches_recorded_digests(max_order):
     assert len(cat.entries) == entries
     assert _sha256_lines(sorted(str(e.expr) for e in cat.entries)) == sorted_digest
     assert _sha256_lines([f"{e.expr}|{e.provenance}" for e in cat.entries]) == ordered_digest
+
+
+# max order -> sha256 of the "expr|table digest|add dtype|mul dtype" lines in
+# entry order, recorded when the catalog built every entry's tables
+CATALOG_TABLE_DIGESTS = {
+    64: "a23332346d2ce00cb3fe21ec799e8e2db035d53c00f2dbe2f8d7506378b136de",
+    128: "7169510348b7b02e7c62f6961101e6fc377590facdca8e1cab1001d49854ab24",
+    256: "54047bad645e9520ba603540a7e30f3c528a6e42543b2d00a312f96a64e9cabd",
+}
+
+
+@pytest.mark.parametrize("max_order", sorted(CATALOG_TABLE_DIGESTS))
+def test_catalog_builds_no_product_table_and_reads_the_recorded_ones(max_order, cold_ring_cache):
+    cat = rg.build_catalog(max_order)
+    # a product or a Z_n with n not a prime power needs no table of its own
+    deferred = [
+        e for e in cat.entries
+        if e.provenance == "product" or (isinstance(e.expr, rg.Zn) and not prime_power(e.expr.n))
+    ]
+    assert len(deferred) > len(cat.entries) // 2
+    assert all(e.ring._build_tables is not None for e in deferred)
+    lines = [
+        f"{e.expr}|{e.ring.table_digest()}|{e.ring.add_table.dtype}|{e.ring.mul_table.dtype}"
+        for e in cat.entries
+    ]
+    assert _sha256_lines(lines) == CATALOG_TABLE_DIGESTS[max_order]
 
 
 def _modulus_code(expr):

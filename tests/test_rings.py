@@ -469,6 +469,77 @@ def test_immutable_tables():
         r.add_table[0, 0] = 3
 
 
+def _tables_built(ring):
+    return ring._build_tables is None
+
+
+def test_built_tables_are_read_only():
+    for expr in (rg.Zn(12), rg.Prod((rg.Zn(2), rg.gf(4))), rg.SquareZero(rg.Zn(3), 1)):
+        ring = rg.make_ring(expr)
+        for table in (ring.add_table, ring.mul_table):
+            assert not table.flags.writeable, str(expr)
+            with pytest.raises(ValueError):
+                table[0, 0] = 1
+
+
+def test_product_of_composite_cyclic_rings_builds_no_table(cold_ring_cache):
+    ring = rg.make_ring(rg.Prod((rg.Zn(6), rg.Zn(35))))
+    factors = ring._derived["factors"]
+    assert [f.order for f in factors] == [6, 35] and ring.order == 210
+    assert not _tables_built(ring) and not any(map(_tables_built, factors))
+    # big-endian: x = 35a + b stands for (a mod 6, b mod 35)
+    a, b = np.divmod(np.arange(210), 35)
+    add = (a[:, None] + a) % 6 * 35 + (b[:, None] + b) % 35
+    mul = (a[:, None] * a) % 6 * 35 + (b[:, None] * b) % 35
+    assert np.array_equal(ring.mul_table, mul) and np.array_equal(ring.add_table, add)
+    assert ring.add_table.dtype == ring.mul_table.dtype == np.int16
+    assert _tables_built(ring) and all(map(_tables_built, factors))
+
+
+def test_decompose_local_target_builds_its_tables_when_read():
+    for expr in (rg.Zn(60), rg.Prod((rg.Zn(12), rg.gf(4)))):
+        ring = rg.make_ring(expr)
+        _, iso = rg.decompose_local(ring)
+        assert not _tables_built(iso.target), str(expr)
+        assert iso.is_homomorphism and iso.is_bijective, str(expr)
+        assert _tables_built(iso.target), str(expr)
+        assert table_homomorphism(ring, iso.target, iso.image).all(), str(expr)
+
+
+def test_deferred_tables_are_checked_on_first_read():
+    z3 = rings._cyclic_tables(3)
+    wrong = [
+        (4, lambda: z3),  # 3-by-3 tables for a ring of order 4
+        (3, lambda: (z3[0], z3[1][:2])),
+        (3, lambda: tuple(t.astype(np.int64) for t in z3)),  # not the table dtype
+    ]
+    for order, build in wrong:
+        ring = rings.FiniteRing._deferred(order, build, 0, 1, None, [])
+        for _ in range(2):  # a failed build keeps the builder, so it fails again
+            with pytest.raises(ValueError):
+                ring.mul_table
+    ring = rings.FiniteRing._deferred(3, lambda: z3, 0, 1, None, [])
+    assert np.array_equal(ring.add_table, z3[0]) and np.array_equal(ring.mul_table, z3[1])
+    # a product of no rings is refused at once, not on its first read
+    with pytest.raises(ValueError):
+        rg.product_ring([])
+
+
+def test_deferred_ring_leaves_no_reference_cycle():
+    gc.disable()
+    try:
+        for read in (False, True):
+            z6, z35 = rings._make_zn(rg.Zn(6)), rings._make_zn(rg.Zn(35))
+            ring = rg.product_ring([z6, z35])
+            if read:
+                assert ring.add_table.shape == (210, 210)
+            refs = [weakref.ref(r) for r in (ring, z6, z35)]
+            del ring, z6, z35
+            assert all(r() is None for r in refs), read
+    finally:
+        gc.enable()
+
+
 @st.composite
 def small_exprs(draw):
     kind = draw(st.sampled_from(["zn", "gf", "quot", "sz", "prod"]))
