@@ -40,21 +40,26 @@ a product (priority 2) takes from a quotient (3) or a square-zero ring
   its own local factors are those of earlier candidates by the other
   cases here and the affine skip.  Both are skipped before their tables
   are built.
-- Z_{p^a}[x]/(f) with an idempotent other than 0 and 1 is non-local, and
-  so is its quotient F_p[x]/(f mod p), since idempotents lift modulo the
-  nil ideal (p).  So f mod p is the product of two coprime monic factors
-  of positive degree, which lift to f = g h with g, h monic and comaximal
-  over Z_{p^a} (Hensel; McDonald, *Finite Rings with Identity*, ch. XIII),
-  and the ring is Z_{p^a}[x]/(g) x Z_{p^a}[x]/(h).  These have lower
-  degree: degree 1 gives Z_{p^a}, and degree 2 a quotient candidate, or
-  one isomorphic to its orbit minimum, met before every cubic one.  By
-  induction on the degree their local factors are those of earlier
-  candidates.  The ring is dropped after that one check.
+- Z_{p^a}[x]/(f) is local exactly when f mod p is g^k for one monic
+  irreducible g over F_p.  The ideal (p) is nilpotent, so it lies in every
+  prime ideal, and the maximal ideals of the ring are those of its
+  quotient F_p[x]/(f mod p): one, (g), for each monic irreducible g that
+  divides f mod p.  When there are two or more, f mod p is the product of
+  two coprime monic factors of positive degree, which lift to f = g h
+  with g, h monic and comaximal over Z_{p^a} (Hensel; McDonald, *Finite
+  Rings with Identity*, ch. XIII), and the ring is Z_{p^a}[x]/(g) x
+  Z_{p^a}[x]/(h).  These have lower degree: degree 1 gives Z_{p^a}, and
+  degree 2 a quotient candidate, or one isomorphic to its orbit minimum,
+  met before every cubic one.  By induction on the degree their local
+  factors are those of earlier candidates.  The test reads only f
+  (`expr.poly_is_primary`: the least monic divisor of f mod p, found by
+  trial division, is irreducible, and f mod p must be its power), so a
+  non-local quotient is skipped before it is built.
 
 The factors named in each case have order at most the candidate's, so
 they are all candidates at this max_order.  Every other candidate (a
-field, SZ over a local base, a quotient with only 0 and 1 as idempotents)
-is local, and is classified as its own single factor.
+field, SZ over a local base, a quotient whose f mod p is a power of one
+irreducible) is local, and is classified as its own single factor.
 """
 
 from __future__ import annotations
@@ -71,13 +76,23 @@ from .autsearch import (
     isomorphism,
 )
 from .errors import OrderLimitExceeded
-from .expr import Prod, PolyQuot, RingExpr, SquareZero, Zn, expr_order, factorize, gf, prime_power
+from .expr import (
+    Prod,
+    PolyQuot,
+    RingExpr,
+    SquareZero,
+    Zn,
+    expr_order,
+    factorize,
+    gf,
+    poly_is_primary,
+    prime_power,
+)
 from .orbitgraph import aut_orbit_graph, build_graph
 from .rings import (
     FiniteRing,
     _local_factors,
     euler_phi,
-    idempotents,
     local_structure,
     make_ring,
     residue_degree,
@@ -279,24 +294,27 @@ def build_catalog(max_order: int = 64, include_trivial: bool = False, budget=Non
     square-zero), and the final listing is sorted by order then by the
     canonical expression string.
 
-    Candidates that cannot change the result are dropped, with the same
-    result as classifying them (proofs in the module docstring):
+    Candidates that cannot change the result are skipped before they are
+    built, with the same result as classifying them (proofs in the module
+    docstring):
 
-    - before their tables are built, a quotient Z_n[x]/(f) whose orbit
-      under f -> u^-d * f(ux + a) holds a smaller code, since it is
-      isomorphic to that earlier quotient; a quotient or square-zero ring
-      over Z_n with n not a prime power, the product of the same
-      construction over the prime-power parts of n; and a product whose
-      class is already held by a Z_n or field entry;
-    - after them, a quotient with an idempotent other than 0 and 1, a
-      product of lower-degree quotients.
+    - a quotient Z_n[x]/(f) whose orbit under f -> u^-d * f(ux + a) holds
+      a smaller code, since it is isomorphic to that earlier quotient;
+    - a product whose class is already held by a Z_n or field entry;
+    - a quotient or square-zero ring over Z_n with n not a prime power,
+      the product of the same construction over the prime-power parts of
+      n;
+    - a quotient Z_{p^a}[x]/(f) whose f mod p is not a power of one monic
+      irreducible, which is not local and is a product of lower-degree
+      quotients.
 
     In the last two cases the candidate's class is a product of local
     classes registered before it, of order at most max_order, so `expand`
     offers it as a product, which wins over a quotient or square-zero
     ring.  Z_n is split by CRT from n (`_local_factors_of`); every other
-    candidate kept has only 0 and 1 as idempotents, so it is local and is
-    its own single factor.
+    candidate kept is local, so it is its own single factor.  The registry
+    reads a Z_{p^a}'s characteristic, recorded when it is made, and no
+    table of it.
     """
     if max_order > MAX_CATALOG_ORDER:
         raise OrderLimitExceeded(f"catalog max_order capped at {MAX_CATALOG_ORDER}")
@@ -320,17 +338,14 @@ def build_catalog(max_order: int = 64, include_trivial: bool = False, budget=Non
 
     local_exprs: dict[int, tuple] = {}
     for family, expr in _family_candidates(max_order, include_trivial):
-        if family == "polyquot" and (not prime_power(expr.n) or affine_duplicate(expr)):
-            continue
+        if family == "polyquot":
+            pp = prime_power(expr.n)
+            if not pp or affine_duplicate(expr) or not poly_is_primary(expr.modulus, pp[0]):
+                continue
         if family == "squarezero" and not prime_power(expr_order(expr.base)):
             continue
         ring = make_ring(expr)
-        if family == "zn":
-            factors = _local_factors_of(expr, ring)
-        elif len(idempotents(ring)) > 2:
-            continue  # a non-local quotient
-        else:
-            factors = [ring]
+        factors = _local_factors_of(expr, ring) if family == "zn" else [ring]
         key = tuple(sorted(registry.classify(f) for f in factors))
         offer(key, family, expr, ring)
         if len(key) == 1 and key[0] not in local_exprs:
@@ -342,20 +357,22 @@ def build_catalog(max_order: int = 64, include_trivial: bool = False, budget=Non
         key=lambda t: (t[2].order, str(t[1])),
     )
 
-    def expand(start: int, chosen: list[int], order: int):
-        key = tuple(sorted(chosen))
-        if len(chosen) >= 2 and wins(key, "product"):
-            exprs = sorted(
-                (local_exprs[c] for c in chosen), key=lambda t: (t[1].order, str(t[0]))
-            )
-            prod_expr = Prod(tuple(e for e, _ in exprs))
-            offer(key, "product", prod_expr, make_ring(prod_expr))
+    # `chosen` holds (class, expr) pairs in `locals_sorted` order, which is
+    # the (order, str) order of a product's factors
+    def expand(start: int, chosen: list[tuple], order: int):
+        if len(chosen) >= 2:
+            key = tuple(sorted(cid for cid, _ in chosen))
+            if wins(key, "product"):
+                prod_expr = Prod(tuple(e for _, e in chosen))
+                offer(key, "product", prod_expr, make_ring(prod_expr))
         for i in range(start, len(locals_sorted)):
-            cid, _, ring = locals_sorted[i]
+            cid, expr, ring = locals_sorted[i]
+            if order * ring.order > max_order:
+                break  # orders ascend
             # the one-element ring is a neutral product factor; skip it
-            if ring.order == 1 or order * ring.order > max_order:
+            if ring.order == 1:
                 continue
-            chosen.append(cid)
+            chosen.append((cid, expr))
             expand(i, chosen, order * ring.order)
             chosen.pop()
 

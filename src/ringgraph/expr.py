@@ -28,6 +28,7 @@ __all__ = [
     "is_prime",
     "prime_power",
     "poly_is_irreducible",
+    "poly_is_primary",
 ]
 
 
@@ -88,20 +89,45 @@ def _poly_mod(a, f, p):
     return _poly_trim(a)
 
 
+def _poly_mul(a, b, p):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = (out[i + j] + x * y) % p
+    return out
+
+
+def _least_monic_divisor(f, p: int):
+    """The monic divisor of least positive degree of a monic f over Z_p, p
+    prime, by trial division; it is irreducible, as any proper factor would
+    divide f too."""
+    d = len(f) - 1
+    # a reducible f has a divisor of degree at most d/2
+    for k in range(1, d // 2 + 1):
+        for code in range(p**k):
+            g = [(code // p**i) % p for i in range(k)] + [1]
+            if not _poly_mod(f, g, p):
+                return g
+    return list(f)
+
+
 def poly_is_irreducible(f, p: int) -> bool:
     """Exhaustive trial division of a monic polynomial over Z_p, p prime."""
     d = len(f) - 1
     if d < 1 or f[-1] != 1:
         return False
-    if d == 1:
-        return True
-    # trial divide by every monic polynomial of degree 1..d//2
-    for k in range(1, d // 2 + 1):
-        for code in range(p**k):
-            g = [(code // p**i) % p for i in range(k)] + [1]
-            if not _poly_mod(f, g, p):
-                return False
-    return True
+    return len(_least_monic_divisor(f, p)) == len(f)
+
+
+def poly_is_primary(f, p: int) -> bool:
+    """Whether a monic f of positive degree, read mod p (p prime), is g^k for
+    one monic irreducible g over Z_p; g is then its least monic divisor."""
+    f = [c % p for c in f]
+    g = _least_monic_divisor(f, p)
+    power = g
+    while len(power) < len(f):
+        power = _poly_mul(power, g, p)
+    return power == f
 
 
 # bundled default moduli for small field orders; larger orders fall back to

@@ -5,10 +5,11 @@ tables.  Tables are built at most once from a RingExpr and are immutable;
 every structural question (units, nilpotents, local structure,
 idempotents, annihilators, ...) reduces to an exhaustive finite scan of
 the tables.  A ring that `product_ring` built keeps its factors, and
-answers its local factors and fingerprints from theirs.  Products and
-Z_n know their order, zero and one without tables, so they build their
-tables on the first read of `add_table` or `mul_table`; a catalog
-product whose tables nothing reads never builds them.
+answers its local factors, fingerprints and whether it is local from
+theirs.  Products and Z_n know their order, zero and one without tables,
+and Z_n its prime subring too, so they build their tables on the first
+read of `add_table` or `mul_table`; a catalog product or Z_{p^a} whose
+tables nothing reads never builds them.
 
 Construction works on whole tables.  An additive group B^d, and any
 direct product, is a mixed-radix fold of the factors' tables.  Z_n[x]/(f),
@@ -27,7 +28,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import IndexOutOfRange, InvalidModulus, NotLocal, OrderLimitExceeded
 from .expr import (
@@ -311,20 +311,34 @@ def _make_zn(expr: Zn) -> FiniteRing:
 
 
 def _cyclic_ring(n: int, presentation, names) -> FiniteRing:
-    """Z_n on `_cyclic_tables`, element k being k*1, built on first read."""
-    return FiniteRing._deferred(n, lambda: _cyclic_tables(n), 0, 1 % n, presentation, names)
+    """Z_n on `_cyclic_tables`, built on first read.
+
+    Element k is k*1 by construction, so the prime subring 0, 1, 1+1, ..
+    is 0..n-1 and is recorded here: the characteristic, which is all the
+    catalog reads of a Z_{p^a}, needs no table.
+    """
+    ring = FiniteRing._deferred(n, lambda: _cyclic_tables(n), 0, 1 % n, presentation, names)
+    ring._derived["prime_subring"] = tuple(range(n))
+    return ring
+
+
+def _cyclic_add_table(n: int) -> np.ndarray:
+    """Add table of Z_n in the table dtype: a + b as a + (b - n), plus n
+    where negative, so no entry leaves [-n, n) on the way."""
+    idx = np.arange(n, dtype=_table_dtype(n))
+    add = np.add.outer(idx, idx - n)
+    np.add(add, n, out=add, where=add < 0)
+    return add
 
 
 def _cyclic_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Add and mul tables of Z_n, computed in the table dtype.
 
-    Row a of the add table is 0..n-1 rotated left by a.  Multiplying by a
-    is additive in a, so mul rows [lo, 2lo) are rows [0, lo) plus the row
-    of lo, for lo = 1, 2, 4, ...
+    Multiplying by a is additive in a, so mul rows [lo, 2lo) are rows
+    [0, lo) plus the row of lo, for lo = 1, 2, 4, ...
     """
     dt = _table_dtype(n)
-    idx = np.arange(n, dtype=dt)
-    add = sliding_window_view(np.concatenate([idx, idx]), n)[:n].copy()
+    add = _cyclic_add_table(n)
     mul = np.empty_like(add)
     mul[0] = 0
     lo = 1
@@ -385,7 +399,7 @@ def _make_polyquot(n: int, modulus, presentation) -> FiniteRing:
     if d == 1:  # only constants, multiplied as in Z_n
         return _cyclic_ring(n, presentation, names)
     dt = _table_dtype(q)
-    add = _fold([_cyclic_tables(n)[0]] * d, dt)  # equal factors: digit order is immaterial
+    add = _fold([_cyclic_add_table(n)] * d, dt)  # equal factors: digit order is immaterial
     digits = _digits_matrix(q, n, d)
     place = n ** np.arange(d, dtype=np.int64)
     # X*y: shift the digits up and fold the top one back by X^d = -(f_0 + ... + f_{d-1} X^{d-1})
@@ -484,8 +498,9 @@ def product_ring(factors, presentation=None) -> FiniteRing:
         raise ValueError("a product needs at least one factor")
     orders = [f.order for f in factors]
     q = math.prod(orders)
-    zero = np.ravel_multi_index([f.zero for f in factors], orders)
-    one = np.ravel_multi_index([f.one for f in factors], orders)
+    zero = one = 0
+    for f in factors:  # big-endian mixed radix
+        zero, one = zero * f.order + f.zero, one * f.order + f.one
     sources = [f._names for f in factors]
 
     def names():
@@ -515,11 +530,18 @@ def product_ring(factors, presentation=None) -> FiniteRing:
 
 
 def local_structure(ring: FiniteRing) -> LocalStructure:
-    """Decide whether the non-units form an ideal; if so report (M, |R/M|)."""
+    """Decide whether the non-units form an ideal; if so report (M, |R/M|).
+
+    A product with two or more recorded factors of order above 1 is not
+    local, with no scan: the one of such a factor in its coordinate and
+    zeros elsewhere is an idempotent other than 0 and 1, which a local
+    ring does not have.
+    """
 
     def build():
         n = ring.order
-        if n == 1:
+        factors = ring._derived.get("factors", ())
+        if n == 1 or sum(f.order > 1 for f in factors) >= 2:
             return LocalStructure(False)
         nonunits = sorted(set(range(n)) - ring.units)
         mask = np.zeros(n, dtype=bool)

@@ -7,7 +7,7 @@ import pytest
 import ringgraph as rg
 from _oracle import table_homomorphism
 from ringgraph import classify
-from ringgraph.expr import prime_power
+from ringgraph.expr import poly_is_primary, prime_power
 
 
 def test_catalog_order_2():
@@ -98,13 +98,14 @@ CATALOG_TABLE_DIGESTS = {
 @pytest.mark.parametrize("max_order", sorted(CATALOG_TABLE_DIGESTS))
 def test_catalog_builds_no_product_table_and_reads_the_recorded_ones(max_order, cold_ring_cache):
     cat = rg.build_catalog(max_order)
-    # a product or a Z_n with n not a prime power needs no table of its own
-    deferred = [
-        e for e in cat.entries
-        if e.provenance == "product" or (isinstance(e.expr, rg.Zn) and not prime_power(e.expr.n))
-    ]
+    # a product needs no table of its own, nor does a Z_n unless it is the
+    # base of a square-zero candidate
+    bases = [b for b in range(2, max_order) if b * b <= max_order and prime_power(b)]
+    deferred = [e for e in cat.entries if e.provenance == "product"]
     assert len(deferred) > len(cat.entries) // 2
     assert all(e.ring._build_tables is not None for e in deferred)
+    cyclic = [e for e in cat.entries if isinstance(e.expr, rg.Zn)]
+    assert [e.expr.n for e in cyclic if e.ring._build_tables is None] == bases
     lines = [
         f"{e.expr}|{e.ring.table_digest()}|{e.ring.add_table.dtype}|{e.ring.mul_table.dtype}"
         for e in cat.entries
@@ -169,7 +170,21 @@ def test_candidates_left_out_are_isomorphic_to_a_catalog_entry(monkeypatch):
                 continue
         assert entry.provenance == "product", label
     # (candidates, never built, built and left out)
-    assert counts == {"polyquot": [729, 662, 25], "squarezero": [23, 2, 0]}
+    assert counts == {"polyquot": [729, 687, 0], "squarezero": [23, 2, 0]}
+
+
+def test_local_quotient_criterion_matches_the_idempotent_scan():
+    # Z_{p^a}[x]/(f) is local iff f mod p is a power of one monic irreducible
+    agree, non_local = 0, 0
+    for family, expr in classify._family_candidates(256, False):
+        pp = prime_power(expr.n) if family == "polyquot" else None
+        if not pp:
+            continue
+        local = len(rg.idempotents(rg.make_ring(expr))) == 2
+        assert poly_is_primary(expr.modulus, pp[0]) == local, str(expr)
+        agree += 1
+        non_local += not local
+    assert (agree, non_local) == (1018, 411)
 
 
 def test_catalog_at_every_bound_is_a_prefix():

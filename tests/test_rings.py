@@ -216,6 +216,7 @@ def _assert_product_matches_scan(ring, label):
     assert np.array_equal(iso.image, ref_iso.image), label
     assert iso.is_homomorphism and iso.is_bijective, label
     assert ring.fingerprints == ref.fingerprints, label
+    assert rg.local_structure(ring) == rg.local_structure(ref), label
 
 
 def test_product_factors_and_fingerprints_match_the_scan():
@@ -230,6 +231,8 @@ def test_product_factors_and_fingerprints_match_the_scan():
         # on a fresh copy, neither query scans the product's tables
         fresh = rg.product_ring(ring._derived["factors"])
         assert rg.decompose_local(fresh) and fresh.fingerprints
+        if sum(f.order > 1 for f in ring._derived["factors"]) >= 2:
+            assert not rg.local_structure(fresh).is_local, label
         assert not {"idempotents", "units", "prime_subring"} & fresh._derived.keys(), label
         _assert_product_matches_scan(fresh, label)
         own = [p for f in ring._derived["factors"] for p in rg.decompose_local(f)[0]]
@@ -314,6 +317,17 @@ def test_cyclic_split_matches_the_scan():
         _assert_split_matches_scan(ring, modulus)
         assert [f.element_names for f in rg.decompose_local(ring)[0]] == [
             ("0", "4", "8"), ("0", "3", "6", "9")]
+
+
+def test_cyclic_prime_subring_is_recorded_and_matches_the_scan():
+    cyclic = [rings._make_zn(rg.Zn(n)) for n in range(1, 257)]
+    cyclic += [
+        rings._make_polyquot(n, (c, 1), rg.PolyQuot(n, (c, 1)))
+        for n in (2, 6, 9, 12) for c in range(n)
+    ]
+    for ring in cyclic:
+        assert ring.characteristic == ring.order and not _tables_built(ring), str(ring)
+        assert ring.prime_subring == _scanned_copy(ring).prime_subring, str(ring)
 
 
 def test_splitting_a_cyclic_ring_leaves_no_reference_cycle():
