@@ -257,7 +257,7 @@ class AutGroup:
 
     def __init__(self, ring: FiniteRing, images: np.ndarray, generator_rows=None):
         order = np.lexsort(images.T[::-1])
-        images = np.ascontiguousarray(images[order])
+        images = np.ascontiguousarray(images[order], dtype=np.int64)  # keys are int64 bytes
         images.setflags(write=False)
         self._index = {images[i].tobytes(): i for i in range(len(images))}
         if len(self._index) != len(images):
@@ -333,9 +333,11 @@ class AutGroup:
         x = self.ring._check(x)
         return frozenset(np.unique(self._images[:, x]).tolist())
 
+    def _labels(self) -> np.ndarray:
+        return _orbit_labels(self.ring.order, self._images[list(self._generator_rows())])
+
     def orbits(self) -> tuple[tuple[int, ...], ...]:
-        gens = [self._images[i] for i in self._generator_rows()]
-        return _orbits_from_images(self.ring.order, gens)
+        return _blocks(self._labels())
 
 
 def _orbit_labels(n: int, images) -> np.ndarray:
@@ -360,11 +362,10 @@ def _orbit_labels(n: int, images) -> np.ndarray:
     return label
 
 
-def _orbits_from_images(n: int, images) -> tuple[tuple[int, ...], ...]:
-    """The orbits of `_orbit_labels`: ascending blocks, listed by least element."""
-    label = _orbit_labels(n, images)
+def _blocks(label: np.ndarray) -> tuple[tuple[int, ...], ...]:
+    """The blocks of a label array, each ascending, listed in label order."""
     order = np.argsort(label, kind="stable")
-    cuts = [0, *(np.flatnonzero(np.diff(label[order])) + 1).tolist(), n]
+    cuts = [0, *(np.flatnonzero(np.diff(label[order])) + 1).tolist(), len(label)]
     order = order.tolist()
     return tuple(tuple(order[lo:hi]) for lo, hi in zip(cuts, cuts[1:]))
 
@@ -376,8 +377,9 @@ def _stabilizer_chain(ring: FiniteRing, budget=None) -> list[np.ndarray]:
     index array, where G_{i-1} is the group of automorphisms fixing S_{i-1}
     pointwise, so G_0 = Aut R.  The orbit lengths multiply to |Aut R|.  The
     maps that the search found, a strong generating set, are cached beside
-    the chain and read by `_strong_generators`.  No coset representative is
-    stored: `automorphisms` traces them with `_transversal` to list a group.
+    the chain and read by `_strong_generators`, and so is the final `label`
+    below, which `_aut_labels` reads.  No coset representative is stored:
+    `automorphisms` traces them with `_transversal` to list a group.
 
     Levels are built deepest first, i = k .. 1, where S_k = R and G_k = 1.
     On entry to level i the strong generators found so far generate G_i.
@@ -446,8 +448,10 @@ def _stabilizer_chain(ring: FiniteRing, budget=None) -> list[np.ndarray]:
                 label = _orbit_labels(ring.order, strong)
         chain.append(np.flatnonzero(label == label[gen]))
     chain.reverse()
+    label.setflags(write=False)
     ring._aut_cache["chain"] = chain
     ring._aut_cache["strong"] = strong
+    ring._aut_cache["labels"] = label
     ring._aut_cache["nodes"] = engine.peak if engine else 0
     return chain
 
@@ -456,6 +460,12 @@ def _strong_generators(ring: FiniteRing, budget=None) -> list[np.ndarray]:
     """The maps the stabilizer chain search found; they generate Aut R."""
     _stabilizer_chain(ring, budget)
     return ring._aut_cache["strong"]
+
+
+def _aut_labels(ring: FiniteRing, budget=None) -> np.ndarray:
+    """Each element labelled by the least element of its Aut R orbit."""
+    _stabilizer_chain(ring, budget)
+    return ring._aut_cache["labels"]
 
 
 def _transversal(n: int, point: int, gens) -> dict:
@@ -519,13 +529,10 @@ def automorphisms(ring: FiniteRing, budget=None) -> AutGroup:
 def aut_orbits(ring: FiniteRing, budget=None) -> tuple[tuple[int, ...], ...]:
     """Orbit partition of the carrier under the full automorphism group.
 
-    Works from the strong generators of the stabilizer chain, so it stays
-    cheap even when the group itself is too large to enumerate.
+    The blocks of the label array the stabilizer chain leaves behind, so
+    this stays cheap even when the group is too large to enumerate.
     """
-    strong = _strong_generators(ring, budget)  # raises as a fresh run would
-    if "orbits" not in ring._aut_cache:
-        ring._aut_cache["orbits"] = _orbits_from_images(ring.order, strong)
-    return ring._aut_cache["orbits"]
+    return _blocks(_aut_labels(ring, budget))
 
 
 def isomorphism(source: FiniteRing, target: FiniteRing, budget=None) -> RingMorphism | None:

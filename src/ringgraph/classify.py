@@ -591,18 +591,12 @@ def verify_type_formulas(
         ga = aut_orbit_graph(ra, budget=budget)
         gb = aut_orbit_graph(rb, budget=budget)
         gp = aut_orbit_graph(rp, budget=budget)
-        bad = None
-        for a in range(ra.order):
-            if bad:
-                break
-            da = ga.degree(a)
-            for b in range(rb.order):
-                idx = a * rb.order + b
-                if gp.degree(idx) != (da + 1) * (gb.degree(b) + 1) - 1:
-                    bad = (a, b)
-                    break
-        if bad:
-            cex.append((prod_expr, f"degree product rule fails at element pair {bad}"))
+        # orbit sizes multiply; the product's element a * |B| + b is the pair (a, b)
+        sizes = gp.sizes[gp.block_of].reshape(ra.order, rb.order)
+        bad = np.argwhere(sizes != np.outer(ga.sizes[ga.block_of], gb.sizes[gb.block_of]))
+        if len(bad):
+            pair = tuple(bad[0].tolist())
+            cex.append((prod_expr, f"degree product rule fails at element pair {pair}"))
             continue
         ta, tb = ga.graph_type(), gb.graph_type()
         if ta != tb:

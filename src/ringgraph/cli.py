@@ -24,6 +24,7 @@ import json
 import os
 import re
 import sys
+from itertools import combinations
 
 from . import classify
 from .autsearch import (
@@ -314,7 +315,7 @@ def ring_summary(expr: RingExpr, ring: FiniteRing, budget=None) -> dict:
         "characteristic": ring.characteristic,
         "is_local": ls.is_local,
         "aut_order": aut_group_order(ring, budget=budget),
-        "orbit_sizes": sorted(len(b) for b in graph.blocks),
+        "orbit_sizes": sorted(graph.sizes.tolist()),
         "type": graph.graph_type(),
         "totally_disconnected": graph.is_totally_disconnected(),
         "planar": graph.is_planar(),
@@ -337,16 +338,14 @@ def emit_dot(graph, collapse: bool = False) -> bytes:
     """DOT rendering: one node per element with orbit edges, or one node per orbit."""
     lines = ["graph orbits {"]
     if collapse:
-        for i, block in enumerate(graph.blocks):
-            lines.append(f"  b{i} [label={_dot_quote(f'size={len(block)}')}];")
+        for i, size in enumerate(graph.sizes.tolist()):
+            lines.append(f"  b{i} [label={_dot_quote(f'size={size}')}];")
     else:
         names = graph.ring.element_names
         for x in range(graph.ring.order):
             lines.append(f"  e{x} [label={_dot_quote(names[x])}];")
         for block in graph.blocks:
-            for i in range(len(block)):
-                for j in range(i + 1, len(block)):
-                    lines.append(f"  e{block[i]} -- e{block[j]};")
+            lines.extend(f"  e{a} -- e{b};" for a, b in combinations(block, 2))
     lines.append("}")
     return ("\n".join(lines) + "\n").encode()
 

@@ -2,19 +2,20 @@
 
 Two distinct elements are adjacent when some automorphism in the chosen
 group maps one to the other, so the graph is always a disjoint union of
-complete graphs on the orbits.  The graph is therefore stored only as the
-orbit partition; every invariant defined here has a closed form on the
-partition.
+complete graphs on the orbits.  The graph is therefore stored as the orbit
+partition, one label per element: the least element of its orbit.  Every
+invariant defined here is a closed form in the orbit sizes.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
+from functools import cached_property
 
 import numpy as np
 
-from .autsearch import AutGroup, aut_orbits, automorphisms
+from .autsearch import AutGroup, _aut_labels, _blocks, automorphisms
 from .rings import FiniteRing
 
 __all__ = [
@@ -26,39 +27,42 @@ __all__ = [
 
 
 class OrbitGraph:
-    """Partition of a ring carrier into automorphism orbits."""
+    """Partition of a ring carrier into automorphism orbits, given as
+    `labels[x]`, the least element of the orbit of x.  Blocks are numbered
+    by least element: `block_of[x]` is the block of x, `sizes[b]` its size.
+    """
 
-    def __init__(self, ring: FiniteRing, blocks, group: AutGroup | None = None):
-        blocks = tuple(tuple(sorted(b)) for b in blocks)
-        blocks = tuple(sorted(blocks, key=lambda b: b[0]))
-        block_of = np.full(ring.order, -1, dtype=np.int64)
-        seen = 0
-        for i, b in enumerate(blocks):
-            for x in b:
-                if block_of[x] != -1:
-                    raise ValueError("blocks overlap")
-                block_of[x] = i
-            seen += len(b)
-        if seen != ring.order or (block_of < 0).any():
-            raise ValueError("blocks must partition the carrier")
+    def __init__(self, ring: FiniteRing, labels, group: AutGroup | None = None):
+        labels = np.asarray(labels)
+        ok = labels.shape == (ring.order,) and labels.dtype.kind in "iu"
+        ok = ok and ((labels >= 0) & (labels <= np.arange(ring.order))).all()
+        if not (ok and np.array_equal(labels[labels], labels)):
+            raise ValueError("labels must give each element the least element of its block")
+        _, block_of, sizes = np.unique(labels, return_inverse=True, return_counts=True)
         block_of.setflags(write=False)
+        sizes.setflags(write=False)
         self.ring = ring
         self.group = group
-        self.blocks = blocks
         self.block_of = block_of
+        self.sizes = sizes
+
+    @cached_property
+    def blocks(self) -> tuple[tuple[int, ...], ...]:
+        """The orbit blocks, ascending, ordered by smallest member."""
+        return _blocks(self.block_of)
 
     def orbit_of(self, x: int) -> int:
         return int(self.block_of[self.ring._check(x)])
 
     def degree(self, x: int) -> int:
-        return len(self.blocks[self.orbit_of(x)]) - 1
+        return int(self.sizes[self.orbit_of(x)]) - 1
 
     def graph_type(self) -> int:
         """Largest vertex degree, i.e. (largest orbit size) - 1."""
-        return max(len(b) for b in self.blocks) - 1
+        return int(self.sizes.max()) - 1
 
     def is_totally_disconnected(self) -> bool:
-        return all(len(b) == 1 for b in self.blocks)
+        return len(self.sizes) == self.ring.order
 
     def subset_connected(self, subset) -> bool:
         """Whether the induced subgraph on `subset` is connected.
@@ -67,8 +71,7 @@ class OrbitGraph:
         or all elements inside a single block.  The empty set counts as
         connected.
         """
-        ids = {self.orbit_of(x) for x in subset}
-        return len(ids) <= 1
+        return len({self.orbit_of(x) for x in subset}) <= 1
 
     def cliques(self) -> tuple[tuple[int, ...], ...]:
         """The orbit blocks, ordered by smallest member."""
@@ -76,7 +79,7 @@ class OrbitGraph:
 
     def is_planar(self) -> bool:
         # a disjoint union of complete graphs is planar iff no K_5 appears
-        return max(len(b) for b in self.blocks) <= 4
+        return self.graph_type() < 4
 
     def graph_aut_order(self) -> int:
         """|Aut| of the graph itself, by the closed form for clique unions.
@@ -84,16 +87,12 @@ class OrbitGraph:
         Vertices permute freely inside each clique and equal-size cliques
         permute among themselves.  Exact integer, no overflow.
         """
-        out = 1
-        for b in self.blocks:
-            out *= math.factorial(len(b))
-        for count in Counter(len(b) for b in self.blocks).values():
-            out *= math.factorial(count)
-        return out
+        counts = Counter(self.sizes.tolist())
+        return math.prod(math.factorial(s) ** c * math.factorial(c) for s, c in counts.items())
 
     def __repr__(self):
-        sizes = Counter(len(b) for b in self.blocks)
-        desc = ", ".join(f"{s}^{c}" for s, c in sorted(sizes.items()))
+        counts = Counter(self.sizes.tolist())
+        desc = ", ".join(f"{s}^{c}" for s, c in sorted(counts.items()))
         return f"OrbitGraph({self.ring!r}, block sizes {desc})"
 
 
@@ -101,17 +100,17 @@ def build_graph(ring: FiniteRing, group: AutGroup) -> OrbitGraph:
     """Orbit graph of `ring` under an explicit automorphism group."""
     if group.ring is not ring:
         raise ValueError("group does not act on this ring")
-    return OrbitGraph(ring, group.orbits(), group)
+    return OrbitGraph(ring, group._labels(), group)
 
 
 def aut_orbit_graph(ring: FiniteRing, budget=None) -> OrbitGraph:
     """Orbit graph under the full automorphism group.
 
-    The partition comes from the stabilizer chain's strong generators, so
-    this works even when Aut R is too large to list element by element;
-    the graph's `group` is always None, since no group is listed.
+    The labels are the ones the stabilizer chain leaves behind, so this
+    works even when Aut R is too large to list element by element; the
+    graph's `group` is always None, since no group is listed.
     """
-    return OrbitGraph(ring, aut_orbits(ring, budget=budget), None)
+    return OrbitGraph(ring, _aut_labels(ring, budget), None)
 
 
 def aut_embeds_in_graph_aut(ring: FiniteRing, budget=None) -> bool:

@@ -13,8 +13,9 @@ from _oracle import (
     table_homomorphism,
 )
 from ringgraph.autsearch import (
+    _blocks,
     _certify,
-    _orbits_from_images,
+    _orbit_labels,
     _stabilizer_chain,
     _strong_generators,
     _transversal,
@@ -184,6 +185,15 @@ def test_group_rejects_duplicate_rows_and_missing_identity():
         rg.AutGroup(ring, images[:0])
 
 
+def test_group_looks_up_rows_given_in_a_narrow_dtype():
+    ring = rg.make_ring(rg.gf(4))
+    images = rg.automorphisms(ring)._images
+    group = rg.AutGroup(ring, images.astype(np.int32))
+    assert group.index_of(rg.identity_automorphism(ring)) == 0
+    assert group.index_of(group.elements[1]) == 1
+    assert group.compose_indices(1, 1) == 0 and group.inverse_index(1) == 1
+
+
 # -- invariants over the catalog ----------------------------------------------
 
 
@@ -280,7 +290,7 @@ def test_cached_chain_answers_only_where_a_fresh_one_does():
         rg.automorphisms(ring)
         need = ring._aut_cache["nodes"]
         assert (need > 0) == searches, str(expr)
-        for query in (rg.aut_group_order, rg.aut_orbits, rg.automorphisms):
+        for query in (rg.aut_group_order, rg.aut_orbits, rg.aut_orbit_graph, rg.automorphisms):
             for budget in {0, 3, max(need - 1, 0), need, 10**7}:
                 want = _answers(query, fresh_copy(ring), budget)
                 assert _answers(query, ring, budget) == want, (str(expr), query, budget)
@@ -433,10 +443,10 @@ def _listed_images(ring):
 def test_strong_generator_orbits_match_every_representative(catalog64):
     for entry in catalog64.entries:
         ring = entry.ring
-        expected = _orbits_from_images(ring.order, _strong_generators(ring))
+        expected = _blocks(_orbit_labels(ring.order, _strong_generators(ring)))
         assert rg.aut_orbits(ring) == expected, str(entry.expr)
         reps = [rep for level in _traced_levels(ring) for rep in level.values()]
-        assert _orbits_from_images(ring.order, reps) == expected, str(entry.expr)
+        assert _blocks(_orbit_labels(ring.order, reps)) == expected, str(entry.expr)
         images = _listed_images(ring)
         if images is not None:
             assert reference_orbits(ring.order, images) == expected, str(entry.expr)
@@ -628,4 +638,4 @@ def test_orbit_sweep_matches_union_find():
                 part = rng.choice(n, size=rng.integers(0, n + 1), replace=False)
                 img[part] = rng.permutation(part)
                 images.append(img)
-            assert _orbits_from_images(n, images) == reference_orbits(n, images), (n, k)
+            assert _blocks(_orbit_labels(n, images)) == reference_orbits(n, images), (n, k)

@@ -313,6 +313,25 @@ def test_type_formula_input_validation():
         rg.verify_type_formulas(symmetric_samples=((2, 1, 2),))
 
 
+def test_degree_product_rule_reports_the_first_failing_pair(monkeypatch):
+    # a product graph with every element alone breaks the rule at each pair
+    # (a, b) with a or b in an orbit of size > 1: a = 2 in GF(4), b = 2 in
+    # GF(8); row-major order meets (0, 2) first, column-major (2, 0)
+    def discrete_products(ring, budget=None):
+        if ring.order == 32:
+            return rg.OrbitGraph(ring, np.arange(32))
+        return rg.aut_orbit_graph(ring, budget=budget)
+
+    monkeypatch.setattr(classify, "aut_orbit_graph", discrete_products)
+    report = rg.verify_type_formulas(
+        p_list=(), n_list=(), symmetric_samples=(), field_orders=(),
+        product_pairs=((rg.gf(4), rg.gf(8)),),
+    )
+    assert report.counterexamples == (
+        (rg.Prod((rg.gf(4), rg.gf(8))), "degree product rule fails at element pair (0, 2)"),
+    )
+
+
 def test_verify_all_small():
     from ringgraph.classify import THEOREM_IDS
 

@@ -415,6 +415,32 @@ def test_atlas_json_matches_info(tmp_path, capsys):
     assert direct == stored
 
 
+# sha256 of every file `ringgraph atlas --max-order 64` writes (one JSON and
+# one DOT per entry, and index.json), concatenated in sorted file-name order
+ATLAS_64_FILES = 693
+ATLAS_64_SHA256 = "0ef18c4c8503112c8e419104ba96b5f849c3472891289affe5d147f28635b297"
+
+
+def test_atlas_output_is_byte_stable(tmp_path, capsys):
+    out_dir = tmp_path / "atlas"
+    assert main(["atlas", "--max-order", "64", "--out", str(out_dir)]) == 0
+    names = sorted(os.listdir(out_dir))
+    digest = hashlib.sha256(b"".join((out_dir / name).read_bytes() for name in names))
+    assert len(names) == ATLAS_64_FILES
+    assert digest.hexdigest() == ATLAS_64_SHA256
+
+
+def test_ring_summary_reads_sizes_without_building_blocks(monkeypatch):
+    def no_blocks(graph):
+        raise AssertionError("ring_summary built the orbit blocks")
+
+    monkeypatch.setattr(rg.OrbitGraph, "blocks", property(no_blocks))
+    expr = rg.Prod((rg.gf(4), rg.PolyQuot(5, (0, 0, 1))))
+    summary = ring_summary(expr, rg.make_ring(expr))
+    assert summary["orbit_sizes"] == sorted(a * b for a in (1, 1, 2) for b in [1] * 5 + [4] * 5)
+    assert emit_dot(rg.aut_orbit_graph(rg.make_ring(expr)), collapse=True).count(b"size=8") == 5
+
+
 @pytest.mark.parametrize("max_order", ["-5", "1"])
 def test_atlas_rejects_max_order_below_2(tmp_path, capsys, max_order):
     out_dir = tmp_path / "atlas"

@@ -25,6 +25,26 @@ def test_build_graph_examples():
     assert f4.blocks == ((0,), (1,), (2, 3))
 
 
+def test_orbit_graph_takes_least_element_labels():
+    f4 = rg.make_ring(rg.gf(4))
+    graph = rg.OrbitGraph(f4, np.array([0, 1, 2, 2]))
+    assert graph.blocks == ((0,), (1,), (2, 3)) and graph.sizes.tolist() == [1, 1, 2]
+    assert type(graph.graph_type()) is int and type(graph.degree(3)) is int
+    assert type(graph.is_planar()) is bool and type(graph.is_totally_disconnected()) is bool
+    malformed = (
+        [0, 1, 2],  # too short
+        [[0, 1, 2, 2]],  # not one-dimensional
+        [0.0, 1.0, 2.0, 2.0],  # not integers
+        [0, 1, 2, -1],  # negative
+        [0, 1, 2, 4],  # outside the carrier
+        [0, 1, 3, 3],  # above its element
+        [0, 0, 1, 2],  # 1 is a label but not labelled by itself
+    )
+    for labels in malformed:
+        with pytest.raises(ValueError):
+            rg.OrbitGraph(f4, np.array(labels))
+
+
 def test_degree():
     g = full_graph(rg.PolyQuot(7, (0, 0, 1)))
     assert g.degree(0) == 0 and g.degree(1) == 0
@@ -100,6 +120,8 @@ def test_partition_identities(entries32):
         ring = entry.ring
         n = ring.order
         assert sum(len(b) for b in graph.blocks) == n
+        assert graph.blocks == rg.aut_orbits(ring), str(entry.expr)
+        assert graph.sizes.tolist() == [len(b) for b in graph.blocks]
         assert sorted(x for b in graph.blocks for x in b) == list(range(n))
         assert graph.graph_type() == max(graph.degree(x) for x in range(n))
         for x in range(n):
