@@ -21,6 +21,23 @@ Likewise a product of local classes is built only when its class is
 missing or held by a lower-priority family; a Z_n or field entry of the
 same class always wins.
 
+Two more families are skipped because their class is known in advance.
+Z_p[x]/(f) with p prime and f irreducible mod p (its least monic
+divisor, found by trial division as in `expr.poly_is_primary`, is f
+itself) is a field of order p^d, and finite fields of one order are
+isomorphic (Lidl & Niederreiter, *Finite Fields*, Thm 2.5); the `gf`
+family offers GF(p^d) earlier, with priority 1 < 3.  SZ(Z_n, 1) is
+isomorphic to Z_n[x]/(x^2) by a + b*x1 -> a + b*x: both are free
+Z_n-modules on 1 and the variable, whose square is 0 on both sides.  That
+quotient has code 0, so the affine skip never drops it; over a prime
+power it is primary and not a field, so it is classified (over any other
+n both rings are skipped by the CRT case below), and it comes earlier,
+with priority 3 < 4.  In the registry, a Z_n (characteristic equal to
+its order) and a field are each fixed up to isomorphism by their order,
+and a field is never isomorphic to a non-field, so their class is the
+first one registered with that order and characteristic, found with no
+fingerprints and no `isomorphism` call.
+
 Only local candidates are classified.  A finite commutative ring is the
 product of its local factors in one way (Atiyah & Macdonald, Thm 8.7),
 and a non-local candidate changes nothing when its local factors are
@@ -85,6 +102,7 @@ from .expr import (
     expr_order,
     factorize,
     gf,
+    poly_is_irreducible,
     poly_is_primary,
     prime_power,
 )
@@ -241,13 +259,18 @@ class _LocalRegistry:
         self._probes: dict[tuple, list[int]] = {}
 
     def classify(self, ring: FiniteRing) -> int:
+        # a ring whose characteristic is its order is Z_n, and finite fields
+        # of one order are isomorphic (Lidl & Niederreiter, Thm 2.5), so the
+        # order fixes the class of both; a field is never isomorphic to a
+        # non-field, and `is_field` reads `units`, which a fingerprint scan
+        # reads anyway
+        fixed = ring.characteristic == ring.order or ring.is_field
         probe = (ring.order, ring.characteristic)
-        if ring.characteristic != ring.order:
-            # a ring whose characteristic is its order is Z_n, so its order
-            # fixes its class; `isomorphism` answers such pairs without
-            # fingerprints or a search
+        if not fixed:
             probe += (tuple(sorted(ring.fingerprints)),)
         bucket = self._probes.setdefault(probe, [])
+        if fixed and bucket:
+            return bucket[0]
         for idx in bucket:
             if isomorphism(self.reps[idx], ring, budget=self.budget) is not None:
                 return idx
@@ -265,18 +288,21 @@ def _affine_orbit_minima(n: int, d: int) -> np.ndarray:
     Z_n}.  One (pairs, codes, d+1) product of coefficient rows with the
     substitution matrices M[i, j] = binom(i, j) u^j a^(i-j) u^-d mod n.
     """
-    pairs = [(u, a) for u in range(1, n) if math.gcd(u, n) == 1 for a in range(n)]
-    subst = np.array(
-        [
-            [
-                [math.comb(i, j) * pow(u, j, n) * pow(a, i - j, n) * pow(u, -d, n) % n
-                 if j <= i else 0 for j in range(d + 1)]
-                for i in range(d + 1)
-            ]
-            for u, a in pairs
-        ],
-        dtype=np.int64,
-    )
+    units = [u for u in range(1, n) if math.gcd(u, n) == 1]
+    steps = np.arange(d + 1, dtype=np.int64)
+    # powers below n**d, the number of codes, so they fit in int64
+    u_pow = np.array(units, dtype=np.int64)[:, None] ** steps % n
+    a_pow = np.arange(n, dtype=np.int64)[:, None] ** steps % n
+    u_inv = np.array([pow(u, -d, n) for u in units], dtype=np.int64)
+    # binom(i, j) is 0 for j > i, which also zeroes the clipped a^(i-j)
+    binom = np.array([[math.comb(i, j) for j in steps] for i in steps], dtype=np.int64)
+    i_minus_j = np.clip(steps[:, None] - steps[None, :], 0, d)
+    # axes (u, a, i, j), flattened to pairs in (u, a) order
+    subst = (
+        (binom * u_pow[:, None, None, :] % n)
+        * a_pow[None, :, i_minus_j] % n
+        * u_inv[:, None, None, None] % n
+    ).reshape(-1, d + 1, d + 1)
     codes = np.arange(n**d, dtype=np.int64)
     radix = n ** np.arange(d, dtype=np.int64)
     coeffs = np.concatenate(
@@ -301,6 +327,9 @@ def build_catalog(max_order: int = 64, include_trivial: bool = False, budget=Non
     - a quotient Z_n[x]/(f) whose orbit under f -> u^-d * f(ux + a) holds
       a smaller code, since it is isomorphic to that earlier quotient;
     - a product whose class is already held by a Z_n or field entry;
+    - a quotient Z_p[x]/(f), p prime, with f irreducible mod p, a field of
+      order p^d, held by the earlier GF(p^d);
+    - SZ(Z_n, 1), isomorphic to the earlier quotient Z_n[x]/(x^2);
     - a quotient or square-zero ring over Z_n with n not a prime power,
       the product of the same construction over the prime-power parts of
       n;
@@ -314,7 +343,8 @@ def build_catalog(max_order: int = 64, include_trivial: bool = False, budget=Non
     ring.  Z_n is split by CRT from n (`_local_factors_of`); every other
     candidate kept is local, so it is its own single factor.  The registry
     reads a Z_{p^a}'s characteristic, recorded when it is made, and no
-    table of it.
+    table of it; a Z_n or a field lands on the class registered first for
+    its order and characteristic, with no fingerprint scan or search.
     """
     if max_order > MAX_CATALOG_ORDER:
         raise OrderLimitExceeded(f"catalog max_order capped at {MAX_CATALOG_ORDER}")
@@ -342,7 +372,12 @@ def build_catalog(max_order: int = 64, include_trivial: bool = False, budget=Non
             pp = prime_power(expr.n)
             if not pp or affine_duplicate(expr) or not poly_is_primary(expr.modulus, pp[0]):
                 continue
-        if family == "squarezero" and not prime_power(expr_order(expr.base)):
+            if pp[1] == 1 and poly_is_irreducible(expr.modulus, pp[0]):
+                continue
+        if family == "squarezero" and (
+            not prime_power(expr_order(expr.base))
+            or (isinstance(expr.base, Zn) and expr.m == 1)
+        ):
             continue
         ring = make_ring(expr)
         factors = _local_factors_of(expr, ring) if family == "zn" else [ring]

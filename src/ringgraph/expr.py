@@ -10,6 +10,7 @@ CLI grammar (`cli.parse_ring_expr`).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import InvalidModulus
 
@@ -145,11 +146,13 @@ _BUNDLED_MODULI = {
 }
 
 
+@lru_cache(maxsize=256)
 def default_modulus(p: int, e: int) -> tuple[int, ...]:
     """Deterministic monic irreducible of degree e over Z_p.
 
     Picks the polynomial whose non-leading coefficient vector has the
     smallest base-p encoding; small orders are served from a frozen table.
+    Cached, since `GF.__str__` asks for it on every call.
     """
     if e == 1:
         return (0, 1)

@@ -7,7 +7,7 @@ import pytest
 import ringgraph as rg
 from _oracle import table_homomorphism
 from ringgraph import classify
-from ringgraph.expr import poly_is_primary, prime_power
+from ringgraph.expr import is_prime, poly_is_irreducible, poly_is_primary, prime_power
 
 
 def test_catalog_order_2():
@@ -99,8 +99,8 @@ CATALOG_TABLE_DIGESTS = {
 def test_catalog_builds_no_product_table_and_reads_the_recorded_ones(max_order, cold_ring_cache):
     cat = rg.build_catalog(max_order)
     # a product needs no table of its own, nor does a Z_n unless it is the
-    # base of a square-zero candidate
-    bases = [b for b in range(2, max_order) if b * b <= max_order and prime_power(b)]
+    # base of a square-zero candidate that is built, SZ(Z_b, m) with m >= 2
+    bases = [b for b in range(2, max_order) if b**3 <= max_order and prime_power(b)]
     deferred = [e for e in cat.entries if e.provenance == "product"]
     assert len(deferred) > len(cat.entries) // 2
     assert all(e.ring._build_tables is not None for e in deferred)
@@ -113,14 +113,24 @@ def test_catalog_builds_no_product_table_and_reads_the_recorded_ones(max_order, 
     assert _sha256_lines(lines) == CATALOG_TABLE_DIGESTS[max_order]
 
 
+def test_catalog_scans_no_field_fingerprints(cold_ring_cache):
+    # a field's class is fixed by its order, so the registry reads no
+    # fingerprints of it
+    fields = [e for e in rg.build_catalog(128).entries if e.provenance == "gf"]
+    assert len(fields) == 13
+    assert not [str(e.expr) for e in fields if "fingerprint_table" in e.ring._derived]
+
+
 def _modulus_code(expr):
     return sum(c * expr.n**i for i, c in enumerate(expr.modulus[:-1]))
 
 
 def test_candidates_left_out_are_isomorphic_to_a_catalog_entry(monkeypatch):
     # every quotient and square-zero candidate that the catalog does not
-    # classify is isomorphic to one entry of its order: the class of its
-    # orbit minimum for an affine duplicate, a product entry for the others
+    # classify is isomorphic to one named entry of its order: the class of
+    # its orbit minimum for an affine duplicate, GF(p^d) for a field
+    # quotient, Z_n[x]/(x^2) for SZ(Z_n, 1) over a prime power, and a
+    # product entry for the others
     built, classified = {}, set()
     make_ring, register = classify.make_ring, classify._LocalRegistry.classify
 
@@ -136,6 +146,7 @@ def test_candidates_left_out_are_isomorphic_to_a_catalog_entry(monkeypatch):
     monkeypatch.setattr(classify._LocalRegistry, "classify", recording_register)
     catalog = rg.build_catalog(128)
     monkeypatch.undo()
+    named = {str(e.expr): e for e in catalog.entries}
     by_invariants = {}
     for entry in catalog.entries:
         key = (entry.ring.order, tuple(sorted(entry.ring.fingerprints)))
@@ -168,9 +179,18 @@ def test_candidates_left_out_are_isomorphic_to_a_catalog_entry(monkeypatch):
                 rep = rg.PolyQuot(n, tuple(least // n**i % n for i in range(d)) + (1,))
                 assert entry is entry_of(rg.make_ring(rep), str(rep)), label
                 continue
+            if is_prime(n) and poly_is_irreducible(expr.modulus, n):
+                assert entry is named[str(rg.gf(n**d))], label
+                assert entry.provenance == "gf", label
+                continue
+        base = expr.base if family == "squarezero" else None
+        if isinstance(base, rg.Zn) and expr.m == 1 and prime_power(base.n):
+            assert entry is named[str(rg.PolyQuot(base.n, (0, 0, 1)))], label
+            assert entry.provenance == "polyquot", label
+            continue
         assert entry.provenance == "product", label
     # (candidates, never built, built and left out)
-    assert counts == {"polyquot": [729, 687, 0], "squarezero": [23, 2, 0]}
+    assert counts == {"polyquot": [729, 697, 0], "squarezero": [23, 10, 0]}
 
 
 def test_local_quotient_criterion_matches_the_idempotent_scan():
@@ -214,8 +234,11 @@ def _substituted_code(coeffs, u, a, n):
     return sum(out[i] * inv % n * n**i for i in range(d))
 
 
-@pytest.mark.parametrize("d", [1, 2, 3])
-@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+# every (n, d) that build_catalog(256) uses, and d = 1
+@pytest.mark.parametrize(
+    "n, d",
+    [(n, 1) for n in range(2, 7)] + [(n, 2) for n in range(2, 17)] + [(n, 3) for n in range(2, 7)],
+)
 def test_affine_orbit_minima_match_plain_expansion(n, d):
     table = classify._affine_orbit_minima(n, d)
     units = [u for u in range(1, n) if math.gcd(u, n) == 1]
