@@ -238,9 +238,12 @@ class _Engine:
 
 
 def _check_budget(nodes: int, budget) -> None:
+    """Raise when `nodes` element images exceed the budget (None: the default)."""
     budget = DEFAULT_SEARCH_BUDGET if budget is None else budget
     if nodes > budget:
-        raise SearchBudgetExceeded(f"search exceeded {budget} nodes; raise the budget to continue")
+        raise SearchBudgetExceeded(
+            f"{nodes} element images exceed the budget of {budget}; raise the budget to continue"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -252,10 +255,17 @@ class AutGroup:
 
     Element 0 is the identity; elements are sorted lexicographically by
     image tuple, so group listings are reproducible.  `images` must hold
-    the identity and no row twice, or ValueError is raised.
+    the identity and no row twice, or ValueError is raised.  The set is
+    not checked for closure: a composition or inverse that falls outside
+    it raises NotAutomorphism when a lookup meets it.
+
+    `generators`, image arrays of elements that generate the group, let
+    `is_abelian` and `orbits` read those elements only; a generator that
+    is not an element raises ValueError.  Without them every element is
+    read.
     """
 
-    def __init__(self, ring: FiniteRing, images: np.ndarray, generator_rows=None):
+    def __init__(self, ring: FiniteRing, images: np.ndarray, generators=None):
         order = np.lexsort(images.T[::-1])
         images = np.ascontiguousarray(images[order], dtype=np.int64)  # keys are int64 bytes
         images.setflags(write=False)
@@ -268,7 +278,12 @@ class AutGroup:
         self.ring = ring
         self._images = images
         self.elements = tuple(RingMorphism(ring, ring, images[i]) for i in range(len(images)))
-        self._gen_rows = generator_rows
+        self._gen_rows = range(len(images))
+        if generators is not None:
+            keys = {np.asarray(g, dtype=np.int64).tobytes() for g in generators}
+            if not keys <= self._index.keys():
+                raise ValueError("a generator is not an element of the group")
+            self._gen_rows = sorted(self._index[k] for k in keys)
 
     @property
     def order(self) -> int:
@@ -280,29 +295,27 @@ class AutGroup:
     def __iter__(self):
         return iter(self.elements)
 
+    def _row(self, image: np.ndarray, what: str) -> int:
+        row = self._index.get(image.tobytes())
+        if row is None:
+            raise NotAutomorphism(f"{what} is not an element of this group")
+        return row
+
     def index_of(self, morphism: RingMorphism) -> int:
-        key = np.asarray(morphism.image, dtype=np.int64).tobytes()
-        if key not in self._index:
-            raise NotAutomorphism("morphism is not an element of this group")
-        return self._index[key]
+        return self._row(np.asarray(morphism.image, dtype=np.int64), "morphism")
 
     def compose_indices(self, i: int, j: int) -> int:
         """Index of elements[i] after elements[j] (j applied first)."""
         composed = self._images[i][self._images[j]]
-        return self._index[composed.tobytes()]
+        return self._row(composed, f"elements[{i}] after elements[{j}]")
 
     def inverse_index(self, i: int) -> int:
         inv = np.empty_like(self._images[i])
         inv[self._images[i]] = np.arange(self.ring.order)
-        return self._index[inv.tobytes()]
-
-    def _generator_rows(self):
-        if self._gen_rows is not None:
-            return self._gen_rows
-        return range(len(self.elements))
+        return self._row(inv, f"the inverse of elements[{i}]")
 
     def is_abelian(self) -> bool:
-        rows = list(self._generator_rows())
+        rows = self._gen_rows
         for a in rows:
             for b in rows:
                 if self.compose_indices(a, b) != self.compose_indices(b, a):
@@ -334,7 +347,7 @@ class AutGroup:
         return frozenset(np.unique(self._images[:, x]).tolist())
 
     def _labels(self) -> np.ndarray:
-        return _orbit_labels(self.ring.order, self._images[list(self._generator_rows())])
+        return _orbit_labels(self.ring.order, self._images[self._gen_rows])
 
     def orbits(self) -> tuple[tuple[int, ...], ...]:
         return _blocks(self._labels())
@@ -494,21 +507,17 @@ def automorphisms(ring: FiniteRing, budget=None) -> AutGroup:
 
     Each element is r_1 .. r_k, r_i from a transversal of G_i in G_{i-1}.
     """
-    eff_budget = DEFAULT_SEARCH_BUDGET if budget is None else budget
     chain = _stabilizer_chain(ring, budget)
-    total = math.prod(len(orbit) for orbit in chain)
-    if total * ring.order > eff_budget:
-        raise SearchBudgetExceeded(
-            f"|Aut R| = {total} is too large to enumerate within budget {eff_budget}"
-        )
+    # the listing writes |R| element images per automorphism
+    _check_budget(math.prod(len(orbit) for orbit in chain) * ring.order, budget)
+    strong = _strong_generators(ring, budget)
     # the cache holds arrays only: an AutGroup refers to the ring, and a
     # cached one would keep every ring that was enumerated alive until the
     # cyclic collector runs
     cached = ring._aut_cache.get("group")
     if cached is not None:
-        return AutGroup(ring, *cached)
+        return AutGroup(ring, cached, strong)
     plan = _closure_plan(ring)
-    strong = _strong_generators(ring)
     images = [np.arange(ring.order, dtype=np.int64)]
     for i, orbit in enumerate(chain, start=1):
         fixed = plan[i - 1].elements
@@ -520,9 +529,8 @@ def automorphisms(ring: FiniteRing, budget=None) -> AutGroup:
     stack = np.stack(images)
     if not _certify(ring, ring, stack).all():  # pragma: no cover - closure of verified maps
         raise RuntimeError("internal error: transversal product is not an automorphism")
-    group = AutGroup(ring, stack)
-    group._gen_rows = sorted({group._index[g.tobytes()] for g in strong})
-    ring._aut_cache["group"] = (group._images, group._gen_rows)
+    group = AutGroup(ring, stack, strong)
+    ring._aut_cache["group"] = group._images
     return group
 
 
@@ -605,4 +613,4 @@ def subgroup_closure(ring: FiniteRing, gens) -> AutGroup:
                     seen[key] = c
                     nxt.append(c)
         frontier = nxt
-    return AutGroup(ring, np.stack(list(seen.values())))
+    return AutGroup(ring, np.stack(list(seen.values())), gen_arrays)

@@ -129,20 +129,25 @@ __all__ = [
     "verify_field_extension_connectivity",
     "verify_residue_field_remark",
     "verify_all",
+    "SWEEPS",
     "THEOREM_IDS",
 ]
 
 MAX_CATALOG_ORDER = 256
 
-THEOREM_IDS = (
-    "trivial-aut",
-    "units-connected",
-    "m-connected",
-    "type-formulas",
-    "involution",
-    "field-ext",
-    "residue-remark",
-)
+# theorem id -> (name of its sweep in this module, whether it reads the
+# catalog), in report order.  Names and not functions: `_run_sweeps` looks
+# each one up when it runs, so a wrapper set on the module is the one called.
+SWEEPS = {
+    "trivial-aut": ("verify_trivial_aut_classification", True),
+    "units-connected": ("verify_units_connected_classification", True),
+    "m-connected": ("verify_m_connected_classification", True),
+    "type-formulas": ("verify_type_formulas", False),
+    "involution": ("verify_involution_and_order_bounds", True),
+    "field-ext": ("verify_field_extension_connectivity", False),
+    "residue-remark": ("verify_residue_field_remark", True),
+}
+THEOREM_IDS = tuple(SWEEPS)
 
 
 @dataclass(frozen=True)
@@ -760,15 +765,20 @@ def verify_residue_field_remark(catalog: Catalog, budget=None) -> VerificationRe
     )
 
 
-def verify_all(max_order: int = 64, include_trivial: bool = False, budget=None):
+def _run_sweeps(theorem_ids, max_order: int, budget=None) -> list[VerificationReport]:
+    """The reports of the given sweeps, in order; the catalog up to
+    `max_order` is built once, and only when one of them reads it."""
+    catalog = None
+    if any(SWEEPS[t][1] for t in theorem_ids):
+        catalog = build_catalog(max_order, budget=budget)
+    reports = []
+    for t in theorem_ids:
+        name, reads_catalog = SWEEPS[t]
+        sweep = globals()[name]
+        reports.append(sweep(catalog, budget=budget) if reads_catalog else sweep(budget=budget))
+    return reports
+
+
+def verify_all(max_order: int = 64, budget=None) -> list[VerificationReport]:
     """Run every verification over one catalog; returns the report list."""
-    catalog = build_catalog(max_order, include_trivial=include_trivial, budget=budget)
-    return [
-        verify_trivial_aut_classification(catalog, budget=budget),
-        verify_units_connected_classification(catalog, budget=budget),
-        verify_m_connected_classification(catalog, budget=budget),
-        verify_type_formulas(budget=budget),
-        verify_involution_and_order_bounds(catalog, budget=budget),
-        verify_field_extension_connectivity(budget=budget),
-        verify_residue_field_remark(catalog, budget=budget),
-    ]
+    return _run_sweeps(THEOREM_IDS, max_order, budget)

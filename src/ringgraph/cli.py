@@ -431,27 +431,6 @@ def _cmd_graph(args, out):
     return 0
 
 
-def _run_verifications(theorem: str, max_order: int, budget):
-    if theorem == "all":
-        return classify.verify_all(max_order, budget=budget)
-    catalog_backed = {
-        "trivial-aut": classify.verify_trivial_aut_classification,
-        "units-connected": classify.verify_units_connected_classification,
-        "m-connected": classify.verify_m_connected_classification,
-        "involution": classify.verify_involution_and_order_bounds,
-        "residue-remark": classify.verify_residue_field_remark,
-    }
-    if theorem in catalog_backed:
-        catalog = classify.build_catalog(max_order, budget=budget)
-        return [catalog_backed[theorem](catalog, budget=budget)]
-    if theorem == "type-formulas":
-        return [classify.verify_type_formulas(budget=budget)]
-    if theorem == "field-ext":
-        return [classify.verify_field_extension_connectivity(budget=budget)]
-    raise SemanticError(f"unknown theorem id {theorem!r}; choose from "
-                        f"{', '.join(classify.THEOREM_IDS)} or 'all'")
-
-
 def _check_catalog_order(max_order: int) -> None:
     # a catalog below order 2 holds no classified ring
     if max_order < 2:
@@ -461,7 +440,8 @@ def _check_catalog_order(max_order: int) -> None:
 def _cmd_verify(args, out):
     _, budget = _resolve_limits(args)
     _check_catalog_order(args.max_order)
-    reports = _run_verifications(args.theorem, args.max_order, budget)
+    ids = classify.THEOREM_IDS if args.theorem == "all" else (args.theorem,)
+    reports = classify._run_sweeps(ids, args.max_order, budget)
     if args.json:
         out.write(emit_json([r.as_dict() for r in reports]).decode())
     else:
@@ -530,7 +510,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--max-ring-order", type=int, default=None,
                         help=f"carrier-order cap (env {ENV_MAX_ORDER}, default {DEFAULT_MAX_ORDER})")
     parser.add_argument("--search-budget", type=int, default=None,
-                        help=f"backtracking node budget (env {ENV_BUDGET}, default {DEFAULT_SEARCH_BUDGET})")
+                        help=f"node budget, one node per element image a search fixes or a "
+                             f"listing writes (env {ENV_BUDGET}, default {DEFAULT_SEARCH_BUDGET})")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("info", help="JSON summary of one ring")

@@ -131,35 +131,17 @@ def poly_is_primary(f, p: int) -> bool:
     return power == f
 
 
-# bundled default moduli for small field orders; larger orders fall back to
-# the deterministic smallest-encoding search below
-_BUNDLED_MODULI = {
-    4: (1, 1, 1),
-    8: (1, 1, 0, 1),
-    9: (1, 0, 1),
-    16: (1, 1, 0, 0, 1),
-    25: (2, 0, 1),
-    27: (1, 2, 0, 1),
-    32: (1, 0, 1, 0, 0, 1),
-    49: (1, 0, 1),
-    64: (1, 1, 0, 0, 0, 0, 1),
-}
-
-
 @lru_cache(maxsize=256)
 def default_modulus(p: int, e: int) -> tuple[int, ...]:
     """Deterministic monic irreducible of degree e over Z_p.
 
     Picks the polynomial whose non-leading coefficient vector has the
-    smallest base-p encoding; small orders are served from a frozen table.
-    Cached, since `GF.__str__` asks for it on every call.
+    smallest base-p encoding.  Cached, since `GF.__str__` asks for it on
+    every call.
     """
     if e == 1:
         return (0, 1)
-    q = p**e
-    if q in _BUNDLED_MODULI:
-        return _BUNDLED_MODULI[q]
-    for code in range(q):
+    for code in range(p**e):
         f = tuple((code // p**i) % p for i in range(e)) + (1,)
         if poly_is_irreducible(f, p):
             return f

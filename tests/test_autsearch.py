@@ -194,6 +194,27 @@ def test_group_looks_up_rows_given_in_a_narrow_dtype():
     assert group.compose_indices(1, 1) == 0 and group.inverse_index(1) == 1
 
 
+def test_group_lookups_outside_a_set_that_is_not_closed_raise():
+    f8 = rg.make_ring(rg.gf(8))
+    frob = [f8.pow(x, 2) for x in range(8)]
+    group = rg.AutGroup(f8, np.array([list(range(8)), frob]))  # frob**2 is missing
+    queries = (group.is_abelian, lambda: group.compose_indices(1, 1), lambda: group.inverse_index(1))
+    for query in queries:
+        with pytest.raises(rg.NotAutomorphism, match=r"elements\[1\]"):
+            query()
+
+
+def test_group_generators_are_the_rows_its_queries_read():
+    f8 = rg.make_ring(rg.gf(8))
+    frob = rg.RingMorphism(f8, f8, [f8.pow(x, 2) for x in range(8)])
+    closure = rg.subgroup_closure(f8, [frob])
+    assert closure._gen_rows == [closure.index_of(frob)]
+    assert closure.orbits() == rg.AutGroup(f8, closure._images).orbits()
+    assert rg.subgroup_closure(f8, [])._gen_rows == []
+    with pytest.raises(ValueError, match="generator"):
+        rg.AutGroup(f8, closure._images[:1], [frob.image])
+
+
 # -- invariants over the catalog ----------------------------------------------
 
 
@@ -271,6 +292,18 @@ def test_search_budget_raises_on_fresh_ring():
     ring = fresh_copy(rg.make_ring(rg.PolyQuot(5, (0, 0, 1))))
     with pytest.raises(rg.SearchBudgetExceeded):
         rg.automorphisms(ring, budget=3)
+
+
+def test_budget_counts_element_images_in_search_and_listing():
+    # SZ(Z2,2): its chain search fixes 8 element images, and listing its 6
+    # automorphisms writes 6 * 8 = 48
+    ring = fresh_copy(rg.make_ring(rg.SquareZero(rg.Zn(2), 2)))
+    assert rg.aut_group_order(ring, budget=8) == 6
+    with pytest.raises(rg.SearchBudgetExceeded):
+        rg.aut_group_order(fresh_copy(ring), budget=7)
+    with pytest.raises(rg.SearchBudgetExceeded, match="48 element images"):
+        rg.automorphisms(fresh_copy(ring), budget=47)
+    assert rg.automorphisms(fresh_copy(ring), budget=48).order == 6
 
 
 def _answers(query, ring, budget) -> bool:

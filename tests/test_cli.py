@@ -6,9 +6,10 @@ import sys
 import time
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import ringgraph as rg
+from ringgraph.classify import THEOREM_IDS
 from ringgraph.cli import emit_dot, emit_json, main, parse_ring_expr, ring_summary
 
 
@@ -321,6 +322,26 @@ def test_env_vs_flag_precedence(monkeypatch, capsys):
     assert capsys.readouterr().out.strip() == "0"
 
 
+_FUZZ_TOKENS = ("Z", "GF", "SZ", "x", " x ", "[x]/(", "(", ")", "[", "]", ",", "/", "+",
+                "*", "^", "0", "1", "2", "3", "4", "8", "9", "16", "64", "257", " ")
+
+
+@settings(max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    st.sampled_from(["type", "info"]),
+    st.one_of(st.lists(st.sampled_from(_FUZZ_TOKENS), max_size=14).map("".join),
+              st.text(max_size=30)),
+)
+def test_any_expression_ends_in_a_clean_exit(capsys, cmd, text):
+    code = main(["--max-ring-order", "256", "--search-budget", "200000", cmd, "--", text])
+    err = capsys.readouterr().err
+    assert code in (0, 2, 3), (text, err)
+    # a clean error is one message with the exit code's prefix, never a
+    # traceback; the message may quote the input, so its words are not searched
+    assert (err == "") if code == 0 else err.startswith(("error: ", "resource limit: ")), err
+
+
 def test_cmd_verify(capsys):
     assert main(["verify", "trivial-aut", "--max-order", "8"]) == 0
     out = capsys.readouterr().out
@@ -328,6 +349,15 @@ def test_cmd_verify(capsys):
     assert main(["verify", "field-ext", "--json"]) == 0
     data = json.loads(capsys.readouterr().out)
     assert data[0]["passed"] is True
+
+
+def test_cmd_verify_each_id_matches_its_report_in_all(capsys):
+    assert main(["verify", "all", "--max-order", "16", "--json"]) == 0
+    reports = json.loads(capsys.readouterr().out)
+    assert [r["theorem"] for r in reports] == list(THEOREM_IDS)
+    for theorem, report in zip(THEOREM_IDS, reports):
+        assert main(["verify", theorem, "--max-order", "16", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out) == [report], theorem
 
 
 def test_cmd_verify_all_small(capsys):

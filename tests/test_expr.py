@@ -2,7 +2,6 @@ import pytest
 
 import ringgraph as rg
 from ringgraph.expr import (
-    _BUNDLED_MODULI,
     default_modulus,
     factorize,
     is_prime,
@@ -27,9 +26,22 @@ def test_prime_power():
 
 
 def test_bundled_moduli_match_search_rule():
-    # the frozen table must agree with the deterministic smallest-encoding search
-    for q, mod in _BUNDLED_MODULI.items():
+    # the moduli that named fields of these orders have always had: the
+    # smallest-encoding search must keep returning them
+    moduli = {
+        4: (1, 1, 1),
+        8: (1, 1, 0, 1),
+        9: (1, 0, 1),
+        16: (1, 1, 0, 0, 1),
+        25: (2, 0, 1),
+        27: (1, 2, 0, 1),
+        32: (1, 0, 1, 0, 0, 1),
+        49: (1, 0, 1),
+        64: (1, 1, 0, 0, 0, 0, 1),
+    }
+    for q, mod in moduli.items():
         p, e = prime_power(q)
+        assert default_modulus(p, e) == mod
         assert poly_is_irreducible(list(mod), p)
         enc = sum(c * p**i for i, c in enumerate(mod[:-1]))
         for code in range(enc):
