@@ -32,7 +32,7 @@ from .errors import (
     NotComposable,
     SearchBudgetExceeded,
 )
-from .rings import FiniteRing, _certificate, _closure_plan
+from .rings import FiniteRing, _certificate, _closure_plan, _fingerprint_keys
 
 __all__ = [
     "DEFAULT_SEARCH_BUDGET",
@@ -184,9 +184,9 @@ class _Engine:
         self.plan = _closure_plan(source)
         self.budget = budget
         self.nodes = self.peak = 0
-        ids: dict = {}
-        self.sfp = np.array([ids.setdefault(fp, len(ids)) for fp in source.fingerprints])
-        self.tfp = np.array([ids.setdefault(fp, len(ids)) for fp in target.fingerprints])
+        # both rings have one order, so equal keys mean equal fingerprints
+        self.sfp = _fingerprint_keys(source)
+        self.tfp = _fingerprint_keys(target)
 
     def expand(self, row: np.ndarray, i: int) -> np.ndarray:
         """The extensions to S_i of a row on S_{i-1} that keep their fingerprints.
@@ -572,7 +572,8 @@ def isomorphism(source: FiniteRing, target: FiniteRing, budget=None) -> RingMorp
     row[list(source.prime_subring)] = target.prime_subring
     if source.characteristic == source.order:
         return RingMorphism(source, target, row)
-    if sorted(source.fingerprints) != sorted(target.fingerprints):
+    keys = [np.sort(_fingerprint_keys(ring)) for ring in (source, target)]
+    if not np.array_equal(*keys):
         return None
     found = _Engine(source, target, budget).first(row, 0)
     return None if found is None else RingMorphism(source, target, found)

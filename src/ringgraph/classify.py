@@ -77,6 +77,13 @@ The factors named in each case have order at most the candidate's, so
 they are all candidates at this max_order.  Every other candidate (a
 field, SZ over a local base, a quotient whose f mod p is a power of one
 irreducible) is local, and is classified as its own single factor.
+
+`make_ring` returns the one ring of an expression only while something
+holds it.  The catalog holds the first ring of each local class until it
+returns, and products are built from exactly those, so a product shares
+its factors, with their fingerprints, and no expression is built twice.
+Any other candidate ring is freed once it is classified, and a ring a
+sweep builds for one check is freed after it, unless the catalog holds it.
 """
 
 from __future__ import annotations
@@ -109,6 +116,7 @@ from .expr import (
 from .orbitgraph import aut_orbit_graph, build_graph
 from .rings import (
     FiniteRing,
+    _fingerprint_keys,
     _local_factors,
     euler_phi,
     local_structure,
@@ -272,7 +280,8 @@ class _LocalRegistry:
         fixed = ring.characteristic == ring.order or ring.is_field
         probe = (ring.order, ring.characteristic)
         if not fixed:
-            probe += (tuple(sorted(ring.fingerprints)),)
+            # rings of one order compare fingerprints by their keys
+            probe += (np.sort(_fingerprint_keys(ring)).tobytes(),)
         bucket = self._probes.setdefault(probe, [])
         if fixed and bucket:
             return bucket[0]

@@ -326,8 +326,22 @@ def ring_summary(expr: RingExpr, ring: FiniteRing, budget=None) -> dict:
 
 
 def emit_json(results) -> bytes:
-    """Serialize results with a stable field order; byte-identical across runs."""
-    return (json.dumps(results, indent=2, sort_keys=False) + "\n").encode()
+    """Serialize results with a stable field order; byte-identical across runs.
+
+    Integers are written in full, also above CPython's int-to-str digit
+    limit (4300 by default), which `graph_aut_order` passes from about
+    order 1560 on (n! for Z_n): the limit is lifted for this conversion
+    only and restored afterwards.  Interpreters without the limit have no
+    `sys.set_int_max_str_digits`.
+    """
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        return (json.dumps(results, indent=2, sort_keys=False) + "\n").encode()
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 def _dot_quote(label: str) -> str:

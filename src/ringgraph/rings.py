@@ -24,8 +24,8 @@ from __future__ import annotations
 
 import hashlib
 import math
+import weakref
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -240,9 +240,8 @@ class FiniteRing:
 
     @property
     def fingerprints(self) -> tuple[tuple[int, ...], ...]:
-        return self._get(
-            "fingerprints", lambda: tuple(map(tuple, _fingerprint_table(self).tolist()))
-        )
+        """`element_fingerprint` of every element, decoded on each read."""
+        return tuple(_fingerprint_tuples(self.order, _fingerprint_keys(self)))
 
     def table_digest(self) -> str:
         """Stable hash of the operation tables, used for deterministic tie-breaks."""
@@ -275,7 +274,13 @@ class LocalStructure:
 
 
 def make_ring(expr: RingExpr, max_order: int | None = None) -> FiniteRing:
-    """Realize a RingExpr as tables, refusing orders above the cap."""
+    """Realize a RingExpr as tables, refusing orders above the cap.
+
+    While anything holds the ring that `make_ring(expr)` returned, every
+    call with an equal expression returns that same object, with whatever
+    it has cached (fingerprints, closure plan, stabilizer chain).  Once
+    nothing holds it, it is freed, and the next call builds it afresh.
+    """
     cap = DEFAULT_MAX_ORDER if max_order is None else max_order
     n = expr_order(expr)
     if n > cap:
@@ -285,8 +290,24 @@ def make_ring(expr: RingExpr, max_order: int | None = None) -> FiniteRing:
     return _build_ring(expr)
 
 
-@lru_cache(maxsize=512)
+# expression -> the live ring built from it; a ring leaves when it is freed
+_RINGS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
 def _build_ring(expr: RingExpr) -> FiniteRing:
+    """The live ring of `expr`, built by `_construct_ring` when there is none.
+
+    A product or square-zero ring gets its factors or base through here
+    too, so it reuses live ones.  A product holds its factors; a base
+    built just for a square-zero ring is freed once that is built.
+    """
+    ring = _RINGS.get(expr)
+    if ring is None:
+        ring = _RINGS[expr] = _construct_ring(expr)
+    return ring
+
+
+def _construct_ring(expr: RingExpr) -> FiniteRing:
     if isinstance(expr, Zn):
         return _make_zn(expr)
     if isinstance(expr, GF):
@@ -491,7 +512,7 @@ def product_ring(factors, presentation=None) -> FiniteRing:
       `decompose_local` gives the order and labelling that make them the
       very rings a scan builds.
     - Each fingerprint component is an exact function of the coordinates'
-      components (see `_fingerprint_table`).
+      components (see `_fingerprint_columns`).
     """
     factors = list(factors)
     if not factors:
@@ -597,43 +618,102 @@ def _divisors_descending(n: int) -> list[int]:
     return [d for d in range(n, 0, -1) if n % d == 0]
 
 
-def _fingerprint_table(ring: FiniteRing) -> np.ndarray:
-    """The fingerprints of `element_fingerprint` as an (n, 6) int64 array.
+def _key_radices(n: int) -> tuple[int, int, int]:
+    """Radices of the nilpotency index, multiplicative order and annihilator
+    size in the fingerprint keys of a ring of order n.
 
-    A ring with recorded factors combines its factors' tables, one factor
-    at a time in the big-endian order of `product_ring`.  Each rule is an
-    identity for x = (x_1..x_k), since the operations act coordinatewise:
+    The annihilator size is at most n, and the multiplicative order at
+    most max(1, n - 1).  A nilpotent x of index k has k <= max(1, log2 n),
+    so k < n.bit_length() + 1: if x^i R = x^(i+1) R then x^i = x^(i+1) r,
+    so x^i = x^(i+m) r^m for every m, which is 0, so the ideals
+    R, xR, .., x^k R = 0 are distinct subgroups, each at most half the one
+    before it.  The additive order, at most n, leads with radix n + 1.
+    """
+    return n.bit_length() + 1, n + 1, n + 1
+
+
+def _fingerprint_keys(ring: FiniteRing) -> np.ndarray:
+    """One int64 key per element, the only stored form of its fingerprint.
+
+    The key is the mixed-radix number (additive order, nilpotency index,
+    multiplicative order, annihilator size) in `_key_radices(order)`, so
+    two elements of rings of one order have equal keys exactly when their
+    `element_fingerprint`s are equal: the other two components follow from
+    these.  x is a unit exactly when its multiplicative order is above 0,
+    and {y : xy = x} = 1 + ann(x), since xy = x iff x(y - 1) = 0, so the
+    fix size is the annihilator size.  Keys fit int64 up to order about
+    7.6 * 10^5; above that OrderLimitExceeded is raised before any scan.
+    """
+
+    def build():
+        n = ring.order
+        radices = _key_radices(n)
+        if (n + 1) * math.prod(radices) > 2**63:
+            raise OrderLimitExceeded(f"fingerprint keys of a ring of order {n} exceed int64")
+        cols = _fingerprint_columns(ring)
+        keys = cols[:, 0]
+        for col, radix in zip(cols.T[1:], radices):
+            keys = keys * radix + col
+        keys.setflags(write=False)
+        return keys
+
+    return ring._get("fingerprint_keys", build)
+
+
+def _decode_keys(n: int, keys: np.ndarray) -> np.ndarray:
+    """The (len(keys), 4) key components of fingerprint keys of a ring of order n."""
+    cols = np.empty((len(keys), 4), dtype=np.int64)
+    for j, radix in zip((3, 2, 1), reversed(_key_radices(n))):
+        keys, cols[:, j] = np.divmod(keys, radix)
+    cols[:, 0] = keys
+    return cols
+
+
+def _fingerprint_tuples(n: int, keys: np.ndarray) -> list[tuple[int, ...]]:
+    """The `element_fingerprint` 6-tuples that fingerprint keys stand for."""
+    add_order, nilp, mul_order, ann = _decode_keys(n, keys).T
+    table = np.column_stack([add_order, nilp, mul_order > 0, mul_order, ann, ann])
+    return list(map(tuple, table.tolist()))
+
+
+def _fingerprint_columns(ring: FiniteRing) -> np.ndarray:
+    """The four key components of every element, as an (n, 4) int64 array.
+
+    A ring with recorded factors combines its factors' components, decoded
+    from their keys, one factor at a time in the big-endian order of
+    `product_ring`.  Each rule is an identity for x = (x_1..x_k), since
+    the operations act coordinatewise:
 
     - additive order: d*x = 0 iff d*x_j = 0 for all j, so it is the lcm;
     - nilpotency index: x^m = 0 iff x_j^m = 0 for all j, and x_j^m = 0
       stays 0 for larger m, so it is the max if every x_j is nilpotent,
       else 0 (x is not nilpotent);
-    - unit flag: xy = 1 iff x_j y_j = 1 for all j, so x is a unit iff
-      every x_j is;
-    - multiplicative order: x^m = 1 iff x_j^m = 1 for all j, so it is the
-      lcm when x is a unit; a non-unit coordinate has 0, and lcm(0, .) = 0;
-    - annihilator size and fix size: {y : xy = 0} and {y : xy = x} are the
-      products of the coordinates' sets, so the sizes multiply.
+    - multiplicative order: x^m = 1 iff x_j^m = 1 for all j, and x is a
+      unit iff every x_j is, so it is the lcm when x is a unit; a non-unit
+      coordinate has 0, and lcm(0, .) = 0;
+    - annihilator size: {y : xy = 0} is the product of the coordinates'
+      sets, so the sizes multiply.
     """
-
-    def build():
-        factors = ring._derived.get("factors")
-        if factors is None:
-            return _scan_fingerprints(ring)
-        out = _fingerprint_table(factors[0])
-        for factor in factors[1:]:
-            a, b = out[:, None, :], _fingerprint_table(factor)[None, :, :]
-            out = a * b  # the unit flag and both sizes; components are >= 0
-            out[..., [0, 3]] = np.lcm(a[..., [0, 3]], b[..., [0, 3]])
-            out[..., 1] = np.where(out[..., 1] > 0, np.maximum(a[..., 1], b[..., 1]), 0)
-            out = out.reshape(-1, 6)
-        return out
-
-    return ring._get("fingerprint_table", build)
+    factors = ring._derived.get("factors")
+    if factors is None:
+        return _scan_fingerprints(ring)
+    out, *rest = [_decode_keys(f.order, _fingerprint_keys(f)) for f in factors]
+    for cols in rest:
+        a, b = out[:, None, :], cols[None, :, :]
+        out = a * b  # the annihilator sizes; a nilpotency product is > 0 iff both are
+        out[..., [0, 2]] = np.lcm(a[..., [0, 2]], b[..., [0, 2]])
+        out[..., 1] = np.where(out[..., 1] > 0, np.maximum(a[..., 1], b[..., 1]), 0)
+        out = out.reshape(-1, 4)
+    return out
 
 
 def _scan_fingerprints(ring: FiniteRing) -> np.ndarray:
-    """The fingerprint table computed from the ring's own tables."""
+    """The key components computed from the ring's own tables.
+
+    The annihilator count is the one pass over the whole table.  x is a
+    unit exactly when ann(x) = {0}: then y -> xy is injective on the
+    finite ring, so onto, and xy = 1 for some y.
+    """
     n = ring.order
     idx = np.arange(n)
     mul = ring.mul_table
@@ -656,9 +736,8 @@ def _scan_fingerprints(ring: FiniteRing) -> np.ndarray:
         cur = mul[cur, idx]
         k += 1
 
-    units = np.array(sorted(ring.units), dtype=np.int64)
-    unit_mask = np.zeros(n, dtype=bool)
-    unit_mask[units] = True
+    ann_size = (mul == ring.zero).sum(axis=0)
+    units = np.flatnonzero(ann_size == 1)
     # the order of x in U is the product over p^a || |U| of the least p^e
     # with (x^(|U|/p^a))^(p^e) = 1
     mul_order = np.zeros(n, dtype=np.int64)
@@ -668,10 +747,7 @@ def _scan_fingerprints(ring: FiniteRing) -> np.ndarray:
         for _ in range(a):
             mul_order[units[y != ring.one]] *= p
             y = _powers(mul, ring.one, y, p)
-
-    ann_size = (mul == ring.zero).sum(axis=0)
-    fix_size = (mul == idx[:, None]).sum(axis=1)
-    return np.column_stack([add_order, nilp, unit_mask, mul_order, ann_size, fix_size])
+    return np.column_stack([add_order, nilp, mul_order, ann_size])
 
 
 def _powers(mul: np.ndarray, one: int, base: np.ndarray, e: int) -> np.ndarray:
@@ -690,9 +766,11 @@ def element_fingerprint(ring: FiniteRing, x: int) -> tuple[int, ...]:
 
     Components: additive order, nilpotency index (0 if not nilpotent),
     unit flag, multiplicative order (0 for non-units), annihilator size,
-    and the size of {y : x*y == x}.
+    and the size of {y : x*y == x}.  They are decoded on each read from
+    the element's key in `_fingerprint_keys`, which the ring caches.
     """
-    return ring.fingerprints[ring._check(x)]
+    x = ring._check(x)
+    return _fingerprint_tuples(ring.order, _fingerprint_keys(ring)[x : x + 1])[0]
 
 
 @dataclass(frozen=True)

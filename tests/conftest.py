@@ -22,5 +22,5 @@ def entries32(catalog64):
 
 @pytest.fixture
 def cold_ring_cache():
-    """Empty the `make_ring` cache, so the test builds its rings afresh."""
-    rings._build_ring.cache_clear()
+    """Empty the `make_ring` registry, so the test builds its rings afresh."""
+    rings._RINGS.clear()

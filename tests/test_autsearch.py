@@ -12,6 +12,7 @@ from _oracle import (
     reference_orbits,
     table_homomorphism,
 )
+from ringgraph import rings
 from ringgraph.autsearch import (
     _blocks,
     _certify,
@@ -130,7 +131,10 @@ def test_isomorphism_of_a_ring_onto_itself_is_the_identity(entries32):
         assert np.array_equal(rg.isomorphism(ring, copy).image, ident), label
     ring = fresh_copy(rg.make_ring(rg.gf(16)))
     assert rg.isomorphism(ring, ring) is not None
-    assert "closure_plan" not in ring._derived and "fingerprints" not in ring._derived
+    assert not {"closure_plan", "fingerprint_keys"} & ring._derived.keys()
+    # the keys that prove no plan or scan ran are the ones those fill
+    assert rg.isomorphism(ring, fresh_copy(ring)) is not None
+    assert {"closure_plan", "fingerprint_keys"} <= ring._derived.keys()
 
 
 def test_subgroup_closure():
@@ -656,7 +660,10 @@ def test_cyclic_rings_need_no_fingerprints():
         registry = _LocalRegistry(None)
         twisted, _ = shuffled_copy(ring, np.random.default_rng(n))
         assert registry.classify(ring) == registry.classify(twisted) == 0
-        assert "fingerprints" not in ring._derived and "fingerprints" not in twisted._derived
+        assert "fingerprint_keys" not in ring._derived | twisted._derived
+        # the key that proves no scan ran is the one a scan fills
+        rings._fingerprint_keys(twisted)
+        assert "fingerprint_keys" in twisted._derived
 
 
 def test_orbit_sweep_matches_union_find():

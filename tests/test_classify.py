@@ -6,7 +6,7 @@ import pytest
 
 import ringgraph as rg
 from _oracle import table_homomorphism
-from ringgraph import classify
+from ringgraph import classify, rings
 from ringgraph.expr import is_prime, poly_is_irreducible, poly_is_primary, prime_power
 
 
@@ -118,7 +118,10 @@ def test_catalog_scans_no_field_fingerprints(cold_ring_cache):
     # fingerprints of it
     fields = [e for e in rg.build_catalog(128).entries if e.provenance == "gf"]
     assert len(fields) == 13
-    assert not [str(e.expr) for e in fields if "fingerprint_table" in e.ring._derived]
+    assert not [str(e.expr) for e in fields if "fingerprint_keys" in e.ring._derived]
+    # the key that proves no scan ran is the one a scan fills
+    rings._fingerprint_keys(fields[0].ring)
+    assert "fingerprint_keys" in fields[0].ring._derived
 
 
 def _modulus_code(expr):

@@ -1,5 +1,7 @@
+import decimal
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -198,6 +200,20 @@ def test_cmd_info(capsys):
     assert main(["info", "Z4"]) == 0
     data = json.loads(capsys.readouterr().out)
     assert data["graph_aut_order"] == 24 and data["aut_order"] == 1
+
+
+@pytest.mark.parametrize("text, aut_order", [("Z2048", 1), ("GF(64) x GF(64)", 72)])
+def test_info_writes_graph_counts_above_the_int_digit_limit(capsys, text, aut_order):
+    # graph_aut_order passes CPython's 4300-digit int-to-str limit here:
+    # 2048! has 5895 digits; the limit is lifted for the output only
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    assert main(["info", text]) == 0
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+    # Decimal parses any number of digits and compares exactly with an int
+    data = json.loads(capsys.readouterr().out, parse_int=decimal.Decimal)
+    assert data["aut_order"] == aut_order and data["expr"] == text
+    if text == "Z2048":
+        assert data["graph_aut_order"] == math.factorial(2048)
 
 
 def test_cmd_aut_listing(capsys):

@@ -477,6 +477,44 @@ def test_fingerprint_invariance_under_automorphisms(catalog64):
                 assert fps[x] == fps[int(img[x])], str(entry.expr)
 
 
+def test_fix_size_is_annihilator_size_and_units_have_an_order(catalog64):
+    # {y : xy = x} = 1 + ann(x), and x is a unit iff its multiplicative
+    # order is above 0, so the keys store neither; checked by direct counts
+    for entry in catalog64.entries:
+        ring = entry.ring
+        mul = np.asarray(ring.mul_table)
+        fix = (mul == np.arange(ring.order)[:, None]).sum(axis=1)
+        ann = (mul == ring.zero).sum(axis=0)
+        unit = (mul == ring.one).any(axis=1)
+        assert np.array_equal(fix, ann), str(entry.expr)
+        fps = np.array(ring.fingerprints)
+        assert np.array_equal(fps[:, 2], unit) and np.array_equal(fps[:, 3] > 0, unit)
+        assert np.array_equal(fps[:, 4], ann) and np.array_equal(fps[:, 5], fix)
+
+
+def test_equal_keys_exactly_when_fingerprints_are_equal(catalog64):
+    # keys of one order share their radices, so they compare across rings
+    by_order = {}
+    for entry in catalog64.entries:
+        keys = rings._fingerprint_keys(entry.ring)
+        assert keys.dtype == np.int64 and len(keys) == entry.ring.order
+        pairs = by_order.setdefault(entry.ring.order, set())
+        pairs.update(zip(keys.tolist(), entry.ring.fingerprints))
+    for order, pairs in by_order.items():
+        keys, tuples = zip(*pairs)
+        assert len(set(keys)) == len(set(tuples)) == len(pairs), order
+
+
+def test_fingerprint_keys_refuse_orders_that_overflow_int64():
+    # the bound holds up to order 760132; a deferred product above it is
+    # refused before any factor or table is read
+    ring = rg.make_ring(rg.Prod((rg.Zn(761), rg.Zn(1000))), max_order=10**6)
+    with pytest.raises(rg.OrderLimitExceeded):
+        rings._fingerprint_keys(ring)
+    assert ring._build_tables is not None
+    assert not any("fingerprint_keys" in f._derived for f in ring._derived["factors"])
+
+
 def test_immutable_tables():
     r = rg.make_ring(rg.Zn(6))
     with pytest.raises(ValueError):
@@ -552,6 +590,45 @@ def test_deferred_ring_leaves_no_reference_cycle():
             assert all(r() is None for r in refs), read
     finally:
         gc.enable()
+
+
+def test_catalog_builds_each_expression_once(monkeypatch, cold_ring_cache):
+    # a product reuses its live factors, and a ring is built again only
+    # after it was freed, so no expression of the catalog is built twice
+    built = []
+    construct = rings._construct_ring
+
+    def counting(expr):
+        built.append(expr)
+        return construct(expr)
+
+    monkeypatch.setattr(rings, "_construct_ring", counting)
+    rg.build_catalog(256)
+    assert len(built) == len(set(built)) == 2048
+
+
+def test_unheld_ring_is_freed_and_held_ring_is_shared(cold_ring_cache):
+    gc.disable()
+    try:
+        for expr in (rg.gf(8), rg.SquareZero(rg.Zn(2), 2), rg.Prod((rg.Zn(4), rg.gf(4)))):
+            ring = rg.make_ring(expr)
+            assert rg.make_ring(expr) is ring, str(expr)
+            assert rg.aut_group_order(ring) > 1
+            assert rg.aut_orbit_graph(ring).graph_type() >= 1
+            assert rg.make_ring(expr) is ring, str(expr)
+            alive = weakref.ref(ring)
+            del ring
+            assert alive() is None and expr not in rings._RINGS, str(expr)
+            fresh = rg.make_ring(expr)
+            assert "closure_plan" not in fresh._derived and not fresh._aut_cache, str(expr)
+    finally:
+        gc.enable()
+
+
+def test_cold_ring_cache_clears_the_registry(request):
+    ring = rg.make_ring(rg.gf(8))
+    request.getfixturevalue("cold_ring_cache")
+    assert not rings._RINGS and rg.make_ring(rg.gf(8)) is not ring
 
 
 @st.composite
