@@ -32,7 +32,7 @@ from .errors import (
     NotComposable,
     SearchBudgetExceeded,
 )
-from .rings import FiniteRing, _certificate, _closure_plan, _fingerprint_keys
+from .rings import FiniteRing, _certificate, _closure_plan, _fingerprint_keys, _uncached_plan
 
 __all__ = [
     "DEFAULT_SEARCH_BUDGET",
@@ -116,7 +116,9 @@ def is_homomorphism(morphism: RingMorphism) -> bool:
     return morphism.is_homomorphism
 
 
-def _certify(source: FiniteRing, target: FiniteRing, rows, injective=True) -> np.ndarray:
+def _certify(
+    source: FiniteRing, target: FiniteRing, rows, injective=True, cert=None
+) -> np.ndarray:
     """Which complete image rows are injective unital ring homomorphisms.
 
     A row f passes when f(0) = 0, f(1) = 1, exactly one x has f(x) = 0, and
@@ -145,8 +147,11 @@ def _certify(source: FiniteRing, target: FiniteRing, rows, injective=True) -> np
     injective.  This is the consistency check of a polycyclic
     presentation (Holt, Eick & O'Brien 2005, ch. 8).  The order-1 ring has
     no triples, and its one row passes on f(0) = 0 = f(1) alone.
+
+    `cert` is the source's certificate, the cached one by default.
     """
-    cert = _certificate(source)
+    if cert is None:
+        cert = _certificate(source)
     rows = np.atleast_2d(rows)
     ok = (rows[:, source.zero] == target.zero) & (rows[:, source.one] == target.one)
     checks = ((cert.sums, target.add_table), (cert.products, target.mul_table))
@@ -176,12 +181,15 @@ class _Engine:
     too-large instance never yields a partial answer.  Callers reset
     `nodes` to scope the budget; `peak` is the largest count any scope
     reached.
+
+    `plan` is the source's (levels, certificate) pair of `rings._build_plan`;
+    by default the one the source caches.
     """
 
-    def __init__(self, source: FiniteRing, target: FiniteRing, budget=None):
+    def __init__(self, source: FiniteRing, target: FiniteRing, budget=None, plan=None):
         self.source = source
         self.target = target
-        self.plan = _closure_plan(source)
+        self.plan, self.cert = plan or (_closure_plan(source), _certificate(source))
         self.budget = budget
         self.nodes = self.peak = 0
         # both rings have one order, so equal keys mean equal fingerprints
@@ -221,7 +229,7 @@ class _Engine:
         _check_budget(self.nodes, self.budget)
         if i + 1 < len(self.plan):
             return rows
-        return rows[_certify(self.source, self.target, rows)]
+        return rows[_certify(self.source, self.target, rows, cert=self.cert)]
 
     def first(self, row: np.ndarray, i: int) -> np.ndarray | None:
         """The first certified full map, depth first, extending a row on S_i.
@@ -424,6 +432,10 @@ def _stabilizer_chain(ring: FiniteRing, budget=None) -> list[np.ndarray]:
     found at levels k..i do, and any other that fixes S_{i-1} lies in it.
     Every strong generator is a complete map that `expand` certified.
 
+    The closure plan is the ring's cached one if it has one, or else is
+    built for this search and dropped with it: the ring keeps only the
+    chain, the strong generators, the labels and the node count.
+
     One engine serves every level and candidate; the budget applies to each
     level's batch and to each `first` call separately.  The chain is cached
     with the largest count any of these scopes reached, and a cached chain
@@ -436,9 +448,9 @@ def _stabilizer_chain(ring: FiniteRing, budget=None) -> list[np.ndarray]:
     if cached is not None:
         _check_budget(ring._aut_cache["nodes"], budget)
         return cached
-    plan = _closure_plan(ring)
+    plan, cert = _uncached_plan(ring)
     # a ring that is its prime subring has no levels, and needs no fingerprints
-    engine = _Engine(ring, ring, budget) if len(plan) > 1 else None
+    engine = _Engine(ring, ring, budget, (plan, cert)) if len(plan) > 1 else None
     strong: list[np.ndarray] = []
     label = np.arange(ring.order)
     chain = []

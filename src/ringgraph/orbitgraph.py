@@ -38,7 +38,9 @@ class OrbitGraph:
         ok = ok and ((labels >= 0) & (labels <= np.arange(ring.order))).all()
         if not (ok and np.array_equal(labels[labels], labels)):
             raise ValueError("labels must give each element the least element of its block")
-        _, block_of, sizes = np.unique(labels, return_inverse=True, return_counts=True)
+        # block b is the (b+1)-th least element that labels itself
+        block_of = (np.cumsum(labels == np.arange(ring.order)) - 1)[labels]
+        sizes = np.bincount(block_of)
         block_of.setflags(write=False)
         sizes.setflags(write=False)
         self.ring = ring

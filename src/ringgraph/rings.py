@@ -18,6 +18,12 @@ little-endian digit vector over the base, and their multiplication table
 is filled one digit position at a time: multiplying by x is additive in
 x, so a row is the sum of a known row and the row of a single digit.
 Element names are only for display and are built on first use.
+
+Tables take the narrowest dtype of `_table_dtype`: int8 below order 128,
+int16 below 2^15, int32 above.  Every builder computes in that dtype, so
+each intermediate value and each constant it adds must fit in it.  Folds
+and digit rows stay in [0, n).  Z_n's tables are built in [-n, n) and add
+or subtract n itself, so Z_128 needs int16 although its entries fit int8.
 """
 
 from __future__ import annotations
@@ -64,6 +70,15 @@ DEFAULT_MAX_ORDER = 4096
 
 
 def _table_dtype(n: int):
+    """The dtype of the tables of a ring of order n.
+
+    int8 for n < 128, int16 for n < 2^15, int32 above.  The bound is the
+    one of Z_n, the widest builder: `_cyclic_tables` keeps its entries in
+    [-n, n) and adds and subtracts n, so it needs n <= 127 in int8.  Every
+    other builder keeps its entries in [0, n).
+    """
+    if n < 2**7:
+        return np.int8
     return np.int16 if n < 2**15 else np.int32
 
 
@@ -850,6 +865,12 @@ def _closure_plan(ring: FiniteRing) -> tuple[_ClosureLevel, ...]:
 def _certificate(ring: FiniteRing) -> _Certificate:
     """The homomorphism certificate of the whole ring, built with its closure plan."""
     return ring._get("closure_plan", lambda: _build_plan(ring))[1]
+
+
+def _uncached_plan(ring: FiniteRing) -> tuple[tuple[_ClosureLevel, ...], _Certificate]:
+    """The ring's cached `_build_plan` pair if it has one, else one built
+    and not cached, which is freed with the caller's last reference."""
+    return ring._derived.get("closure_plan") or _build_plan(ring)
 
 
 def _build_plan(ring: FiniteRing) -> tuple[tuple[_ClosureLevel, ...], _Certificate]:

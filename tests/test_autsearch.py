@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import math
 import weakref
 
@@ -333,6 +334,34 @@ def test_cached_chain_answers_only_where_a_fresh_one_does():
                 assert _answers(query, ring, budget) == want, (str(expr), query, budget)
                 if query is rg.aut_group_order:
                     assert want == (budget >= need), (str(expr), budget)
+
+
+def _sha256(images):
+    return hashlib.sha256(np.asarray(images, dtype=np.int64).tobytes()).hexdigest()
+
+
+def test_chain_keeps_no_closure_plan(cold_ring_cache):
+    ring = rg.make_ring(rg.SquareZero(rg.gf(4), 2))
+    assert rg.aut_group_order(ring) == 360
+    assert "closure_plan" not in ring._derived
+    assert {"chain", "strong", "labels"} <= ring._aut_cache.keys()
+    need = ring._aut_cache["nodes"]
+    assert need == 756
+    with pytest.raises(rg.SearchBudgetExceeded):
+        rg.aut_group_order(ring, budget=need - 1)
+    assert rg.aut_group_order(ring, budget=need) == 360
+    assert "closure_plan" not in ring._derived
+    # the answers recorded when the chain cached the plan it searched with
+    copy, _ = shuffled_copy(ring, np.random.default_rng(5))
+    iso = rg.isomorphism(ring, copy)
+    assert _sha256(iso.image) == "68cbdd90222f477aad0dffd7c32fbc06266f4aa941b495d67a50a4db94558453"
+    assert iso.is_homomorphism and iso.is_bijective
+    group = rg.automorphisms(ring)
+    assert len(group) == 360
+    assert _sha256(group._images) == (
+        "a889c3adafe48be939971afc68a5cf4230c254717723d8be415bbef535a90e16"
+    )
+    assert rg.generating_set(ring) == (2, 4, 16)
 
 
 def test_enumeration_is_deterministic():

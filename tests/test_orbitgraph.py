@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import ringgraph as rg
+from ringgraph.autsearch import _aut_labels
 
 
 def full_graph(expr):
@@ -43,6 +44,15 @@ def test_orbit_graph_takes_least_element_labels():
     for labels in malformed:
         with pytest.raises(ValueError):
             rg.OrbitGraph(f4, np.array(labels))
+
+
+def test_block_numbering_matches_np_unique(catalog64):
+    for entry in catalog64.entries:
+        graph = rg.aut_orbit_graph(entry.ring)
+        labels = _aut_labels(entry.ring)
+        _, block_of, sizes = np.unique(labels, return_inverse=True, return_counts=True)
+        assert np.array_equal(graph.block_of, block_of), str(entry.expr)
+        assert np.array_equal(graph.sizes, sizes), str(entry.expr)
 
 
 def test_degree():

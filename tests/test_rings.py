@@ -240,6 +240,49 @@ def test_product_factors_and_fingerprints_match_the_scan():
         assert pieces == [ring] or all(any(p is q for q in own) for p in pieces), label
 
 
+# ring -> table_digest, recorded when every table below order 2^15 was int16
+_BOUNDARY_DIGESTS = {
+    "Z127": "024e643815ecc613387e0c575876da437dff0048724bbb68da5527e6750b3d2f",
+    "Z128": "f127c592f566dfd7481ebe517350b049bc2f0ed05c19a27e3c290a79855d08a2",
+    "GF(121)": "6980778ae18d1032026744b16f47eb1a58d2d5e5300a01ba52e79d02ddcef964",
+    "GF(125)": "9b437b236e772a0ee6031a382e0cd9893a128eb03eef52a3192afe2735caccab",
+    "Z5[x]/(x^3)": "e981bbb817cc4ed62424054e7d894afdd2d00aea42a01228fa1db76e6824d3df",
+    "SZ(Z5,2)": "736e8430d77a258e1b6f531db89f29d78b3793200000735c3e23a02a247d276c",
+    "Z3 x Z41": "83b92fca31b0cf66e60df87b7cd00e2a439c9a8acd774e63cea75d077eac6fb2",
+    "Z2 x Z64": "f04ff5a1db100fc0e0fdf2d6ae4b47075179e9ed71112a2acd14c1e5981cdccf",
+    " x ".join(["Z2"] * 7): "0e347982ae113621df0a4d45cec93e1ca4da50f144029d97b17dd1b95402b71d",
+}
+
+# the local factors Z2, Z3, Z41 of Z3 x Z41 x Z2, in decompose_local order
+_PIECE_DIGESTS = [
+    "6b6c0da713eeb0cb1c2b43a41f3bc2bdb3354b25b6cfb861a5225867a5421436",
+    "144a0f3314f6a101f14f677e86a11f5d2c5a9da28133060bb2fff2d79a2b9b48",
+    "79b7c52c1825fc923eae0c1277d0e52fe100c69b10d56d6a69cd573cd8d265fe",
+]
+
+
+def _assert_in_table_dtype(ring, label):
+    dt = rings._table_dtype(ring.order)
+    assert ring.add_table.dtype == ring.mul_table.dtype == dt, label
+
+
+def test_tables_at_the_dtype_boundaries_keep_their_digests(cold_ring_cache):
+    assert [rings._table_dtype(n) for n in (1, 127, 128, 2**15 - 1, 2**15)] == [
+        np.int8, np.int8, np.int16, np.int16, np.int32,
+    ]
+    for text, digest in _BOUNDARY_DIGESTS.items():
+        ring = rg.make_ring(rg.parse_ring_expr(text))
+        assert ring.table_digest() == digest, text
+        _assert_in_table_dtype(ring, text)
+    product = rg.make_ring(rg.parse_ring_expr("Z3 x Z41 x Z2"))
+    # the product's own factors, and the pieces a scan of its tables cuts out
+    for ring in (product, _scanned_copy(product)):
+        pieces = rg.decompose_local(ring)[0]
+        assert [p.table_digest() for p in pieces] == _PIECE_DIGESTS
+        for piece in pieces:
+            _assert_in_table_dtype(piece, repr(piece))
+
+
 def test_product_of_factors_outside_the_table_dtype_scans():
     z2 = rg.make_ring(rg.Zn(2))
     wide = rg.FiniteRing(z2.add_table.astype(np.int64), z2.mul_table.astype(np.int64), 0, 1,
@@ -247,7 +290,7 @@ def test_product_of_factors_outside_the_table_dtype_scans():
     ring = rg.product_ring([wide, rg.make_ring(rg.Zn(3))])
     assert "factors" not in ring._derived
     factors, _ = rg.decompose_local(ring)
-    assert [f.add_table.dtype for f in factors] == [np.int16, np.int16]
+    assert [f.add_table.dtype for f in factors] == [np.int8, np.int8]
     nested = rg.product_ring([rg.make_ring(rg.Zn(6)), rg.make_ring(rg.gf(4))])
     _assert_product_matches_scan(nested, "Z6 x GF(4), unnamed")
 
