@@ -32,7 +32,14 @@ from .errors import (
     NotComposable,
     SearchBudgetExceeded,
 )
-from .rings import FiniteRing, _certificate, _closure_plan, _fingerprint_keys, _uncached_plan
+from .rings import (
+    FiniteRing,
+    _certificate,
+    _closure_plan,
+    _fingerprint_keys,
+    _uncached_plan,
+    _working_ring,
+)
 
 __all__ = [
     "DEFAULT_SEARCH_BUDGET",
@@ -434,7 +441,12 @@ def _stabilizer_chain(ring: FiniteRing, budget=None) -> list[np.ndarray]:
 
     The closure plan is the ring's cached one if it has one, or else is
     built for this search and dropped with it: the ring keeps only the
-    chain, the strong generators, the labels and the node count.
+    chain, the strong generators, the labels and the node count.  A ring
+    whose tables are still deferred, a product, is searched on the
+    `rings._working_ring` copy, which folds them and is dropped with the
+    plan, so the product's tables stay deferred.  A ring that is its own
+    prime subring, Z_n, has no generators and only the identity map, so
+    it gets the empty chain with no plan, search or tables.
 
     One engine serves every level and candidate; the budget applies to each
     level's batch and to each `first` call separately.  The chain is cached
@@ -448,9 +460,20 @@ def _stabilizer_chain(ring: FiniteRing, budget=None) -> list[np.ndarray]:
     if cached is not None:
         _check_budget(ring._aut_cache["nodes"], budget)
         return cached
+    if ring.characteristic == ring.order:
+        chain, strong, label, nodes = [], [], np.arange(ring.order), 0
+    else:
+        chain, strong, label, nodes = _search_chain(_working_ring(ring), budget)
+    label.setflags(write=False)
+    ring._aut_cache.update(chain=chain, strong=strong, labels=label, nodes=nodes)
+    return chain
+
+
+def _search_chain(ring: FiniteRing, budget) -> tuple:
+    """The (chain, strong generators, labels, node count) of `_stabilizer_chain`,
+    searched on the ring's tables; the ring is not its own prime subring."""
     plan, cert = _uncached_plan(ring)
-    # a ring that is its prime subring has no levels, and needs no fingerprints
-    engine = _Engine(ring, ring, budget, (plan, cert)) if len(plan) > 1 else None
+    engine = _Engine(ring, ring, budget, (plan, cert))
     strong: list[np.ndarray] = []
     label = np.arange(ring.order)
     chain = []
@@ -473,12 +496,7 @@ def _stabilizer_chain(ring: FiniteRing, budget=None) -> list[np.ndarray]:
                 label = _orbit_labels(ring.order, strong)
         chain.append(np.flatnonzero(label == label[gen]))
     chain.reverse()
-    label.setflags(write=False)
-    ring._aut_cache["chain"] = chain
-    ring._aut_cache["strong"] = strong
-    ring._aut_cache["labels"] = label
-    ring._aut_cache["nodes"] = engine.peak if engine else 0
-    return chain
+    return chain, strong, label, engine.peak
 
 
 def _strong_generators(ring: FiniteRing, budget=None) -> list[np.ndarray]:

@@ -5,11 +5,13 @@ tables.  Tables are built at most once from a RingExpr and are immutable;
 every structural question (units, nilpotents, local structure,
 idempotents, annihilators, ...) reduces to an exhaustive finite scan of
 the tables.  A ring that `product_ring` built keeps its factors, and
-answers its local factors, fingerprints and whether it is local from
-theirs.  Products and Z_n know their order, zero and one without tables,
-and Z_n its prime subring too, so they build their tables on the first
-read of `add_table` or `mul_table`; a catalog product or Z_{p^a} whose
-tables nothing reads never builds them.
+answers its units, prime subring, local factors, fingerprints and whether
+it is local from theirs.  Products and Z_n know their order, zero and one
+without tables, and Z_n its prime subring too, so they build their tables
+on the first read of `add_table` or `mul_table`; a catalog product or
+Z_{p^a} whose tables nothing reads never builds them.  The stabilizer
+chain search reads a product's tables through `_working_ring`, which
+folds them for that search only.
 
 Construction works on whole tables.  An additive group B^d, and any
 direct product, is a mixed-radix fold of the factors' tables.  Z_n[x]/(f),
@@ -118,7 +120,9 @@ class FiniteRing:
     on first use.  Rings that `product_ring` and Z_n's constructor build
     know their order, zero and one up front and build their tables on the
     first read of `add_table` or `mul_table`; their builder holds the
-    factors or n, never the ring, and is dropped once it has run.
+    factors or n, never the ring, and is dropped once it has run.  A ring
+    with recorded factors answers `units` and `prime_subring` from theirs,
+    so neither builds its tables.
     """
 
     add_table = _DeferredTable()
@@ -218,9 +222,20 @@ class FiniteRing:
 
     @property
     def prime_subring(self) -> tuple[int, ...]:
-        """0, 1, 1+1, ... in carrier order of first appearance."""
+        """0, 1, 1+1, ... in carrier order of first appearance.
+
+        With recorded factors, k*1 has coordinates k*1_j, the k mod char F_j
+        entry of each factor's prime subring, and k*1 = 0 exactly when
+        every char F_j divides k, so char R is the lcm of theirs.
+        """
 
         def build():
+            factors = self._derived.get("factors")
+            if factors is not None:
+                primes = [np.array(f.prime_subring) for f in factors]
+                k = np.arange(math.lcm(*map(len, primes)))
+                coords = [p[k % len(p)] for p in primes]
+                return tuple(np.ravel_multi_index(coords, [f.order for f in factors]).tolist())
             out = [self.zero]
             x = self.one
             while x != self.zero:
@@ -232,10 +247,21 @@ class FiniteRing:
 
     @property
     def units(self) -> frozenset[int]:
-        return self._get(
-            "units",
-            lambda: frozenset(np.flatnonzero((self.mul_table == self.one).any(axis=1)).tolist()),
-        )
+        """The x with xy = 1 for some y.  With recorded factors, x is a unit
+        exactly when every coordinate is, since xy = 1 holds coordinatewise."""
+
+        def build():
+            factors = self._derived.get("factors")
+            if factors is None:
+                return np.flatnonzero((self.mul_table == self.one).any(axis=1))
+            mask = np.ones(1, dtype=bool)
+            for f in factors:  # big-endian mixed radix
+                unit = np.zeros(f.order, dtype=bool)
+                unit[list(f.units)] = True
+                mask = (mask[:, None] & unit).ravel()
+            return np.flatnonzero(mask)
+
+        return self._get("units", lambda: frozenset(build().tolist()))
 
     @property
     def nilpotents(self) -> frozenset[int]:
@@ -508,12 +534,14 @@ def product_ring(factors, presentation=None) -> FiniteRing:
     The tables are folded from the factors' tables on the first read of
     either, which builds the factors' tables too if they are deferred.
     The builder holds the factors and not the product, so no reference
-    cycle forms.
+    cycle forms.  The stabilizer chain search folds them for itself
+    (`_working_ring`) and leaves the product's deferred.
 
     The ring records its factors when their tables are in the table dtype,
     as every built ring's are; a factor whose tables are deferred will be,
-    so it is not built to check.  The product's local factors and
-    fingerprints then come from theirs, with no scan of its tables:
+    so it is not built to check.  The product's units, prime subring
+    (see `FiniteRing`), local factors and fingerprints then come from
+    theirs, with no scan of its tables:
 
     - A finite commutative ring is a product of local rings in one way up
       to isomorphism and order (Atiyah & Macdonald, Thm 8.7), and its local
@@ -871,6 +899,26 @@ def _uncached_plan(ring: FiniteRing) -> tuple[tuple[_ClosureLevel, ...], _Certif
     """The ring's cached `_build_plan` pair if it has one, else one built
     and not cached, which is freed with the caller's last reference."""
     return ring._derived.get("closure_plan") or _build_plan(ring)
+
+
+def _working_ring(ring: FiniteRing) -> FiniteRing:
+    """`ring` if its tables are built, else a copy of it that builds them on
+    first read, for a search that needs them only while it runs.
+
+    The copy shares the fingerprint keys and prime subring that a ring with
+    recorded factors answers from theirs, so it scans neither from its
+    tables.  The ring's own tables stay deferred, and the copy's are freed
+    with it.
+    """
+    if ring._build_tables is None:
+        return ring
+    work = FiniteRing._deferred(
+        ring.order, ring._build_tables, ring.zero, ring.one, ring.presentation, ring._names
+    )
+    if "factors" in ring._derived:
+        work._derived["fingerprint_keys"] = _fingerprint_keys(ring)
+        work._derived["prime_subring"] = ring.prime_subring
+    return work
 
 
 def _build_plan(ring: FiniteRing) -> tuple[tuple[_ClosureLevel, ...], _Certificate]:

@@ -695,6 +695,41 @@ def test_cyclic_rings_need_no_fingerprints():
         assert "fingerprint_keys" in twisted._derived
 
 
+def test_cyclic_chain_builds_no_plan_or_tables(monkeypatch, cold_ring_cache):
+    plans = []
+    build = rings._build_plan
+    monkeypatch.setattr(rings, "_build_plan", lambda ring: plans.append(ring) or build(ring))
+    for n in (1, 2, 64, 128, 2048):
+        ring = rg.make_ring(rg.Zn(n))
+        assert rg.aut_group_order(ring) == 1, n
+        assert "add_table" not in ring.__dict__, n
+    assert plans == []
+
+
+def _chain_answers(ring):
+    chain = _stabilizer_chain(ring)
+    cache = ring._aut_cache
+    return (
+        rg.aut_group_order(ring),
+        [len(orbit) for orbit in chain],
+        cache["labels"].tobytes(),
+        b"".join(s.tobytes() for s in cache["strong"]),
+        cache["nodes"],
+    )
+
+
+def test_chain_of_a_deferred_product_matches_the_built_one(catalog64):
+    products = [e for e in catalog64.entries if e.provenance == "product"]
+    assert len(products) > 200
+    for entry in products:
+        factors = entry.ring._derived["factors"]
+        deferred, built = rg.product_ring(factors), rg.product_ring(factors)
+        assert built.add_table.shape == (built.order, built.order)
+        assert _chain_answers(deferred) == _chain_answers(built), str(entry.expr)
+        # the search folded the tables for itself only
+        assert "add_table" not in deferred.__dict__, str(entry.expr)
+
+
 def test_orbit_sweep_matches_union_find():
     rng = np.random.default_rng(5)
     for n in (1, 2, 7, 64, 300):

@@ -6,7 +6,7 @@ import pytest
 
 import ringgraph as rg
 from _oracle import table_homomorphism
-from ringgraph import classify, rings
+from ringgraph import classify, cli, rings
 from ringgraph.expr import is_prime, poly_is_irreducible, poly_is_primary, prime_power
 
 
@@ -411,3 +411,18 @@ def test_local_structure_invariants(catalog64):
         assert prime_power(ls.residue_field_order) is not None, str(entry.expr)
         assert ring.order % len(ls.maximal_ideal) == 0
         assert ls.maximal_ideal <= ring.nilpotents, str(entry.expr)
+
+
+def test_sweeps_and_summary_leave_products_without_tables(cold_ring_cache):
+    # a product answers its units and prime subring from its factors, and
+    # its chain search folds its tables for that search only
+    catalog = rg.build_catalog(32)
+    for name, reads_catalog in classify.SWEEPS.values():
+        if reads_catalog:
+            assert getattr(classify, name)(catalog).passed, name
+    products = [e.ring for e in catalog.entries if e.provenance == "product"]
+    assert products and not any("add_table" in ring.__dict__ for ring in products)
+    expr = rg.parse_ring_expr("GF(4) x Z2 x Z2")
+    ring = rg.make_ring(expr)
+    assert cli.ring_summary(expr, ring)["aut_order"] == 4
+    assert "add_table" not in ring.__dict__

@@ -217,6 +217,8 @@ def _assert_product_matches_scan(ring, label):
     assert iso.is_homomorphism and iso.is_bijective, label
     assert ring.fingerprints == ref.fingerprints, label
     assert rg.local_structure(ring) == rg.local_structure(ref), label
+    assert ring.units == ref.units, label
+    assert ring.prime_subring == ref.prime_subring, label
 
 
 def test_product_factors_and_fingerprints_match_the_scan():
@@ -238,6 +240,10 @@ def test_product_factors_and_fingerprints_match_the_scan():
         own = [p for f in ring._derived["factors"] for p in rg.decompose_local(f)[0]]
         pieces = rg.decompose_local(ring)[0]
         assert pieces == [ring] or all(any(p is q for q in own) for p in pieces), label
+        # a fresh product answers its units and prime subring from its factors
+        again = rg.product_ring(ring._derived["factors"])
+        assert (again.units, again.prime_subring) == (ring.units, ring.prime_subring), label
+        assert "add_table" not in again.__dict__, label
 
 
 # ring -> table_digest, recorded when every table below order 2^15 was int16
