@@ -18,11 +18,16 @@ maps found so far needs no search, so a depth-first search runs only for
 images they do not reach yet (Sims 1970; Holt, Eick & O'Brien 2005,
 ch. 4).  Coset representatives are traced from the strong generators only
 when `automorphisms` lists the group.
+
+Each operation builds the closure plan and certificate it reads with
+`rings._build_plan` and drops them when it returns.  A ring caches the
+`_Chain` record of its search, and the group once `automorphisms` lists it.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,14 +37,8 @@ from .errors import (
     NotComposable,
     SearchBudgetExceeded,
 )
-from .rings import (
-    FiniteRing,
-    _certificate,
-    _closure_plan,
-    _fingerprint_keys,
-    _uncached_plan,
-    _working_ring,
-)
+from . import rings
+from .rings import FiniteRing, _fingerprint_keys, _working_ring
 
 __all__ = [
     "DEFAULT_SEARCH_BUDGET",
@@ -83,7 +82,9 @@ class RingMorphism:
     @property
     def is_homomorphism(self) -> bool:
         if self._hom is None:
-            self._hom = bool(_certify(self.source, self.target, self.image, injective=False)[0])
+            cert = rings._build_plan(self.source)[1]
+            ok = _certify(self.source, self.target, self.image, cert, injective=False)
+            self._hom = bool(ok[0])
         return self._hom
 
     @property
@@ -123,9 +124,7 @@ def is_homomorphism(morphism: RingMorphism) -> bool:
     return morphism.is_homomorphism
 
 
-def _certify(
-    source: FiniteRing, target: FiniteRing, rows, injective=True, cert=None
-) -> np.ndarray:
+def _certify(source: FiniteRing, target: FiniteRing, rows, cert, injective=True) -> np.ndarray:
     """Which complete image rows are injective unital ring homomorphisms.
 
     A row f passes when f(0) = 0, f(1) = 1, exactly one x has f(x) = 0, and
@@ -155,10 +154,9 @@ def _certify(
     presentation (Holt, Eick & O'Brien 2005, ch. 8).  The order-1 ring has
     no triples, and its one row passes on f(0) = 0 = f(1) alone.
 
-    `cert` is the source's certificate, the cached one by default.
+    `cert` is that certificate, which the caller built with
+    `rings._build_plan(source)`.
     """
-    if cert is None:
-        cert = _certificate(source)
     rows = np.atleast_2d(rows)
     ok = (rows[:, source.zero] == target.zero) & (rows[:, source.one] == target.one)
     checks = ((cert.sums, target.add_table), (cert.products, target.mul_table))
@@ -189,14 +187,14 @@ class _Engine:
     `nodes` to scope the budget; `peak` is the largest count any scope
     reached.
 
-    `plan` is the source's (levels, certificate) pair of `rings._build_plan`;
-    by default the one the source caches.
+    The engine builds the source's closure plan and certificate with
+    `rings._build_plan`, and they are dropped with it.
     """
 
-    def __init__(self, source: FiniteRing, target: FiniteRing, budget=None, plan=None):
+    def __init__(self, source: FiniteRing, target: FiniteRing, budget=None):
         self.source = source
         self.target = target
-        self.plan, self.cert = plan or (_closure_plan(source), _certificate(source))
+        self.plan, self.cert = rings._build_plan(source)
         self.budget = budget
         self.nodes = self.peak = 0
         # both rings have one order, so equal keys mean equal fingerprints
@@ -236,7 +234,7 @@ class _Engine:
         _check_budget(self.nodes, self.budget)
         if i + 1 < len(self.plan):
             return rows
-        return rows[_certify(self.source, self.target, rows, cert=self.cert)]
+        return rows[_certify(self.source, self.target, rows, self.cert)]
 
     def first(self, row: np.ndarray, i: int) -> np.ndarray | None:
         """The first certified full map, depth first, extending a row on S_i.
@@ -398,16 +396,34 @@ def _blocks(label: np.ndarray) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(order[lo:hi]) for lo, hi in zip(cuts, cuts[1:]))
 
 
-def _stabilizer_chain(ring: FiniteRing, budget=None) -> list[np.ndarray]:
-    """The basic orbits of the chain of generator stabilizers.
+@dataclass(frozen=True)
+class _Chain:
+    """What the stabilizer chain search of a ring leaves on it.
+
+    `orbits[i-1]` is the basic orbit of generator g_i, `strong` the maps the
+    search found, `labels` each element's least Aut R orbit-mate (read-only)
+    and `nodes` the largest count any budget scope reached.
+    """
+
+    orbits: list
+    strong: list
+    labels: np.ndarray
+    nodes: int
+
+    def __post_init__(self):
+        self.labels.setflags(write=False)
+
+
+def _stabilizer_chain(ring: FiniteRing, budget=None) -> _Chain:
+    """The chain of generator stabilizers, cached on the ring as one record.
 
     Level i is the orbit G_{i-1}·g_i of generator g_i, as an ascending
     index array, where G_{i-1} is the group of automorphisms fixing S_{i-1}
     pointwise, so G_0 = Aut R.  The orbit lengths multiply to |Aut R|.  The
-    maps that the search found, a strong generating set, are cached beside
-    the chain and read by `_strong_generators`, and so is the final `label`
-    below, which `_aut_labels` reads.  No coset representative is stored:
-    `automorphisms` traces them with `_transversal` to list a group.
+    record also holds the maps that the search found, a strong generating
+    set, and the final `label` below, which `aut_orbits` reads.  No coset
+    representative is stored: `automorphisms` traces them with
+    `_transversal` to list a group.
 
     Levels are built deepest first, i = k .. 1, where S_k = R and G_k = 1.
     On entry to level i the strong generators found so far generate G_i.
@@ -439,9 +455,8 @@ def _stabilizer_chain(ring: FiniteRing, budget=None) -> list[np.ndarray]:
     found at levels k..i do, and any other that fixes S_{i-1} lies in it.
     Every strong generator is a complete map that `expand` certified.
 
-    The closure plan is the ring's cached one if it has one, or else is
-    built for this search and dropped with it: the ring keeps only the
-    chain, the strong generators, the labels and the node count.  A ring
+    The search's `_Engine` builds the closure plan, which is dropped with
+    it: the ring keeps only the `_Chain` record in `_derived`.  A ring
     whose tables are still deferred, a product, is searched on the
     `rings._working_ring` copy, which folds them and is dropped with the
     plan, so the product's tables stay deferred.  A ring that is its own
@@ -456,24 +471,22 @@ def _stabilizer_chain(ring: FiniteRing, budget=None) -> list[np.ndarray]:
     scopes, and a scope's count only grows, so a run raises exactly when
     some scope's final count exceeds its budget.
     """
-    cached = ring._aut_cache.get("chain")
-    if cached is not None:
-        _check_budget(ring._aut_cache["nodes"], budget)
-        return cached
-    if ring.characteristic == ring.order:
-        chain, strong, label, nodes = [], [], np.arange(ring.order), 0
-    else:
-        chain, strong, label, nodes = _search_chain(_working_ring(ring), budget)
-    label.setflags(write=False)
-    ring._aut_cache.update(chain=chain, strong=strong, labels=label, nodes=nodes)
+
+    def build():
+        if ring.characteristic == ring.order:
+            return _Chain([], [], np.arange(ring.order), 0)
+        return _search_chain(_working_ring(ring), budget)
+
+    chain = ring._get("aut_chain", build)
+    _check_budget(chain.nodes, budget)
     return chain
 
 
-def _search_chain(ring: FiniteRing, budget) -> tuple:
-    """The (chain, strong generators, labels, node count) of `_stabilizer_chain`,
-    searched on the ring's tables; the ring is not its own prime subring."""
-    plan, cert = _uncached_plan(ring)
-    engine = _Engine(ring, ring, budget, (plan, cert))
+def _search_chain(ring: FiniteRing, budget) -> _Chain:
+    """The `_stabilizer_chain` record, searched on the ring's tables; the
+    ring is not its own prime subring."""
+    engine = _Engine(ring, ring, budget)
+    plan = engine.plan
     strong: list[np.ndarray] = []
     label = np.arange(ring.order)
     chain = []
@@ -496,19 +509,7 @@ def _search_chain(ring: FiniteRing, budget) -> tuple:
                 label = _orbit_labels(ring.order, strong)
         chain.append(np.flatnonzero(label == label[gen]))
     chain.reverse()
-    return chain, strong, label, engine.peak
-
-
-def _strong_generators(ring: FiniteRing, budget=None) -> list[np.ndarray]:
-    """The maps the stabilizer chain search found; they generate Aut R."""
-    _stabilizer_chain(ring, budget)
-    return ring._aut_cache["strong"]
-
-
-def _aut_labels(ring: FiniteRing, budget=None) -> np.ndarray:
-    """Each element labelled by the least element of its Aut R orbit."""
-    _stabilizer_chain(ring, budget)
-    return ring._aut_cache["labels"]
+    return _Chain(chain, strong, label, engine.peak)
 
 
 def _transversal(n: int, point: int, gens) -> dict:
@@ -529,7 +530,7 @@ def _transversal(n: int, point: int, gens) -> dict:
 
 def aut_group_order(ring: FiniteRing, budget=None) -> int:
     """|Aut R| from the stabilizer chain, without enumerating the group."""
-    return math.prod(len(orbit) for orbit in _stabilizer_chain(ring, budget))
+    return math.prod(len(orbit) for orbit in _stabilizer_chain(ring, budget).orbits)
 
 
 def automorphisms(ring: FiniteRing, budget=None) -> AutGroup:
@@ -539,28 +540,27 @@ def automorphisms(ring: FiniteRing, budget=None) -> AutGroup:
     """
     chain = _stabilizer_chain(ring, budget)
     # the listing writes |R| element images per automorphism
-    _check_budget(math.prod(len(orbit) for orbit in chain) * ring.order, budget)
-    strong = _strong_generators(ring, budget)
+    _check_budget(math.prod(len(orbit) for orbit in chain.orbits) * ring.order, budget)
     # the cache holds arrays only: an AutGroup refers to the ring, and a
     # cached one would keep every ring that was enumerated alive until the
     # cyclic collector runs
-    cached = ring._aut_cache.get("group")
+    cached = ring._derived.get("aut_group")
     if cached is not None:
-        return AutGroup(ring, cached, strong)
-    plan = _closure_plan(ring)
+        return AutGroup(ring, cached, chain.strong)
+    plan, cert = rings._build_plan(ring)
     images = [np.arange(ring.order, dtype=np.int64)]
-    for i, orbit in enumerate(chain, start=1):
+    for i, orbit in enumerate(chain.orbits, start=1):
         fixed = plan[i - 1].elements
-        gens = [g for g in strong if np.array_equal(g[fixed], fixed)]
+        gens = [g for g in chain.strong if np.array_equal(g[fixed], fixed)]
         level = _transversal(ring.order, plan[i].gen, gens)
         if sorted(level) != orbit.tolist():  # pragma: no cover - the chain's invariant
             raise RuntimeError("internal error: transversal does not cover the chain orbit")
         images = [acc[rep] for acc in images for rep in level.values()]
     stack = np.stack(images)
-    if not _certify(ring, ring, stack).all():  # pragma: no cover - closure of verified maps
+    if not _certify(ring, ring, stack, cert).all():  # pragma: no cover - closure of verified maps
         raise RuntimeError("internal error: transversal product is not an automorphism")
-    group = AutGroup(ring, stack, strong)
-    ring._aut_cache["group"] = group._images
+    group = AutGroup(ring, stack, chain.strong)
+    ring._derived["aut_group"] = group._images
     return group
 
 
@@ -570,7 +570,7 @@ def aut_orbits(ring: FiniteRing, budget=None) -> tuple[tuple[int, ...], ...]:
     The blocks of the label array the stabilizer chain leaves behind, so
     this stays cheap even when the group is too large to enumerate.
     """
-    return _blocks(_aut_labels(ring, budget))
+    return _blocks(_stabilizer_chain(ring, budget).labels)
 
 
 def isomorphism(source: FiniteRing, target: FiniteRing, budget=None) -> RingMorphism | None:

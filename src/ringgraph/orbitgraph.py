@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .autsearch import AutGroup, _aut_labels, _blocks, automorphisms
+from .autsearch import AutGroup, _blocks, _stabilizer_chain, automorphisms
 from .rings import FiniteRing
 
 __all__ = [
@@ -112,7 +112,7 @@ def aut_orbit_graph(ring: FiniteRing, budget=None) -> OrbitGraph:
     works even when Aut R is too large to list element by element; the
     graph's `group` is always None, since no group is listed.
     """
-    return OrbitGraph(ring, _aut_labels(ring, budget), None)
+    return OrbitGraph(ring, _stabilizer_chain(ring, budget).labels, None)
 
 
 def aut_embeds_in_graph_aut(ring: FiniteRing, budget=None) -> bool:

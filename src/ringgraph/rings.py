@@ -10,8 +10,12 @@ it is local from theirs.  Products and Z_n know their order, zero and one
 without tables, and Z_n its prime subring too, so they build their tables
 on the first read of `add_table` or `mul_table`; a catalog product or
 Z_{p^a} whose tables nothing reads never builds them.  The stabilizer
-chain search reads a product's tables through `_working_ring`, which
-folds them for that search only.
+chain search and `decompose_local` read a product's tables through
+`_working_ring`, which folds them for that call only.
+
+A ring caches what it derives in one dict, `_derived`, filled through
+`FiniteRing._get`.  The closure plan and certificate of `_build_plan` are
+not cached: each operation that reads them builds them and drops them.
 
 Construction works on whole tables.  An additive group B^d, and any
 direct product, is a mixed-radix fold of the factors' tables.  Z_n[x]/(f),
@@ -116,13 +120,13 @@ class FiniteRing:
     """Table-backed finite commutative ring with identity.
 
     Instances are immutable after construction and safe to share; derived
-    data (units, fingerprints, automorphism search state, ...) is cached
-    on first use.  Rings that `product_ring` and Z_n's constructor build
-    know their order, zero and one up front and build their tables on the
-    first read of `add_table` or `mul_table`; their builder holds the
-    factors or n, never the ring, and is dropped once it has run.  A ring
-    with recorded factors answers `units` and `prime_subring` from theirs,
-    so neither builds its tables.
+    data (units, fingerprints, the stabilizer chain, ...) is cached in
+    `_derived` on first use.  Rings that `product_ring` and Z_n's
+    constructor build know their order, zero and one up front and build
+    their tables on the first read of `add_table` or `mul_table`; their
+    builder holds the factors or n, never the ring, and is dropped once it
+    has run.  A ring with recorded factors answers `units` and
+    `prime_subring` from theirs, so neither builds its tables.
     """
 
     add_table = _DeferredTable()
@@ -151,7 +155,6 @@ class FiniteRing:
         self.one = int(one)
         self.presentation = presentation
         self._names = element_names if callable(element_names) else tuple(element_names)
-        self._aut_cache: dict = {}
         self._derived: dict = {}
         self._build_tables = build_tables
 
@@ -319,8 +322,8 @@ def make_ring(expr: RingExpr, max_order: int | None = None) -> FiniteRing:
 
     While anything holds the ring that `make_ring(expr)` returned, every
     call with an equal expression returns that same object, with whatever
-    it has cached (fingerprints, closure plan, stabilizer chain).  Once
-    nothing holds it, it is freed, and the next call builds it afresh.
+    it has cached (fingerprints, stabilizer chain, ...).  Once nothing
+    holds it, it is freed, and the next call builds it afresh.
     """
     cap = DEFAULT_MAX_ORDER if max_order is None else max_order
     n = expr_order(expr)
@@ -534,8 +537,8 @@ def product_ring(factors, presentation=None) -> FiniteRing:
     The tables are folded from the factors' tables on the first read of
     either, which builds the factors' tables too if they are deferred.
     The builder holds the factors and not the product, so no reference
-    cycle forms.  The stabilizer chain search folds them for itself
-    (`_working_ring`) and leaves the product's deferred.
+    cycle forms.  The stabilizer chain search and `decompose_local` fold
+    them for themselves (`_working_ring`) and leave the product's deferred.
 
     The ring records its factors when their tables are in the table dtype,
     as every built ring's are; a factor whose tables are deferred will be,
@@ -879,50 +882,34 @@ def _close(ring: FiniteRing, known: np.ndarray, frontier: np.ndarray) -> tuple:
     return tuple(rounds)
 
 
-def _closure_plan(ring: FiniteRing) -> tuple[_ClosureLevel, ...]:
-    """The greedy generator chain of the ring with a recipe for each level.
-
-    Level 0 is the prime subring, which is closed; level i adds the
-    lowest-index element outside S_{i-1} and closes.  Replaying the rounds
-    of levels 1..i on images of the prime subring and the generators gives
-    the image of every element of S_i.
-    """
-    return ring._get("closure_plan", lambda: _build_plan(ring))[0]
-
-
-def _certificate(ring: FiniteRing) -> _Certificate:
-    """The homomorphism certificate of the whole ring, built with its closure plan."""
-    return ring._get("closure_plan", lambda: _build_plan(ring))[1]
-
-
-def _uncached_plan(ring: FiniteRing) -> tuple[tuple[_ClosureLevel, ...], _Certificate]:
-    """The ring's cached `_build_plan` pair if it has one, else one built
-    and not cached, which is freed with the caller's last reference."""
-    return ring._derived.get("closure_plan") or _build_plan(ring)
-
-
 def _working_ring(ring: FiniteRing) -> FiniteRing:
     """`ring` if its tables are built, else a copy of it that builds them on
-    first read, for a search that needs them only while it runs.
+    first read, for an operation that needs them only while it runs.
 
-    The copy shares the fingerprint keys and prime subring that a ring with
-    recorded factors answers from theirs, so it scans neither from its
-    tables.  The ring's own tables stay deferred, and the copy's are freed
-    with it.
+    The copy starts with everything the ring has derived, its recorded
+    factors included, so it answers from the factors whatever the ring does
+    and derives nothing the ring holds again.  The ring's own tables stay
+    deferred, and the copy's are freed with it.
     """
     if ring._build_tables is None:
         return ring
     work = FiniteRing._deferred(
         ring.order, ring._build_tables, ring.zero, ring.one, ring.presentation, ring._names
     )
-    if "factors" in ring._derived:
-        work._derived["fingerprint_keys"] = _fingerprint_keys(ring)
-        work._derived["prime_subring"] = ring.prime_subring
+    work._derived.update(ring._derived)
     return work
 
 
 def _build_plan(ring: FiniteRing) -> tuple[tuple[_ClosureLevel, ...], _Certificate]:
-    """The levels of `_closure_plan` and the `_Certificate`, in one pass."""
+    """The closure plan of the ring and its `_Certificate`, in one pass.
+
+    The plan is the greedy generator chain with a recipe for each level.
+    Level 0 is the prime subring, which is closed; level i adds the
+    lowest-index element outside S_{i-1} and closes.  Replaying the rounds
+    of levels 1..i on images of the prime subring and the generators gives
+    the image of every element of S_i.  Nothing caches either: each
+    operation that reads them builds them and drops them when it returns.
+    """
     add, mul = ring.add_table, ring.mul_table
     known = np.zeros(ring.order, dtype=bool)
     span = known.copy()  # additive span of the generators taken so far
@@ -979,7 +966,7 @@ def generating_set(ring: FiniteRing) -> tuple[int, ...]:
     Each generator is the lowest-index element outside the closure so far;
     the empty tuple means the ring equals its prime subring.
     """
-    return tuple(level.gen for level in _closure_plan(ring)[1:])
+    return tuple(level.gen for level in _build_plan(ring)[0][1:])
 
 
 def decompose_local(ring: FiniteRing):
@@ -995,7 +982,8 @@ def decompose_local(ring: FiniteRing):
 
     For a ring that `product_ring` built, the factors are its factors'
     local factors, the same objects, in this order; no table is scanned for
-    them.  They equal the rings a scan builds: the nonzero coordinate of
+    them, and the map reads tables that `_working_ring` folds for this call
+    only.  They equal the rings a scan builds: the nonzero coordinate of
     eR = (0, .., e_j F_j, .., 0) runs through e_j F_j in ascending index,
     since the encoding is monotone in each coordinate, so the ranks in eR
     are the ranks in e_j F_j, the labels of F_j's own factor.  Any other
@@ -1007,9 +995,10 @@ def decompose_local(ring: FiniteRing):
     if split is None:
         return [ring], identity_automorphism(ring)
     factors = [piece for piece, _ in split]
+    mul = _working_ring(ring).mul_table
     # product_ring's big-endian mixed radix is C order
     image = np.ravel_multi_index(
-        tuple(np.unique(ring.mul_table[:, e], return_inverse=True)[1] for _, e in split),
+        tuple(np.unique(mul[:, e], return_inverse=True)[1] for _, e in split),
         [f.order for f in factors],
     )
     return factors, RingMorphism(ring, product_ring(factors), image)

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import hashlib
 import math
@@ -19,11 +20,29 @@ from ringgraph.autsearch import (
     _certify,
     _orbit_labels,
     _stabilizer_chain,
-    _strong_generators,
     _transversal,
 )
 from ringgraph.classify import _LocalRegistry
-from ringgraph.rings import _certificate, _closure_plan
+
+
+def _count_plans(monkeypatch):
+    """The list that every later `rings._build_plan` call appends its ring to."""
+    plans = []
+    build = rings._build_plan
+    monkeypatch.setattr(rings, "_build_plan", lambda ring: plans.append(ring) or build(ring))
+    return plans
+
+
+def _holds_plan(value):
+    """Whether a closure plan level or certificate is in `value`, searched
+    through containers and records."""
+    if isinstance(value, (rings._ClosureLevel, rings._Certificate)):
+        return True
+    if isinstance(value, dict):
+        return any(_holds_plan(v) for v in value.values())
+    if isinstance(value, (tuple, list)):
+        return any(_holds_plan(v) for v in value)
+    return dataclasses.is_dataclass(value) and _holds_plan(vars(value))
 
 
 def fresh_copy(ring):
@@ -119,7 +138,7 @@ def test_isomorphism_examples():
     assert rg.isomorphism(c, d) is not None
 
 
-def test_isomorphism_of_a_ring_onto_itself_is_the_identity(entries32):
+def test_isomorphism_of_a_ring_onto_itself_is_the_identity(entries32, monkeypatch):
     # a ring against itself answers without a search, with the map the
     # search returns first on a copy of it
     for entry in entries32:
@@ -131,11 +150,12 @@ def test_isomorphism_of_a_ring_onto_itself_is_the_identity(entries32):
         copy = fresh_copy(ring)
         assert np.array_equal(rg.isomorphism(ring, copy).image, ident), label
     ring = fresh_copy(rg.make_ring(rg.gf(16)))
+    plans = _count_plans(monkeypatch)
     assert rg.isomorphism(ring, ring) is not None
-    assert not {"closure_plan", "fingerprint_keys"} & ring._derived.keys()
-    # the keys that prove no plan or scan ran are the ones those fill
+    assert plans == [] and "fingerprint_keys" not in ring._derived
+    # the count and the key that prove no plan or scan ran are the ones those fill
     assert rg.isomorphism(ring, fresh_copy(ring)) is not None
-    assert {"closure_plan", "fingerprint_keys"} <= ring._derived.keys()
+    assert plans == [ring] and "fingerprint_keys" in ring._derived
 
 
 def test_subgroup_closure():
@@ -326,7 +346,7 @@ def test_cached_chain_answers_only_where_a_fresh_one_does():
     for expr, searches in cases:
         ring = fresh_copy(rg.make_ring(expr))
         rg.automorphisms(ring)
-        need = ring._aut_cache["nodes"]
+        need = ring._derived["aut_chain"].nodes
         assert (need > 0) == searches, str(expr)
         for query in (rg.aut_group_order, rg.aut_orbits, rg.aut_orbit_graph, rg.automorphisms):
             for budget in {0, 3, max(need - 1, 0), need, 10**7}:
@@ -340,17 +360,20 @@ def _sha256(images):
     return hashlib.sha256(np.asarray(images, dtype=np.int64).tobytes()).hexdigest()
 
 
-def test_chain_keeps_no_closure_plan(cold_ring_cache):
+def test_chain_keeps_no_closure_plan(monkeypatch, cold_ring_cache):
     ring = rg.make_ring(rg.SquareZero(rg.gf(4), 2))
+    plans = _count_plans(monkeypatch)
     assert rg.aut_group_order(ring) == 360
-    assert "closure_plan" not in ring._derived
-    assert {"chain", "strong", "labels"} <= ring._aut_cache.keys()
-    need = ring._aut_cache["nodes"]
+    assert plans == [ring] and not _holds_plan(ring._derived)
+    chain = ring._derived["aut_chain"]
+    assert chain.orbits and chain.strong and chain.labels.shape == (ring.order,)
+    need = chain.nodes
     assert need == 756
     with pytest.raises(rg.SearchBudgetExceeded):
         rg.aut_group_order(ring, budget=need - 1)
     assert rg.aut_group_order(ring, budget=need) == 360
-    assert "closure_plan" not in ring._derived
+    # the cached chain answers without a plan
+    assert plans == [ring] and not _holds_plan(ring._derived)
     # the answers recorded when the chain cached the plan it searched with
     copy, _ = shuffled_copy(ring, np.random.default_rng(5))
     iso = rg.isomorphism(ring, copy)
@@ -362,6 +385,39 @@ def test_chain_keeps_no_closure_plan(cold_ring_cache):
         "a889c3adafe48be939971afc68a5cf4230c254717723d8be415bbef535a90e16"
     )
     assert rg.generating_set(ring) == (2, 4, 16)
+
+
+def test_operations_build_their_own_plan_and_keep_none(catalog64, monkeypatch, cold_ring_cache):
+    # Z_n answers without a plan, and a group too large to list raises
+    sample = [
+        e for e in catalog64.entries[::5]
+        if e.ring.characteristic < e.ring.order
+        and rg.aut_group_order(e.ring) * e.ring.order <= 10**6
+    ]
+    assert sum(e.provenance == "product" for e in sample) >= 20
+    rng = np.random.default_rng(19)
+    plans = _count_plans(monkeypatch)
+
+    def built(call):
+        before = len(plans)
+        return call(), len(plans) - before
+
+    for entry in sample:
+        ring, label = rg.make_ring(entry.expr), str(entry.expr)
+        assert ring is not entry.ring, label
+        rg.aut_group_order(ring)
+        copy, _ = shuffled_copy(ring, rng)
+        iso, n_iso = built(lambda: rg.isomorphism(ring, copy))
+        counts = [n_iso] + [
+            built(call)[1]
+            for call in (
+                lambda: rg.automorphisms(ring),
+                lambda: rg.generating_set(ring),
+                lambda: iso.is_homomorphism,
+            )
+        ]
+        assert counts == [1, 1, 1, 1], label
+        assert not _holds_plan(ring._derived), label
 
 
 def test_enumeration_is_deterministic():
@@ -483,13 +539,13 @@ def test_deep_square_zero_chain_is_gl_8_2():
 def test_strong_generators_generate_the_group(entries32):
     for entry in entries32:
         ring = entry.ring
-        gens = [rg.RingMorphism(ring, ring, g) for g in _strong_generators(ring)]
+        gens = [rg.RingMorphism(ring, ring, g) for g in _stabilizer_chain(ring).strong]
         assert rg.subgroup_closure(ring, gens).order == rg.aut_group_order(ring), str(entry.expr)
 
 
 def _traced_levels(ring):
     """Per chain level: the transversal traced over the strong generators fixing S_{i-1}."""
-    plan, strong = _closure_plan(ring), _strong_generators(ring)
+    plan, strong = rings._build_plan(ring)[0], _stabilizer_chain(ring).strong
     levels = []
     for i in range(1, len(plan)):
         fixed = plan[i - 1].elements
@@ -509,7 +565,7 @@ def _listed_images(ring):
 def test_strong_generator_orbits_match_every_representative(catalog64):
     for entry in catalog64.entries:
         ring = entry.ring
-        expected = _blocks(_orbit_labels(ring.order, _strong_generators(ring)))
+        expected = _blocks(_orbit_labels(ring.order, _stabilizer_chain(ring).strong))
         assert rg.aut_orbits(ring) == expected, str(entry.expr)
         reps = [rep for level in _traced_levels(ring) for rep in level.values()]
         assert _blocks(_orbit_labels(ring.order, reps)) == expected, str(entry.expr)
@@ -531,13 +587,13 @@ def test_chain_levels_are_transversals(catalog64):
     # the groups too large to list: |Aut SZ(Z2,m)| = |GL(m,2)|
     unlisted = {id(sz25): gl_order(5, 2), id(sz26): gl_order(6, 2)}
     for ring in [entry.ring for entry in catalog64.entries] + extra:
-        plan = _closure_plan(ring)
-        chain = _stabilizer_chain(ring)
+        plan = rings._build_plan(ring)[0]
+        chain = _stabilizer_chain(ring).orbits
         assert len(chain) == len(plan) - 1
         images = _listed_images(ring)
         order = unlisted[id(ring)] if images is None else len(images)
         assert math.prod(len(orbit) for orbit in chain) == order, ring
-        strong = _strong_generators(ring)
+        strong = _stabilizer_chain(ring).strong
         for i, (orbit, level) in enumerate(zip(chain, _traced_levels(ring)), start=1):
             gen, fixed = plan[i].gen, plan[i - 1].elements
             ys = orbit.tolist()
@@ -594,7 +650,7 @@ def test_certificate_agrees_with_full_table_check():
     for entry in rg.build_catalog(128).entries:
         ring = entry.ring
         n = ring.order
-        strong = _strong_generators(ring)
+        strong = _stabilizer_chain(ring).strong
         maps = [np.arange(n), *strong, *(g[h] for g in strong for h in strong)]
         perturbed = []
         for image in maps:
@@ -611,15 +667,16 @@ def test_certificate_agrees_with_full_table_check():
         rows = np.stack(maps + perturbed)
         expected = table_homomorphism(ring, ring, rows)
         assert expected[: len(maps)].all(), str(entry.expr)
-        assert np.array_equal(_certify(ring, ring, rows), expected), str(entry.expr)
-        assert np.array_equal(_certify(ring, ring, rows, injective=False), expected)
+        cert = rings._build_plan(ring)[1]
+        assert np.array_equal(_certify(ring, ring, rows, cert), expected), str(entry.expr)
+        assert np.array_equal(_certify(ring, ring, rows, cert, injective=False), expected)
         assert rg.RingMorphism(ring, ring, rows[-1]).is_homomorphism == expected[-1]
 
 
 def test_order_one_ring_certifies():
     ring = fresh_copy(rg.make_ring(rg.Zn(1)))
     assert rg.identity_automorphism(ring).is_homomorphism
-    assert _certify(ring, ring, np.zeros((2, 1), dtype=np.int64)).all()
+    assert _certify(ring, ring, np.zeros((2, 1), dtype=np.int64), rings._build_plan(ring)[1]).all()
     assert rg.aut_group_order(ring) == 1
     assert rg.aut_orbits(ring) == ((0,),)
     assert rg.automorphisms(ring).order == 1
@@ -633,7 +690,7 @@ def _tree_rows(ring):
     the rows that fix 1 and, per row, the failing sum triples and product
     triples.
     """
-    cert = _certificate(ring)
+    cert = rings._build_plan(ring)[1]
     gens = list(dict.fromkeys(cert.sums[2].tolist()))
     n = ring.order
     rows = np.tile(np.arange(n), (len(gens) * n, 1))
@@ -662,10 +719,12 @@ def test_certificate_rejects_a_single_broken_wrap_edge_or_product(entries32):
         ring = entry.ring
         rows, (sum_fails, product_fails) = _tree_rows(ring)
         expected = table_homomorphism(ring, ring, rows)
-        loose = _certify(ring, ring, rows, injective=False)
+        cert = rings._build_plan(ring)[1]
+        loose = _certify(ring, ring, rows, cert, injective=False)
         assert np.array_equal(loose, expected), str(entry.expr)
         injective = (rows == ring.zero).sum(axis=1) == 1
-        assert np.array_equal(_certify(ring, ring, rows), expected & injective), str(entry.expr)
+        both = _certify(ring, ring, rows, cert)
+        assert np.array_equal(both, expected & injective), str(entry.expr)
         n_sum, n_product = sum_fails.sum(axis=1), product_fails.sum(axis=1)
         single_wrap += int(((n_sum == 1) & (n_product == 0)).sum())
         single_product += int(((n_sum == 0) & (n_product == 1)).sum())
@@ -696,9 +755,7 @@ def test_cyclic_rings_need_no_fingerprints():
 
 
 def test_cyclic_chain_builds_no_plan_or_tables(monkeypatch, cold_ring_cache):
-    plans = []
-    build = rings._build_plan
-    monkeypatch.setattr(rings, "_build_plan", lambda ring: plans.append(ring) or build(ring))
+    plans = _count_plans(monkeypatch)
     for n in (1, 2, 64, 128, 2048):
         ring = rg.make_ring(rg.Zn(n))
         assert rg.aut_group_order(ring) == 1, n
@@ -707,14 +764,14 @@ def test_cyclic_chain_builds_no_plan_or_tables(monkeypatch, cold_ring_cache):
 
 
 def _chain_answers(ring):
-    chain = _stabilizer_chain(ring)
-    cache = ring._aut_cache
+    _stabilizer_chain(ring)
+    chain = ring._derived["aut_chain"]
     return (
         rg.aut_group_order(ring),
-        [len(orbit) for orbit in chain],
-        cache["labels"].tobytes(),
-        b"".join(s.tobytes() for s in cache["strong"]),
-        cache["nodes"],
+        [len(orbit) for orbit in chain.orbits],
+        chain.labels.tobytes(),
+        b"".join(s.tobytes() for s in chain.strong),
+        chain.nodes,
     )
 
 

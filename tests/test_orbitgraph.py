@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import ringgraph as rg
-from ringgraph.autsearch import _aut_labels
+from ringgraph.autsearch import _stabilizer_chain
 
 
 def full_graph(expr):
@@ -49,7 +49,7 @@ def test_orbit_graph_takes_least_element_labels():
 def test_block_numbering_matches_np_unique(catalog64):
     for entry in catalog64.entries:
         graph = rg.aut_orbit_graph(entry.ring)
-        labels = _aut_labels(entry.ring)
+        labels = _stabilizer_chain(entry.ring).labels
         _, block_of, sizes = np.unique(labels, return_inverse=True, return_counts=True)
         assert np.array_equal(graph.block_of, block_of), str(entry.expr)
         assert np.array_equal(graph.sizes, sizes), str(entry.expr)

@@ -230,9 +230,12 @@ def test_product_factors_and_fingerprints_match_the_scan():
     rings += [(text, rg.make_ring(rg.parse_ring_expr(text))) for text in _PRODUCTS]
     for label, ring in rings:
         _assert_product_matches_scan(ring, label)
-        # on a fresh copy, neither query scans the product's tables
+        # on a fresh copy, neither query scans the product's tables, and
+        # decompose_local leaves them deferred
         fresh = rg.product_ring(ring._derived["factors"])
-        assert rg.decompose_local(fresh) and fresh.fingerprints
+        assert rg.decompose_local(fresh)
+        assert "add_table" not in fresh.__dict__, label
+        assert fresh.fingerprints
         if sum(f.order > 1 for f in ring._derived["factors"]) >= 2:
             assert not rg.local_structure(fresh).is_local, label
         assert not {"idempotents", "units", "prime_subring"} & fresh._derived.keys(), label
@@ -517,9 +520,9 @@ def test_fingerprint_invariance_under_automorphisms(catalog64):
         else:
             # invariance under a generating set implies invariance under the
             # whole group, and the strong generators generate Aut R
-            from ringgraph.autsearch import _strong_generators
+            from ringgraph.autsearch import _stabilizer_chain
 
-            sigmas = _strong_generators(ring)
+            sigmas = _stabilizer_chain(ring).strong
         fps = ring.fingerprints
         for img in sigmas:
             for x in range(ring.order):
@@ -656,7 +659,10 @@ def test_catalog_builds_each_expression_once(monkeypatch, cold_ring_cache):
     assert len(built) == len(set(built)) == 2048
 
 
-def test_unheld_ring_is_freed_and_held_ring_is_shared(cold_ring_cache):
+def test_unheld_ring_is_freed_and_held_ring_is_shared(monkeypatch, cold_ring_cache):
+    plans = []  # the orders of the rings planned, which it must not hold
+    build = rings._build_plan
+    monkeypatch.setattr(rings, "_build_plan", lambda ring: plans.append(ring.order) or build(ring))
     gc.disable()
     try:
         for expr in (rg.gf(8), rg.SquareZero(rg.Zn(2), 2), rg.Prod((rg.Zn(4), rg.gf(4)))):
@@ -669,7 +675,10 @@ def test_unheld_ring_is_freed_and_held_ring_is_shared(cold_ring_cache):
             del ring
             assert alive() is None and expr not in rings._RINGS, str(expr)
             fresh = rg.make_ring(expr)
-            assert "closure_plan" not in fresh._derived and not fresh._aut_cache, str(expr)
+            assert "aut_chain" not in fresh._derived, str(expr)
+            # the fresh ring searches again, with a plan of its own
+            del plans[:]
+            assert rg.aut_group_order(fresh) > 1 and len(plans) == 1, str(expr)
     finally:
         gc.enable()
 
