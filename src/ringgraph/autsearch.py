@@ -38,7 +38,7 @@ from .errors import (
     SearchBudgetExceeded,
 )
 from . import rings
-from .rings import FiniteRing, _fingerprint_keys, _working_ring
+from .rings import FiniteRing, _carrier_array, _fingerprint_keys, _working_ring
 
 __all__ = [
     "DEFAULT_SEARCH_BUDGET",
@@ -59,16 +59,16 @@ DEFAULT_SEARCH_BUDGET = 10_000_000
 
 
 class RingMorphism:
-    """Total map between two ring carriers, with lazy validity checks."""
+    """Total map between two ring carriers, with lazy validity checks.  The
+    image must give each source element an integer in the target's carrier."""
 
     __slots__ = ("source", "target", "image", "_hom", "_bij")
 
     def __init__(self, source: FiniteRing, target: FiniteRing, image):
+        image = _carrier_array(image, target.order, "image values")
         image = np.ascontiguousarray(image, dtype=np.int64)
         if image.shape != (source.order,):
             raise ValueError("image must assign every source element")
-        if image.size and (image.min() < 0 or image.max() >= target.order):
-            raise ValueError("image values outside target carrier")
         image.setflags(write=False)
         self.source = source
         self.target = target
@@ -267,10 +267,10 @@ class AutGroup:
     """Composition-closed set of automorphisms of one ring.
 
     Element 0 is the identity; elements are sorted lexicographically by
-    image tuple, so group listings are reproducible.  `images` must hold
-    the identity and no row twice, or ValueError is raised.  The set is
-    not checked for closure: a composition or inverse that falls outside
-    it raises NotAutomorphism when a lookup meets it.
+    image tuple, so group listings are reproducible.  `images` must be
+    integer rows on the carrier, hold the identity and no row twice, or
+    ValueError is raised.  The set is not checked for closure: a
+    composition or inverse outside it raises NotAutomorphism when met.
 
     `generators`, image arrays of elements that generate the group, let
     `is_abelian` and `orbits` read those elements only; a generator that
@@ -279,6 +279,7 @@ class AutGroup:
     """
 
     def __init__(self, ring: FiniteRing, images: np.ndarray, generators=None):
+        images = _carrier_array(images, ring.order, "group images")
         order = np.lexsort(images.T[::-1])
         images = np.ascontiguousarray(images[order], dtype=np.int64)  # keys are int64 bytes
         images.setflags(write=False)
@@ -293,7 +294,8 @@ class AutGroup:
         self.elements = tuple(RingMorphism(ring, ring, images[i]) for i in range(len(images)))
         self._gen_rows = range(len(images))
         if generators is not None:
-            keys = {np.asarray(g, dtype=np.int64).tobytes() for g in generators}
+            rows = [_carrier_array(g, ring.order, "a generator") for g in generators]
+            keys = {row.astype(np.int64).tobytes() for row in rows}
             if not keys <= self._index.keys():
                 raise ValueError("a generator is not an element of the group")
             self._gen_rows = sorted(self._index[k] for k in keys)
@@ -625,12 +627,15 @@ def inverse(f: RingMorphism) -> RingMorphism:
 
 
 def subgroup_closure(ring: FiniteRing, gens) -> AutGroup:
-    """Smallest automorphism group of `ring` containing the given maps."""
-    gen_arrays = []
-    for g in gens:
-        if not (g.source is ring and g.target is ring and g.is_bijective and g.is_homomorphism):
-            raise NotAutomorphism("subgroup_closure generators must be automorphisms of the ring")
-        gen_arrays.append(np.asarray(g.image, dtype=np.int64))
+    """Smallest automorphism group of `ring` containing the given maps, checked
+    with one certificate: a self-map that `_certify` passes is injective."""
+    gens = list(gens)
+    gen_arrays = [g.image for g in gens]
+    if gens and not (
+        all(g.source is ring and g.target is ring for g in gens)
+        and _certify(ring, ring, np.stack(gen_arrays), rings._build_plan(ring)[1]).all()
+    ):
+        raise NotAutomorphism("subgroup_closure generators must be automorphisms of the ring")
     ident = np.arange(ring.order, dtype=np.int64)
     seen = {ident.tobytes(): ident}
     frontier = [ident]

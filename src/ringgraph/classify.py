@@ -2,10 +2,11 @@
 
 The catalog is the union of the constructor families (Z_n, finite fields,
 monic quotients of degree 2..3, square-zero extensions, and products of
-local entries), deduplicated up to isomorphism.  Each verification sweeps
-the relevant slice of the catalog and reports any counterexample; the
-universe is always the constructor families, which is provably complete
-only at orders p and p**2.
+local entries) of orders 2..max_order, deduplicated up to isomorphism.
+Each verification sweeps the relevant slice of the catalog, or fixed
+samples (module constants) when it reads none, and reports any
+counterexample; the universe is always the constructor families, which
+is provably complete only at orders p and p**2.
 
 Candidates that cannot change the catalog are never built.  A quotient
 Z_n[x]/(f) of degree d is skipped when its affine orbit, the moduli
@@ -213,9 +214,8 @@ def _report(theorem_id, universe, checked, counterexamples, notes=()) -> Verific
 _FAMILY_PRIORITY = {"zn": 0, "gf": 1, "product": 2, "polyquot": 3, "squarezero": 4}
 
 
-def _family_candidates(max_order: int, include_trivial: bool):
-    lo = 1 if include_trivial else 2
-    for n in range(lo, max_order + 1):
+def _family_candidates(max_order: int):
+    for n in range(2, max_order + 1):
         yield "zn", Zn(n)
     for q in range(4, max_order + 1):
         pp = prime_power(q)
@@ -326,8 +326,8 @@ def _affine_orbit_minima(n: int, d: int) -> np.ndarray:
     return (images[..., :d] @ radix).min(axis=0)
 
 
-def build_catalog(max_order: int = 64, include_trivial: bool = False, budget=None) -> Catalog:
-    """Deduplicated catalog of all constructor-family rings up to max_order.
+def build_catalog(max_order: int = 64, budget=None) -> Catalog:
+    """Deduplicated catalog of all constructor-family rings of orders 2..max_order.
 
     Entries are isomorphism classes; the representative expression is the
     first hit in family priority order (Z_n, fields, products, quotients,
@@ -381,7 +381,7 @@ def build_catalog(max_order: int = 64, include_trivial: bool = False, budget=Non
         return orbit_minima[n, d][code] < code
 
     local_exprs: dict[int, tuple] = {}
-    for family, expr in _family_candidates(max_order, include_trivial):
+    for family, expr in _family_candidates(max_order):
         if family == "polyquot":
             pp = prime_power(expr.n)
             if not pp or affine_duplicate(expr) or not poly_is_primary(expr.modulus, pp[0]):
@@ -418,9 +418,6 @@ def build_catalog(max_order: int = 64, include_trivial: bool = False, budget=Non
             cid, expr, ring = locals_sorted[i]
             if order * ring.order > max_order:
                 break  # orders ascend
-            # the one-element ring is a neutral product factor; skip it
-            if ring.order == 1:
-                continue
             chosen.append((cid, expr))
             expand(i, chosen, order * ring.order)
             chosen.pop()
@@ -503,10 +500,8 @@ def verify_units_connected_classification(catalog: Catalog, budget=None) -> Veri
         graph = aut_orbit_graph(ring, budget=budget)
         subset = ring.units - {ring.one}
         connected = graph.subset_connected(subset)
-        expected = False
-        if ring.order == 2 or ring.order == 3:
-            expected = True
-        elif ring.order == 4:
+        expected = ring.order in (2, 3)
+        if ring.order == 4:
             expected = _isomorphic_to(ring, Zn(4), budget) or _isomorphic_to(ring, gf(4), budget)
         pp = prime_power(ring.order)
         if not expected and pp and pp[0] == 2:
@@ -563,11 +558,12 @@ def verify_m_connected_classification(catalog: Catalog, budget=None) -> Verifica
     )
 
 
-_DEFAULT_P_LIST = (3, 5, 7, 11, 13)
-_DEFAULT_N_LIST = (3, 5, 7, 9, 15, 21)
-_DEFAULT_SYMMETRIC_SAMPLES = ((2, 2, 2), (2, 2, 3), (3, 1, 2), (5, 1, 2), (5, 1, 3), (5, 1, 4))
-_DEFAULT_FIELD_ORDERS = (4, 8, 9, 16, 25, 27, 64)
-_DEFAULT_PRODUCT_PAIRS = (
+# the samples of `verify_type_formulas`, in the order of its docstring
+_DUAL_PRIMES = (3, 5, 7, 11, 13)
+_DUAL_ODD_MODULI = (3, 5, 7, 9, 15, 21)
+_SYMMETRIC_POWERS = ((2, 2, 2), (2, 2, 3), (3, 1, 2), (5, 1, 2), (5, 1, 3), (5, 1, 4))
+_TYPE_FIELDS = (4, 8, 9, 16, 25, 27, 64)
+_LOCAL_PAIRS = (
     (Zn(4), Zn(9)),
     (Zn(4), PolyQuot(3, (0, 0, 1))),
     (gf(4), Zn(5)),
@@ -583,14 +579,7 @@ _DEFAULT_PRODUCT_PAIRS = (
 )
 
 
-def verify_type_formulas(
-    p_list=_DEFAULT_P_LIST,
-    n_list=_DEFAULT_N_LIST,
-    budget=None,
-    symmetric_samples=_DEFAULT_SYMMETRIC_SAMPLES,
-    field_orders=_DEFAULT_FIELD_ORDERS,
-    product_pairs=_DEFAULT_PRODUCT_PAIRS,
-) -> VerificationReport:
+def verify_type_formulas(budget=None) -> VerificationReport:
     """Closed-form graph types and product degree/type formulas.
 
     Covers: type(Z_p[x]/(x^2)) = p-2; type(Z_n[x]/(x^2)) = phi(n)-1 for odd
@@ -599,38 +588,26 @@ def verify_type_formulas(
     element pair plus the type product rule when the types differ.
     """
     cex = []
-    checked = 0
-    for p in p_list:
-        checked += 1
-        expr = PolyQuot(p, (0, 0, 1))
-        t = aut_orbit_graph(make_ring(expr), budget=budget).graph_type()
-        if t != p - 2:
-            cex.append((expr, f"type {t}, expected {p - 2}"))
-    for n in n_list:
-        if n % 2 == 0:
-            raise ValueError("the dual-number type formula is asserted for odd n only")
-        checked += 1
-        expr = PolyQuot(n, (0, 0, 1))
-        t = aut_orbit_graph(make_ring(expr), budget=budget).graph_type()
-        if t != euler_phi(n) - 1:
-            cex.append((expr, f"type {t}, expected {euler_phi(n) - 1}"))
-    for p, k, m in symmetric_samples:
-        if m >= p**k:
-            raise ValueError("symmetric product samples require m < p**k")
-        checked += 1
+
+    def check_type(expr, want, graph=None):
+        if graph is None:
+            graph = aut_orbit_graph(make_ring(expr), budget=budget)
+        t = graph.graph_type()
+        if t != want:
+            cex.append((expr, f"type {t}, expected {want}"))
+
+    for p in _DUAL_PRIMES:
+        check_type(PolyQuot(p, (0, 0, 1)), p - 2)
+    for n in _DUAL_ODD_MODULI:
+        check_type(PolyQuot(n, (0, 0, 1)), euler_phi(n) - 1)
+    for p, k, m in _SYMMETRIC_POWERS:
         expr = Prod(tuple(Zn(p**k) for _ in range(m)))
         got = aut_group_order(make_ring(expr), budget=budget)
         if got != math.factorial(m):
             cex.append((expr, f"|Aut| {got}, expected {math.factorial(m)}"))
-    for q in field_orders:
-        checked += 1
-        expr = gf(q)
-        t = aut_orbit_graph(make_ring(expr), budget=budget).graph_type()
-        want = prime_power(q)[1] - 1
-        if t != want:
-            cex.append((expr, f"type {t}, expected {want}"))
-    for ea, eb in product_pairs:
-        checked += 1
+    for q in _TYPE_FIELDS:
+        check_type(gf(q), prime_power(q)[1] - 1)
+    for ea, eb in _LOCAL_PAIRS:
         ra, rb = make_ring(ea), make_ring(eb)
         if isomorphism(ra, rb, budget=budget) is not None:
             cex.append((Prod((ea, eb)), "sampled pair unexpectedly isomorphic"))
@@ -649,11 +626,9 @@ def verify_type_formulas(
             continue
         ta, tb = ga.graph_type(), gb.graph_type()
         if ta != tb:
-            tp = gp.graph_type()
-            if tp != (ta + 1) * (tb + 1) - 1:
-                cex.append(
-                    (prod_expr, f"type {tp}, expected {(ta + 1) * (tb + 1) - 1}")
-                )
+            check_type(prod_expr, (ta + 1) * (tb + 1) - 1, gp)
+    samples = (_DUAL_PRIMES, _DUAL_ODD_MODULI, _SYMMETRIC_POWERS, _TYPE_FIELDS, _LOCAL_PAIRS)
+    checked = sum(map(len, samples))
     return _report("type-formulas", "closed-form samples over constructor families", checked, cex)
 
 
@@ -708,20 +683,22 @@ def verify_involution_and_order_bounds(catalog: Catalog, budget=None) -> Verific
     )
 
 
-def verify_field_extension_connectivity(
-    max_q: int = 5, max_t: int = 3, max_field_order: int = 256, budget=None
-) -> VerificationReport:
+# the fields F_(q^t) of `verify_field_extension_connectivity`: bounds on q, t, q^t
+_EXT_Q, _EXT_T, _EXT_ORDER = 5, 3, 256
+
+
+def verify_field_extension_connectivity(budget=None) -> VerificationReport:
     """K - E connected under the E-fixing subgroup only for (q, t) = (2, 2).
 
     Also checks that the fixed field of that subgroup is exactly E.
     """
     cex = []
     checked = 0
-    for q in range(2, max_q + 1):
+    for q in range(2, _EXT_Q + 1):
         if prime_power(q) is None:
             continue
-        for t in range(2, max_t + 1):
-            if q**t > max_field_order:
+        for t in range(2, _EXT_T + 1):
+            if q**t > _EXT_ORDER:
                 continue
             checked += 1
             expr = gf(q**t)
@@ -748,7 +725,7 @@ def verify_field_extension_connectivity(
                 cex.append((expr, "fixed field of the E-fixing subgroup is not E"))
     return _report(
         "field-ext",
-        f"finite fields F_(q^t), q <= {max_q}, 2 <= t <= {max_t}, order <= {max_field_order}",
+        f"finite fields F_(q^t), q <= {_EXT_Q}, 2 <= t <= {_EXT_T}, order <= {_EXT_ORDER}",
         checked,
         cex,
     )

@@ -25,9 +25,9 @@ is filled one digit position at a time: multiplying by x is additive in
 x, so a row is the sum of a known row and the row of a single digit.
 Element names are only for display and are built on first use.
 
-Tables take the narrowest dtype of `_table_dtype`: int8 below order 128,
-int16 below 2^15, int32 above.  Every builder computes in that dtype, so
-each intermediate value and each constant it adds must fit in it.  Folds
+`FiniteRing` stores every table in the narrowest dtype of `_table_dtype`:
+int8 below order 128, int16 below 2^15, int32 above.  Every builder
+computes in it, so each intermediate value and constant must fit.  Folds
 and digit rows stay in [0, n).  Z_n's tables are built in [-n, n) and add
 or subtract n itself, so Z_128 needs int16 although its entries fit int8.
 """
@@ -88,6 +88,17 @@ def _table_dtype(n: int):
     return np.int16 if n < 2**15 else np.int32
 
 
+def _carrier_array(values, n: int, what: str) -> np.ndarray:
+    """`values` as an array of elements of the carrier 0..n-1: ValueError
+    unless its dtype is an integer one and every entry lies in that range."""
+    values = np.asarray(values)
+    if values.dtype.kind not in "iu":
+        raise ValueError(f"{what} must hold integers, not {values.dtype}")
+    if values.size and (values.min() < 0 or values.max() >= n):
+        raise ValueError(f"{what} must lie in 0..{n - 1}")
+    return values
+
+
 def _materialise(names) -> tuple[str, ...]:
     """The names a name source stands for: a tuple, or a callable returning them."""
     return tuple(names()) if callable(names) else names
@@ -107,26 +118,25 @@ class _DeferredTable:
     def __get__(self, ring, owner=None):
         if ring is None:
             return self
-        add, mul = ring._build_tables()
-        # `product_ring` relies on this dtype without building the tables
-        dt = np.dtype(_table_dtype(ring.order))
-        if not add.dtype == mul.dtype == dt:
-            raise ValueError(f"deferred operation tables must be {dt}")
-        ring._set_tables(add, mul)
+        ring._set_tables(*ring._build_tables())
         return getattr(ring, self.name)
 
 
 class FiniteRing:
     """Table-backed finite commutative ring with identity.
 
+    Both tables must be n-by-n with integer entries in 0..n-1, and `zero`
+    and `one` must lie there too, or ValueError is raised; the ring axioms
+    are not checked.  Tables are stored read-only in `_table_dtype(n)`.
+
     Instances are immutable after construction and safe to share; derived
     data (units, fingerprints, the stabilizer chain, ...) is cached in
     `_derived` on first use.  Rings that `product_ring` and Z_n's
     constructor build know their order, zero and one up front and build
-    their tables on the first read of `add_table` or `mul_table`; their
-    builder holds the factors or n, never the ring, and is dropped once it
-    has run.  A ring with recorded factors answers `units` and
-    `prime_subring` from theirs, so neither builds its tables.
+    their tables on the first read of `add_table` or `mul_table`, through
+    the same check; their builder holds the factors or n, never the ring,
+    and is dropped once it has run.  A ring with recorded factors answers
+    `units` and `prime_subring` from theirs, so neither builds its tables.
     """
 
     add_table = _DeferredTable()
@@ -135,14 +145,13 @@ class FiniteRing:
     def __init__(self, add_table, mul_table, zero, one, presentation, element_names):
         """`element_names` is a sequence, or a zero-argument callable that
         returns one; a callable runs on the first read of `element_names`."""
-        add_table = np.ascontiguousarray(add_table)
-        self._setup(add_table.shape[0], zero, one, presentation, element_names, None)
+        self._setup(len(np.atleast_1d(add_table)), zero, one, presentation, element_names, None)
         self._set_tables(add_table, mul_table)
 
     @classmethod
     def _deferred(cls, order, build_tables, zero, one, presentation, element_names):
-        """A ring of `order` whose tables are `build_tables()`, run on the
-        first read of either; they must be in `_table_dtype(order)`."""
+        """A ring of `order` whose tables are `build_tables()`, run and
+        checked on the first read of either."""
         ring = cls.__new__(cls)
         ring._setup(order, zero, one, presentation, element_names, build_tables)
         return ring
@@ -151,23 +160,25 @@ class FiniteRing:
         # both paths set the attributes in one order, the tables last, so
         # instances keep CPython's shared attribute layout
         self.order = order
-        self.zero = int(zero)
-        self.one = int(one)
+        self.zero, self.one = int(zero), int(one)
+        if not (0 <= self.zero < order and 0 <= self.one < order):
+            raise ValueError(f"zero and one must lie in 0..{order - 1}")
         self.presentation = presentation
         self._names = element_names if callable(element_names) else tuple(element_names)
         self._derived: dict = {}
         self._build_tables = build_tables
 
     def _set_tables(self, add_table, mul_table):
-        add_table = np.ascontiguousarray(add_table)
-        mul_table = np.ascontiguousarray(mul_table)
         n = self.order
-        if add_table.shape != (n, n) or mul_table.shape != (n, n):
-            raise ValueError("operation tables must be square and equally sized")
-        add_table.setflags(write=False)
-        mul_table.setflags(write=False)
-        self.add_table = add_table
-        self.mul_table = mul_table
+        tables = []
+        for table in (add_table, mul_table):
+            table = _carrier_array(table, n, "operation table entries")
+            if table.shape != (n, n):
+                raise ValueError("operation tables must be square and equally sized")
+            table = np.ascontiguousarray(table, dtype=_table_dtype(n))
+            table.setflags(write=False)
+            tables.append(table)
+        self.add_table, self.mul_table = tables
         self._build_tables = None
 
     # -- basic arithmetic ---------------------------------------------------
@@ -540,11 +551,9 @@ def product_ring(factors, presentation=None) -> FiniteRing:
     cycle forms.  The stabilizer chain search and `decompose_local` fold
     them for themselves (`_working_ring`) and leave the product's deferred.
 
-    The ring records its factors when their tables are in the table dtype,
-    as every built ring's are; a factor whose tables are deferred will be,
-    so it is not built to check.  The product's units, prime subring
-    (see `FiniteRing`), local factors and fingerprints then come from
-    theirs, with no scan of its tables:
+    The ring records its factors, and its units, prime subring (see
+    `FiniteRing`), local factors and fingerprints come from theirs, with no
+    scan of its tables:
 
     - A finite commutative ring is a product of local rings in one way up
       to isomorphism and order (Atiyah & Macdonald, Thm 8.7), and its local
@@ -583,12 +592,7 @@ def product_ring(factors, presentation=None) -> FiniteRing:
         return _fold([f.add_table for f in factors], dt), _fold([f.mul_table for f in factors], dt)
 
     ring = FiniteRing._deferred(q, tables, zero, one, presentation, names)
-    if all(
-        f._build_tables is not None
-        or f.add_table.dtype == f.mul_table.dtype == _table_dtype(f.order)
-        for f in factors
-    ):
-        ring._derived["factors"] = tuple(factors)
+    ring._derived["factors"] = tuple(factors)
     return ring
 
 
@@ -986,8 +990,8 @@ def decompose_local(ring: FiniteRing):
     only.  They equal the rings a scan builds: the nonzero coordinate of
     eR = (0, .., e_j F_j, .., 0) runs through e_j F_j in ascending index,
     since the encoding is monotone in each coordinate, so the ranks in eR
-    are the ranks in e_j F_j, the labels of F_j's own factor.  Any other
-    ring, Z_n included, is scanned.
+    are the ranks in e_j F_j, the labels of F_j's own factor.  A Z_{p^a} is
+    its own factor with no scan, and any other ring, Z_n included, is scanned.
     """
     from .autsearch import RingMorphism, identity_automorphism
 
@@ -1016,12 +1020,16 @@ def _local_split(ring: FiniteRing) -> tuple | None:
 
     The cache must not refer back to the ring, or every ring that was
     decomposed lives until the cyclic collector runs.  A product splits by
-    its recorded factors, and any other ring by `_split_by_idempotents`.
+    its recorded factors.  A Z_{p^a} (its own prime subring, of prime-power
+    order) is local, so it is its own factor with no scan.  Any other ring
+    splits by `_split_by_idempotents`.
     """
 
     def build():
         factors = ring._derived.get("factors")
         if factors is None:
+            if ring.characteristic == ring.order and prime_power(ring.order):
+                return None
             return _split_by_idempotents(ring)
         orders = [f.order for f in factors]
         pieces = []
@@ -1049,10 +1057,9 @@ def _split_by_idempotents(ring: FiniteRing) -> tuple | None:
         carrier = np.unique(ring.mul_table[:, e])
         inv = np.full(ring.order, -1, dtype=np.int64)
         inv[carrier] = np.arange(len(carrier))
-        dt = _table_dtype(len(carrier))
         piece = FiniteRing(
-            inv[ring.add_table[np.ix_(carrier, carrier)]].astype(dt),
-            inv[ring.mul_table[np.ix_(carrier, carrier)]].astype(dt),
+            inv[ring.add_table[np.ix_(carrier, carrier)]],
+            inv[ring.mul_table[np.ix_(carrier, carrier)]],
             int(inv[ring.zero]),
             int(inv[e]),
             None,
@@ -1063,10 +1070,20 @@ def _split_by_idempotents(ring: FiniteRing) -> tuple | None:
 
 
 def _sorted_split(pieces: list) -> tuple | None:
-    """(piece, idempotent) pairs in decomposition order, or None for fewer than two."""
+    """(piece, idempotent) pairs in decomposition order, or None for fewer than two.
+
+    The order is by piece order, table digest, then idempotent.  One piece
+    has one digest, so digests are read only where one order has two pieces.
+    """
     if len(pieces) <= 1:
         return None
-    return tuple(sorted(pieces, key=lambda t: (t[0].order, t[0].table_digest(), t[1])))
+
+    def key(pair):
+        piece, e = pair
+        rival = any(p is not piece and p.order == piece.order for p, _ in pieces)
+        return piece.order, piece.table_digest() if rival else "", e
+
+    return tuple(sorted(pieces, key=key))
 
 
 def _names_at(source, carrier: np.ndarray):

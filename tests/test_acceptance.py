@@ -126,9 +126,7 @@ def test_criterion_08_planarity(catalog64):
 
 def test_criterion_09_field_extension():
     with criterion(9, "subfield-fixing connectivity only at (q,t) = (2,2)", 10):
-        report = rg.verify_field_extension_connectivity(
-            max_q=5, max_t=3, max_field_order=256
-        )
+        report = rg.verify_field_extension_connectivity()
         assert report.passed, report.counterexamples
         assert report.checked == 8  # q in {2,3,4,5}, t in {2,3}
 

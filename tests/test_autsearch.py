@@ -110,6 +110,41 @@ def test_is_homomorphism_examples():
     assert frob.is_homomorphism and frob.is_bijective
 
 
+def test_maps_and_groups_reject_images_that_are_not_integers():
+    z3 = rg.make_ring(rg.Zn(3))
+    with pytest.raises(ValueError, match="integers"):
+        rg.RingMorphism(z3, z3, [0.0, 1.9, 2.2])  # not the identity
+    with pytest.raises(ValueError, match="integers"):
+        rg.RingMorphism(z3, z3, [False, True, True])
+    f4 = rg.make_ring(rg.gf(4))
+    images = rg.automorphisms(f4)._images
+    with pytest.raises(ValueError, match="integers"):
+        rg.AutGroup(f4, images.astype(float))
+    with pytest.raises(ValueError, match="integers"):
+        rg.AutGroup(f4, images, [images[1] + 0.25])
+
+
+def test_subgroup_closure_checks_its_generators_with_one_plan(monkeypatch):
+    ring = rg.make_ring(rg.SquareZero(rg.Zn(2), 2))
+    group = rg.automorphisms(ring)
+    plans = _count_plans(monkeypatch)
+    closure = rg.subgroup_closure(ring, group.elements[1:])
+    assert closure.order == group.order and len(plans) == 1
+    assert rg.subgroup_closure(ring, []).order == 1 and len(plans) == 1
+    z4 = rg.make_ring(rg.Zn(4))
+    not_unital = rg.RingMorphism(z4, z4, [0, 3, 2, 1])
+    for gens in ([not_unital], [rg.identity_automorphism(z4), not_unital]):
+        with pytest.raises(rg.NotAutomorphism):
+            rg.subgroup_closure(z4, gens)
+    # (a, v) -> (a, 0) is a unital homomorphism of SZ(Z2,2), but not injective
+    onto_base = rg.RingMorphism(ring, ring, np.arange(ring.order) % 2)
+    assert onto_base.is_homomorphism
+    with pytest.raises(rg.NotAutomorphism):
+        rg.subgroup_closure(ring, [onto_base])
+    with pytest.raises(rg.NotAutomorphism):
+        rg.subgroup_closure(ring, [rg.identity_automorphism(z4)])
+
+
 def test_compose_and_inverse_laws():
     f4 = rg.make_ring(rg.gf(4))
     frob = rg.RingMorphism(f4, f4, [f4.pow(x, 2) for x in range(4)])
@@ -247,9 +282,12 @@ def test_soundness_and_prime_subring_fixing(entries32):
     for entry in entries32:
         ring = entry.ring
         group = rg.automorphisms(ring)
+        # every listed map at once, by the full O(n^2) table check
+        images = np.stack([sigma.image for sigma in group])
+        assert table_homomorphism(ring, ring, images).all(), str(entry.expr)
         chain = ring.prime_subring
         for sigma in group:
-            assert sigma.is_homomorphism and sigma.is_bijective
+            assert sigma.is_bijective
             for x in chain:
                 assert sigma(x) == x, str(entry.expr)
 

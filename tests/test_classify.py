@@ -7,7 +7,7 @@ import pytest
 import ringgraph as rg
 from _oracle import table_homomorphism
 from ringgraph import classify, cli, rings
-from ringgraph.expr import is_prime, poly_is_irreducible, poly_is_primary, prime_power
+from ringgraph.expr import expr_order, is_prime, poly_is_irreducible, poly_is_primary, prime_power
 
 
 def test_catalog_order_2():
@@ -168,7 +168,7 @@ def test_candidates_left_out_are_isomorphic_to_a_catalog_entry(monkeypatch):
         return entry
 
     counts = {"polyquot": [0, 0, 0], "squarezero": [0, 0, 0]}
-    for family, expr in classify._family_candidates(128, False):
+    for family, expr in classify._family_candidates(128):
         if family not in counts:
             continue
         counts[family][0] += 1
@@ -201,7 +201,7 @@ def test_candidates_left_out_are_isomorphic_to_a_catalog_entry(monkeypatch):
 def test_local_quotient_criterion_matches_the_idempotent_scan():
     # Z_{p^a}[x]/(f) is local iff f mod p is a power of one monic irreducible
     agree, non_local = 0, 0
-    for family, expr in classify._family_candidates(256, False):
+    for family, expr in classify._family_candidates(256):
         pp = prime_power(expr.n) if family == "polyquot" else None
         if not pp:
             continue
@@ -258,10 +258,9 @@ def test_affine_orbit_minima_match_plain_expansion(n, d):
     assert table.tolist() == expected
 
 
-def test_catalog_includes_trivial_ring_only_on_request():
+def test_catalog_leaves_out_the_trivial_ring():
     assert all(e.ring.order > 1 for e in rg.build_catalog(8).entries)
-    with_one = rg.build_catalog(8, include_trivial=True)
-    assert any(e.ring.order == 1 for e in with_one.entries)
+    assert min(expr_order(e) for _, e in classify._family_candidates(8)) == 2
 
 
 def test_catalog_max_order_cap():
@@ -319,8 +318,9 @@ def test_involution_spot_cases():
     assert sorted(g5.element_order(s) for s in g5) == [1, 2, 4, 4]
 
 
-def test_field_extension_examples():
-    rep = rg.verify_field_extension_connectivity(max_q=3, max_t=3)
+def test_field_extension_examples(monkeypatch):
+    monkeypatch.setattr(classify, "_EXT_Q", 3)
+    rep = rg.verify_field_extension_connectivity()
     assert rep.passed and rep.checked == 4  # (2,2) (2,3) (3,2) (3,3)
     f8 = rg.make_ring(rg.gf(8))
     subfield = {x for x in range(8) if f8.pow(x, 2) == x}
@@ -335,10 +335,9 @@ def test_residue_remark_spot_cases():
 
 
 def test_type_formula_input_validation():
-    with pytest.raises(ValueError):
-        rg.verify_type_formulas(n_list=(4,))
-    with pytest.raises(ValueError):
-        rg.verify_type_formulas(symmetric_samples=((2, 1, 2),))
+    # the samples meet the preconditions of the formulas they check
+    assert all(n % 2 == 1 for n in classify._DUAL_ODD_MODULI)
+    assert all(m < p**k for p, k, m in classify._SYMMETRIC_POWERS)
 
 
 def test_degree_product_rule_reports_the_first_failing_pair(monkeypatch):
@@ -351,10 +350,10 @@ def test_degree_product_rule_reports_the_first_failing_pair(monkeypatch):
         return rg.aut_orbit_graph(ring, budget=budget)
 
     monkeypatch.setattr(classify, "aut_orbit_graph", discrete_products)
-    report = rg.verify_type_formulas(
-        p_list=(), n_list=(), symmetric_samples=(), field_orders=(),
-        product_pairs=((rg.gf(4), rg.gf(8)),),
-    )
+    for samples in ("_DUAL_PRIMES", "_DUAL_ODD_MODULI", "_SYMMETRIC_POWERS", "_TYPE_FIELDS"):
+        monkeypatch.setattr(classify, samples, ())
+    monkeypatch.setattr(classify, "_LOCAL_PAIRS", ((rg.gf(4), rg.gf(8)),))
+    report = rg.verify_type_formulas()
     assert report.counterexamples == (
         (rg.Prod((rg.gf(4), rg.gf(8))), "degree product rule fails at element pair (0, 2)"),
     )
@@ -382,7 +381,9 @@ def test_units_connected_records_non_local_observations():
 
 
 def test_verify_with_trivial_ring_included():
-    cat = rg.build_catalog(8, include_trivial=True)
+    # a catalog built by hand may hold the zero ring, which the sweep skips
+    trivial = classify.CatalogEntry(rg.Zn(1), rg.make_ring(rg.Zn(1)), "zn")
+    cat = classify.Catalog(8, (trivial,) + rg.build_catalog(8).entries)
     rep = rg.verify_trivial_aut_classification(cat)
     assert rep.passed
     assert rep.checked == len(cat.entries) - 1  # zero ring skipped

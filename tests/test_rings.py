@@ -160,7 +160,7 @@ def test_tables_match_independent_reference():
 
     from _oracle import reference_ring
 
-    exprs = [e for _, e in _family_candidates(32, include_trivial=True)] + list(_REFERENCE_EXTRA)
+    exprs = [rg.Zn(1)] + [e for _, e in _family_candidates(32)] + list(_REFERENCE_EXTRA)
     for expr in exprs:
         ring, ref = rg.make_ring(expr), reference_ring(expr)
         assert np.array_equal(ring.add_table, ref.add), str(expr)
@@ -292,16 +292,49 @@ def test_tables_at_the_dtype_boundaries_keep_their_digests(cold_ring_cache):
             _assert_in_table_dtype(piece, repr(piece))
 
 
-def test_product_of_factors_outside_the_table_dtype_scans():
+def test_product_of_a_factor_given_wide_tables_records_it():
+    # a ring stores its tables in the table dtype, whatever it was given
     z2 = rg.make_ring(rg.Zn(2))
     wide = rg.FiniteRing(z2.add_table.astype(np.int64), z2.mul_table.astype(np.int64), 0, 1,
                          None, ["0", "1"])
+    _assert_in_table_dtype(wide, "Z2 from int64 tables")
     ring = rg.product_ring([wide, rg.make_ring(rg.Zn(3))])
-    assert "factors" not in ring._derived
-    factors, _ = rg.decompose_local(ring)
-    assert [f.add_table.dtype for f in factors] == [np.int8, np.int8]
+    assert ring._derived["factors"][0] is wide
+    _assert_product_matches_scan(ring, "Z2 from int64 tables x Z3")
+    assert rg.decompose_local(ring)[0][0] is wide
     nested = rg.product_ring([rg.make_ring(rg.Zn(6)), rg.make_ring(rg.gf(4))])
     _assert_product_matches_scan(nested, "Z6 x GF(4), unnamed")
+
+
+def test_tables_zero_and_one_are_checked_on_construction():
+    add, mul = rings._cyclic_tables(3)
+    wrong = [
+        (add.astype(float), mul, 0, 1),
+        (add, mul.astype(float), 0, 1),
+        (add.astype(bool), mul, 0, 1),
+        (np.where(add == 2, -1, add), mul, 0, 1),
+        (add, np.where(mul == 2, 3, mul), 0, 1),
+        (add, mul, 3, 1),
+        (add, mul, 0, 3),
+        (add, mul, -1, 1),
+        (np.array(0), np.array(0), 0, 0),  # 0-d tables
+    ]
+    for a, m, zero, one in wrong:
+        with pytest.raises(ValueError):
+            rg.FiniteRing(a, m, zero, one, None, ["0", "1", "2"])
+    with pytest.raises(ValueError):
+        rings.FiniteRing._deferred(3, lambda: (add, mul), 5, 1, None, [])
+    # in range and integer, in any integer dtype: stored in the table dtype
+    ring = rg.FiniteRing(add.astype(np.uint16), mul.tolist(), 0, 1, None, ["0", "1", "2"])
+    _assert_in_table_dtype(ring, "Z3 from uint16 and list tables")
+    assert np.array_equal(ring.add_table, add) and np.array_equal(ring.mul_table, mul)
+
+
+def test_local_factors_of_a_product_build_no_factor_table(cold_ring_cache):
+    ring = rg.make_ring(rg.Prod((rg.Zn(2), rg.Zn(3))))
+    factors = ring._derived["factors"]
+    assert rings._local_factors(ring) == list(factors)
+    assert not any(map(_tables_built, factors))
 
 
 def test_product_pieces_carry_their_factors_names():
@@ -469,7 +502,7 @@ def test_fingerprints_match_plain_computation_on_family_rings():
     from _oracle import naive_fingerprint
     from ringgraph.classify import _family_candidates
 
-    for _, expr in _family_candidates(32, include_trivial=True):
+    for expr in [rg.Zn(1)] + [e for _, e in _family_candidates(32)]:
         ring = rg.make_ring(expr)
         plain = [naive_fingerprint(ring, x) for x in range(ring.order)]
         assert list(ring.fingerprints) == plain, str(expr)
@@ -615,15 +648,19 @@ def test_deferred_tables_are_checked_on_first_read():
     wrong = [
         (4, lambda: z3),  # 3-by-3 tables for a ring of order 4
         (3, lambda: (z3[0], z3[1][:2])),
-        (3, lambda: tuple(t.astype(np.int64) for t in z3)),  # not the table dtype
+        (3, lambda: (z3[0], z3[1] + 1)),  # an entry 3
+        (3, lambda: (z3[0].astype(float), z3[1])),
     ]
     for order, build in wrong:
         ring = rings.FiniteRing._deferred(order, build, 0, 1, None, [])
         for _ in range(2):  # a failed build keeps the builder, so it fails again
             with pytest.raises(ValueError):
                 ring.mul_table
-    ring = rings.FiniteRing._deferred(3, lambda: z3, 0, 1, None, [])
-    assert np.array_equal(ring.add_table, z3[0]) and np.array_equal(ring.mul_table, z3[1])
+    # tables built in a wider dtype are stored in the table dtype
+    for build in (lambda: z3, lambda: tuple(t.astype(np.int64) for t in z3)):
+        ring = rings.FiniteRing._deferred(3, build, 0, 1, None, [])
+        assert np.array_equal(ring.add_table, z3[0]) and np.array_equal(ring.mul_table, z3[1])
+        _assert_in_table_dtype(ring, "Z3")
     # a product of no rings is refused at once, not on its first read
     with pytest.raises(ValueError):
         rg.product_ring([])
