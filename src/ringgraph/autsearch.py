@@ -220,6 +220,9 @@ class _Engine:
         used = np.zeros(self.target.order, dtype=bool)
         used[row[self.plan[i - 1].elements]] = True
         cands = cands[~used[cands]]
+        # each candidate is a node, so a batch over the budget raises
+        # before it is allocated; the level's final count is no smaller
+        _check_budget(self.nodes + len(cands), self.budget)
         rows = np.repeat(row[None, :], len(cands), axis=0)
         rows[:, level.gen] = cands
         nodes = len(rows)

@@ -80,17 +80,22 @@ field, SZ over a local base, a quotient whose f mod p is a power of one
 irreducible) is local, and is classified as its own single factor.
 
 `make_ring` returns the one ring of an expression only while something
-holds it.  The catalog holds the first ring of each local class until it
-returns, and products are built from exactly those, so a product shares
-its factors, with their fingerprints, and no expression is built twice.
-Any other candidate ring is freed once it is classified, and a ring a
-sweep builds for one check is freed after it, unless the catalog holds it.
+holds it.  The catalog's local entries hold the first ring of each local
+class.  A product's class key is made of its factors' class ids, so the
+catalog never builds a product: its entry builds `make_ring(expr)` on the
+first read of `ring`, and keeps it.  The factors of that ring are looked up
+by expression while the catalog holds them, so a product shares the ring
+of each local entry it names, with its fingerprints, and no expression is
+built twice.  Any other candidate ring is freed once it is classified,
+and a ring a sweep builds for one check is freed after it, unless the
+catalog holds it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -161,9 +166,21 @@ THEOREM_IDS = tuple(SWEEPS)
 
 @dataclass(frozen=True)
 class CatalogEntry:
+    """One isomorphism class of the catalog: its representative expression,
+    its ring, and the family that supplied it.
+
+    A product entry (provenance "product") is given no ring, and `ring` is
+    `make_ring(expr)`, built on the first read and kept on the entry.
+    Every other entry is given the ring that classification built.
+    """
+
     expr: RingExpr
-    ring: FiniteRing
+    _ring: FiniteRing | None = field(repr=False, compare=False)
     provenance: str
+
+    @cached_property
+    def ring(self) -> FiniteRing:
+        return make_ring(self.expr) if self._ring is None else self._ring
 
 
 @dataclass(frozen=True)
@@ -172,7 +189,14 @@ class Catalog:
     entries: tuple[CatalogEntry, ...]
 
     def local_entries(self):
-        return tuple(e for e in self.entries if local_structure(e.ring).is_local)
+        """The entries whose ring is local.  A product of two or more local
+        factors of order above 1 is not local (`local_structure`), so a
+        product entry is skipped before its ring is read or built."""
+        return tuple(
+            e
+            for e in self.entries
+            if e.provenance != "product" and local_structure(e.ring).is_local
+        )
 
 
 @dataclass(frozen=True)
@@ -332,7 +356,9 @@ def build_catalog(max_order: int = 64, budget=None) -> Catalog:
     Entries are isomorphism classes; the representative expression is the
     first hit in family priority order (Z_n, fields, products, quotients,
     square-zero), and the final listing is sorted by order then by the
-    canonical expression string.
+    canonical expression string.  Only the candidates classified are
+    built: a product's class key comes from its factors' class ids, so a
+    product entry builds its ring on the first read of `entry.ring`.
 
     Candidates that cannot change the result are skipped before they are
     built, with the same result as classifying them (proofs in the module
@@ -412,8 +438,7 @@ def build_catalog(max_order: int = 64, budget=None) -> Catalog:
         if len(chosen) >= 2:
             key = tuple(sorted(cid for cid, _ in chosen))
             if wins(key, "product"):
-                prod_expr = Prod(tuple(e for _, e in chosen))
-                offer(key, "product", prod_expr, make_ring(prod_expr))
+                offer(key, "product", Prod(tuple(e for _, e in chosen)), None)
         for i in range(start, len(locals_sorted)):
             cid, expr, ring = locals_sorted[i]
             if order * ring.order > max_order:
@@ -425,7 +450,7 @@ def build_catalog(max_order: int = 64, budget=None) -> Catalog:
     expand(0, [], 1)
 
     entries = [CatalogEntry(expr, ring, family) for _, expr, ring, family in best.values()]
-    entries.sort(key=lambda e: (e.ring.order, str(e.expr)))
+    entries.sort(key=lambda e: (expr_order(e.expr), str(e.expr)))
     return Catalog(max_order, tuple(entries))
 
 

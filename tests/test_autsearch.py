@@ -369,6 +369,20 @@ def test_budget_counts_element_images_in_search_and_listing():
     assert rg.automorphisms(fresh_copy(ring), budget=48).order == 6
 
 
+def test_budget_is_charged_before_a_batch_is_allocated(monkeypatch):
+    # SZ(GF(4),2): the chain's first level offers more candidates than the
+    # budget allows, so it raises with no candidate rows built
+    ring = rg.make_ring(rg.SquareZero(rg.gf(4), 2))
+    batches = []
+    repeat = np.repeat
+    monkeypatch.setattr(np, "repeat", lambda *a, **k: batches.append(a) or repeat(*a, **k))
+    for budget in (0, 1, 2):
+        with pytest.raises(rg.SearchBudgetExceeded):
+            rg.aut_group_order(fresh_copy(ring), budget=budget)
+    assert batches == []
+    assert rg.aut_group_order(fresh_copy(ring)) == 360 and batches
+
+
 def _answers(query, ring, budget) -> bool:
     try:
         query(ring, budget=budget)

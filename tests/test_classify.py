@@ -126,6 +126,41 @@ def test_catalog_scans_no_field_fingerprints(cold_ring_cache):
     assert "fingerprint_keys" in fields[0].ring._derived
 
 
+def _count_constructions(monkeypatch):
+    built = []
+    construct = rings._construct_ring
+    monkeypatch.setattr(rings, "_construct_ring", lambda expr: built.append(expr) or construct(expr))
+    return built
+
+
+def test_catalog_and_local_entries_build_no_product(monkeypatch, cold_ring_cache):
+    built = _count_constructions(monkeypatch)
+    cat = rg.build_catalog(128)
+    assert len(built) == 185
+    assert not [str(e) for e in built if isinstance(e, rg.Prod)]
+    products = [e for e in cat.entries if e.provenance == "product"]
+    assert len(products) == 648
+    assert len(cat.local_entries()) == 100
+    assert len(built) == 185
+
+
+def test_product_entry_builds_its_ring_from_the_local_entries(monkeypatch, cold_ring_cache):
+    cat = rg.build_catalog(128)
+    built = _count_constructions(monkeypatch)
+    named = {e.expr: e for e in cat.entries}
+    products = [e for e in cat.entries if e.provenance == "product"]
+    for entry in products:
+        ring = entry.ring
+        assert ring is rg.make_ring(entry.expr) and entry.ring is ring, str(entry.expr)
+        factors = ring._derived["factors"]
+        assert len(factors) == len(entry.expr.factors) >= 2, str(entry.expr)
+        for expr, factor in zip(entry.expr.factors, factors):
+            assert named[expr].provenance != "product", str(entry.expr)
+            assert factor is named[expr].ring, str(entry.expr)
+    # each product is built once, on its first read, and nothing else is
+    assert built == [e.expr for e in products]
+
+
 def _modulus_code(expr):
     return sum(c * expr.n**i for i, c in enumerate(expr.modulus[:-1]))
 

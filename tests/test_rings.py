@@ -683,7 +683,8 @@ def test_deferred_ring_leaves_no_reference_cycle():
 
 def test_catalog_builds_each_expression_once(monkeypatch, cold_ring_cache):
     # a product reuses its live factors, and a ring is built again only
-    # after it was freed, so no expression of the catalog is built twice
+    # after it was freed, so no expression of the catalog is built twice;
+    # the catalog builds no product, and reading the entries builds them
     built = []
     construct = rings._construct_ring
 
@@ -692,7 +693,10 @@ def test_catalog_builds_each_expression_once(monkeypatch, cold_ring_cache):
         return construct(expr)
 
     monkeypatch.setattr(rings, "_construct_ring", counting)
-    rg.build_catalog(256)
+    cat = rg.build_catalog(256)
+    assert len(built) == len(set(built)) == 335
+    for entry in cat.entries:
+        entry.ring
     assert len(built) == len(set(built)) == 2048
 
 
