@@ -21,7 +21,8 @@ when `automorphisms` lists the group.
 
 Each operation builds the closure plan and certificate it reads with
 `rings._build_plan` and drops them when it returns.  A ring caches the
-`_Chain` record of its search, and the group once `automorphisms` lists it.
+`_Chain` record of its search, and the group once `automorphisms` lists it,
+both read-only in its table dtype (`rings._frozen`).
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from .errors import (
     SearchBudgetExceeded,
 )
 from . import rings
-from .rings import FiniteRing, _carrier_array, _fingerprint_keys, _working_ring
+from .rings import FiniteRing, _carrier_array, _fingerprint_keys, _frozen, _working_ring
 
 __all__ = [
     "DEFAULT_SEARCH_BUDGET",
@@ -341,24 +342,23 @@ class AutGroup:
         return True
 
     def element_order(self, sigma) -> int:
-        """Order of one automorphism, as the cycle lcm of its permutation."""
-        if isinstance(sigma, RingMorphism):
-            img = sigma.image
-        else:
-            img = self._images[sigma]
-        seen = np.zeros(len(img), dtype=bool)
-        out = 1
-        for start in range(len(img)):
-            if seen[start]:
-                continue
-            length = 0
-            x = start
-            while not seen[x]:
-                seen[x] = True
-                x = int(img[x])
-                length += 1
-            out = math.lcm(out, length)
-        return out
+        """Order of one automorphism, as the cycle lcm of its permutation.
+
+        Every point walks its cycle at once, `cur` holding where each has
+        got to, and leaves the walk when it is back at its start, so the
+        steps at which some point returns are the cycle lengths, and the
+        loop runs as many times as the longest cycle is long.
+        """
+        img = sigma.image if isinstance(sigma, RingMorphism) else self._images[sigma]
+        point = np.arange(len(img))
+        cur, step, lengths = img, 1, set()
+        while len(point):
+            back = cur == point
+            if back.any():
+                lengths.add(step)
+                point, cur = point[~back], cur[~back]
+            cur, step = img[cur], step + 1
+        return math.lcm(*lengths)
 
     def orbit(self, x: int) -> frozenset[int]:
         x = self.ring._check(x)
@@ -406,17 +406,22 @@ class _Chain:
     """What the stabilizer chain search of a ring leaves on it.
 
     `orbits[i-1]` is the basic orbit of generator g_i, `strong` the maps the
-    search found, `labels` each element's least Aut R orbit-mate (read-only)
-    and `nodes` the largest count any budget scope reached.
+    search found, `labels` each element's least Aut R orbit-mate and
+    `nodes` the largest count any budget scope reached.  Every array is
+    narrowed once, here, to the ring's table dtype and made read-only
+    (`rings._frozen`); the search itself works in int64.
     """
 
-    orbits: list
-    strong: list
+    orbits: tuple
+    strong: tuple
     labels: np.ndarray
     nodes: int
 
     def __post_init__(self):
-        self.labels.setflags(write=False)
+        n = len(self.labels)
+        for name in ("orbits", "strong"):
+            object.__setattr__(self, name, tuple(_frozen(a, n) for a in getattr(self, name)))
+        object.__setattr__(self, "labels", _frozen(self.labels, n))
 
 
 def _stabilizer_chain(ring: FiniteRing, budget=None) -> _Chain:
@@ -479,7 +484,7 @@ def _stabilizer_chain(ring: FiniteRing, budget=None) -> _Chain:
 
     def build():
         if ring.characteristic == ring.order:
-            return _Chain([], [], np.arange(ring.order), 0)
+            return _Chain((), (), np.arange(ring.order), 0)
         return _search_chain(_working_ring(ring), budget)
 
     chain = ring._get("aut_chain", build)
@@ -542,6 +547,9 @@ def automorphisms(ring: FiniteRing, budget=None) -> AutGroup:
     """The full automorphism group as an explicit, verified element list.
 
     Each element is r_1 .. r_k, r_i from a transversal of G_i in G_{i-1}.
+    The ring caches the listing read-only in its table dtype, an
+    |Aut R|-by-|R| array, and the group each call returns holds an int64
+    copy, since its lookup keys are int64 bytes.
     """
     chain = _stabilizer_chain(ring, budget)
     # the listing writes |R| element images per automorphism
@@ -565,7 +573,7 @@ def automorphisms(ring: FiniteRing, budget=None) -> AutGroup:
     if not _certify(ring, ring, stack, cert).all():  # pragma: no cover - closure of verified maps
         raise RuntimeError("internal error: transversal product is not an automorphism")
     group = AutGroup(ring, stack, chain.strong)
-    ring._derived["aut_group"] = group._images
+    ring._derived["aut_group"] = _frozen(group._images, ring.order)
     return group
 
 

@@ -30,6 +30,11 @@ int8 below order 128, int16 below 2^15, int32 above.  Every builder
 computes in it, so each intermediate value and constant must fit.  Folds
 and digit rows stay in [0, n).  Z_n's tables are built in [-n, n) and add
 or subtract n itself, so Z_128 needs int16 although its entries fit int8.
+The same rule holds for every array of elements a ring caches, through
+`_frozen`: its units (an ascending index array, `_unit_indices`), its
+negation map, and, in `autsearch`, its stabilizer chain record and a
+listed automorphism group.  All of them are read-only, so no caller can
+change a cached answer.
 """
 
 from __future__ import annotations
@@ -88,6 +93,15 @@ def _table_dtype(n: int):
     return np.int16 if n < 2**15 else np.int32
 
 
+def _frozen(values, n: int) -> np.ndarray:
+    """`values`, elements of a ring of order n, as the read-only array in
+    `_table_dtype(n)` that the ring keeps.  An array already in that dtype
+    is not copied, and becomes read-only itself."""
+    values = np.ascontiguousarray(values, dtype=_table_dtype(n))
+    values.setflags(write=False)
+    return values
+
+
 def _carrier_array(values, n: int, what: str) -> np.ndarray:
     """`values` as an array of elements of the carrier 0..n-1: ValueError
     unless its dtype is an integer one and every entry lies in that range."""
@@ -131,7 +145,8 @@ class FiniteRing:
 
     Instances are immutable after construction and safe to share; derived
     data (units, fingerprints, the stabilizer chain, ...) is cached in
-    `_derived` on first use.  Rings that `product_ring` and Z_n's
+    `_derived` on first use, every array of elements read-only in the
+    table dtype too (`_frozen`).  Rings that `product_ring` and Z_n's
     constructor build know their order, zero and one up front and build
     their tables on the first read of `add_table` or `mul_table`, through
     the same check; their builder holds the factors or n, never the ring,
@@ -175,9 +190,7 @@ class FiniteRing:
             table = _carrier_array(table, n, "operation table entries")
             if table.shape != (n, n):
                 raise ValueError("operation tables must be square and equally sized")
-            table = np.ascontiguousarray(table, dtype=_table_dtype(n))
-            table.setflags(write=False)
-            tables.append(table)
+            tables.append(_frozen(table, n))
         self.add_table, self.mul_table = tables
         self._build_tables = None
 
@@ -228,7 +241,9 @@ class FiniteRing:
 
     @property
     def _neg(self):
-        return self._get("neg", lambda: np.argmax(self.add_table == self.zero, axis=1))
+        return self._get(
+            "neg", lambda: _frozen(np.argmax(self.add_table == self.zero, axis=1), self.order)
+        )
 
     @property
     def characteristic(self) -> int:
@@ -261,21 +276,9 @@ class FiniteRing:
 
     @property
     def units(self) -> frozenset[int]:
-        """The x with xy = 1 for some y.  With recorded factors, x is a unit
-        exactly when every coordinate is, since xy = 1 holds coordinatewise."""
-
-        def build():
-            factors = self._derived.get("factors")
-            if factors is None:
-                return np.flatnonzero((self.mul_table == self.one).any(axis=1))
-            mask = np.ones(1, dtype=bool)
-            for f in factors:  # big-endian mixed radix
-                unit = np.zeros(f.order, dtype=bool)
-                unit[list(f.units)] = True
-                mask = (mask[:, None] & unit).ravel()
-            return np.flatnonzero(mask)
-
-        return self._get("units", lambda: frozenset(build().tolist()))
+        """The x with xy = 1 for some y, as a set built on each read from
+        the ascending array that the ring caches (`_unit_indices`)."""
+        return frozenset(_unit_indices(self).tolist())
 
     @property
     def nilpotents(self) -> frozenset[int]:
@@ -291,7 +294,7 @@ class FiniteRing:
 
     @property
     def is_field(self) -> bool:
-        return len(self.units) == self.order - 1
+        return len(_unit_indices(self)) == self.order - 1
 
     @property
     def fingerprints(self) -> tuple[tuple[int, ...], ...]:
@@ -600,6 +603,27 @@ def product_ring(factors, presentation=None) -> FiniteRing:
 # structural queries
 
 
+def _unit_indices(ring: FiniteRing) -> np.ndarray:
+    """The units of the ring, ascending, as the array it caches (`_frozen`).
+
+    With recorded factors, x is a unit exactly when every coordinate is,
+    since xy = 1 holds coordinatewise, so no table is read.
+    """
+
+    def build():
+        factors = ring._derived.get("factors")
+        if factors is None:
+            return np.flatnonzero((ring.mul_table == ring.one).any(axis=1))
+        mask = np.ones(1, dtype=bool)
+        for f in factors:  # big-endian mixed radix
+            unit = np.zeros(f.order, dtype=bool)
+            unit[_unit_indices(f)] = True
+            mask = (mask[:, None] & unit).ravel()
+        return np.flatnonzero(mask)
+
+    return ring._get("units", lambda: _frozen(build(), ring.order))
+
+
 def local_structure(ring: FiniteRing) -> LocalStructure:
     """Decide whether the non-units form an ideal; if so report (M, |R/M|).
 
@@ -614,16 +638,15 @@ def local_structure(ring: FiniteRing) -> LocalStructure:
         factors = ring._derived.get("factors", ())
         if n == 1 or sum(f.order > 1 for f in factors) >= 2:
             return LocalStructure(False)
-        nonunits = sorted(set(range(n)) - ring.units)
-        mask = np.zeros(n, dtype=bool)
-        mask[nonunits] = True
-        nu = np.array(nonunits, dtype=np.int64)
+        mask = np.ones(n, dtype=bool)
+        mask[_unit_indices(ring)] = False
+        nu = np.flatnonzero(mask)
         closed = bool(mask[ring.add_table[np.ix_(nu, nu)]].all())
         if not closed:
             return LocalStructure(False)
-        m = len(nonunits)
+        m = len(nu)
         assert n % m == 0
-        return LocalStructure(True, frozenset(nonunits), n // m)
+        return LocalStructure(True, frozenset(nu.tolist()), n // m)
 
     return ring._get("local_structure", build)
 

@@ -852,3 +852,62 @@ def test_orbit_sweep_matches_union_find():
                 img[part] = rng.permutation(part)
                 images.append(img)
             assert _blocks(_orbit_labels(n, images)) == reference_orbits(n, images), (n, k)
+
+
+def test_cached_arrays_are_in_the_table_dtype(catalog64):
+    for entry in catalog64.entries:
+        ring = entry.ring
+        rg.aut_group_order(ring)
+        chain = ring._derived["aut_chain"]
+        cached = (*chain.orbits, *chain.strong, chain.labels, rings._unit_indices(ring))
+        dtype = rings._table_dtype(ring.order)
+        assert all(array.dtype == dtype for array in cached), str(entry.expr)
+    ring = fresh_copy(rg.make_ring(rg.SquareZero(rg.Zn(2), 4)))
+    group = rg.automorphisms(ring)
+    listing = ring._derived["aut_group"]
+    assert listing.shape == (20160, 32) and listing.dtype == np.int8
+    assert listing.nbytes == 645_120
+    # a second call rebuilds the group from the narrowed listing
+    again = rg.automorphisms(ring)
+    assert again.elements == group.elements and again._images.dtype == np.int64
+
+
+def test_cached_answers_are_read_only(cold_ring_cache):
+    ring = rg.make_ring(rg.SquareZero(rg.Zn(2), 2))
+    with pytest.raises(ValueError):
+        _stabilizer_chain(ring).strong[0][:] = np.arange(8)
+    z5 = rg.make_ring(rg.Zn(5))
+    with pytest.raises(ValueError):
+        z5._neg[2] = 0
+    assert z5.neg(2) == 3
+    rg.automorphisms(ring)
+    chain = _stabilizer_chain(ring)
+    cached = [*chain.orbits, *chain.strong, chain.labels, rings._unit_indices(ring),
+              ring._derived["aut_group"], ring._neg]
+    for array in cached:
+        with pytest.raises(ValueError):
+            array[...] = 0
+    assert rg.automorphisms(ring).order == 6 and len(ring.units) == 4
+
+
+def _cycle_walk_order(image):
+    """The order of a permutation, walking each cycle element by element."""
+    seen = np.zeros(len(image), dtype=bool)
+    order = 1
+    for start in range(len(image)):
+        length, x = 0, start
+        while not seen[x]:
+            seen[x] = True
+            x = int(image[x])
+            length += 1
+        if length:
+            order = math.lcm(order, length)
+    return order
+
+
+def test_element_order_matches_a_cycle_walk(entries32):
+    for entry in entries32:
+        group = rg.automorphisms(entry.ring)
+        for i, sigma in enumerate(group):
+            want = _cycle_walk_order(sigma.image)
+            assert group.element_order(sigma) == group.element_order(i) == want, (str(entry.expr), i)
