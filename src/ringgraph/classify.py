@@ -8,21 +8,24 @@ samples (module constants) when it reads none, and reports any
 counterexample; the universe is always the constructor families, which
 is provably complete only at orders p and p**2.
 
-Candidates that cannot change the catalog are never built.  A quotient
-Z_n[x]/(f) of degree d is skipped when its affine orbit, the moduli
+Candidates that cannot change the catalog are never generated
+(`_family_candidates`), so none of them is built.  A quotient
+Z_n[x]/(f) of degree d is left out when its affine orbit, the moduli
 u^-d * f(ux + a) for units u and all a in Z_n, holds a smaller code
 sum(c_i * n**i).  Proof that this changes nothing: x -> ux + a is an
 automorphism of Z_n[x] (its inverse is x -> u^-1 (x - a)), so it maps the
 ideal (f) onto (f(ux + a)), which u^-d, a unit, leaves unchanged; hence
 Z_n[x]/(f) is isomorphic to the quotient by the orbit minimum.  That
-quotient is never skipped and comes earlier in the candidate order, so by
-the time f is reached its isomorphism class, its local factors and its
-first hit are all registered, and building f would only repeat them.
-Likewise a product of local classes is built only when its class is
+quotient is never left out by this rule and comes earlier in the candidate
+order, so by the time f would be reached its isomorphism class, its local
+factors and its first hit are all registered, and building f would only
+repeat them.
+Likewise a product of local classes is offered only when its class is
 missing or held by a lower-priority family; a Z_n or field entry of the
 same class always wins.
 
-Two more families are skipped because their class is known in advance.
+Two more kinds of candidate are left out because their class is known
+in advance.
 Z_p[x]/(f) with p prime and f irreducible mod p (its least monic
 divisor, found by trial division as in `expr.poly_is_primary`, is f
 itself) is a field of order p^d, and finite fields of one order are
@@ -30,23 +33,27 @@ isomorphic (Lidl & Niederreiter, *Finite Fields*, Thm 2.5); the `gf`
 family offers GF(p^d) earlier, with priority 1 < 3.  SZ(Z_n, 1) is
 isomorphic to Z_n[x]/(x^2) by a + b*x1 -> a + b*x: both are free
 Z_n-modules on 1 and the variable, whose square is 0 on both sides.  That
-quotient has code 0, so the affine skip never drops it; over a prime
+quotient has code 0, so the affine rule never drops it; over a prime
 power it is primary and not a field, so it is classified (over any other
-n both rings are skipped by the CRT case below), and it comes earlier,
+n both rings are left out by the CRT case below), and it comes earlier,
 with priority 3 < 4.  In the registry, a Z_n (characteristic equal to
 its order) and a field are each fixed up to isomorphism by their order,
 and a field is never isomorphic to a non-field, so their class is the
 first one registered with that order and characteristic, found with no
-fingerprints and no `isomorphism` call.
+fingerprints and no `isomorphism` call.  A `gf` candidate GF(q), q = p^e,
+is therefore filed under the class of (q, p) from its expression, and no
+ring of it is built; only a field that is the base of a square-zero
+candidate is built, once, while the catalog holds it.
 
 Only local candidates are classified.  A finite commutative ring is the
 product of its local factors in one way (Atiyah & Macdonald, Thm 8.7),
 and a non-local candidate changes nothing when its local factors are
 isomorphic to local factors of earlier candidates: then every class it
 would register is registered, and its own class, a product of two or more
-of them with order |R| <= max_order, is one that `expand` reaches and that
-a product (priority 2) takes from a quotient (3) or a square-zero ring
-(4).  This holds for three kinds of candidate:
+of them with order |R| <= max_order, is one that the product loop of
+`build_catalog` reaches and that a product (priority 2) takes from a
+quotient (3) or a square-zero ring (4).  This holds for three kinds of
+candidate:
 
 - Z_n with n = p_1^a_1 .. p_k^a_k is Z_{p_1^a_1} x .. x Z_{p_k^a_k}
   (CRT); `_local_factors_of` returns those earlier candidates, with no
@@ -56,8 +63,7 @@ a product (priority 2) takes from a quotient (3) or a square-zero ring
   of the SZ(Z_{p^a}, m) over p^a || b.  Each factor is a candidate of the
   same family over a smaller base, so it came earlier; it is local, or
   its own local factors are those of earlier candidates by the other
-  cases here and the affine skip.  Both are skipped before their tables
-  are built.
+  cases here and the affine rule.  Neither is generated.
 - Z_{p^a}[x]/(f) is local exactly when f mod p is g^k for one monic
   irreducible g over F_p.  The ideal (p) is nilpotent, so it lies in every
   prime ideal, and the maximal ideals of the ring are those of its
@@ -72,7 +78,7 @@ a product (priority 2) takes from a quotient (3) or a square-zero ring
   factors are those of earlier candidates.  The test reads only f
   (`expr.poly_is_primary`: the least monic divisor of f mod p, found by
   trial division, is irreducible, and f mod p must be its power), so a
-  non-local quotient is skipped before it is built.
+  non-local quotient is never generated.
 
 The factors named in each case have order at most the candidate's, so
 they are all candidates at this max_order.  Every other candidate (a
@@ -81,9 +87,11 @@ irreducible) is local, and is classified as its own single factor.
 
 `make_ring` returns the one ring of an expression only while something
 holds it.  The catalog's local entries hold the first ring of each local
-class.  A product's class key is made of its factors' class ids, so the
-catalog never builds a product: its entry builds `make_ring(expr)` on the
-first read of `ring`, and keeps it.  The factors of that ring are looked up
+class, apart from the fields it did not build.  A product's class key is
+made of its factors' class ids, and a field's is fixed by its order and
+characteristic, so the catalog builds no product and no field but those
+bases: such an entry builds `make_ring(expr)` on the first read of
+`ring`, and keeps it.  The factors of a product's ring are looked up
 by expression while the catalog holds them, so a product shares the ring
 of each local entry it names, with its fingerprints, and no expression is
 built twice.  Any other candidate ring is freed once it is classified,
@@ -93,6 +101,7 @@ catalog holds it.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -107,6 +116,7 @@ from .autsearch import (
 )
 from .errors import OrderLimitExceeded
 from .expr import (
+    GF,
     Prod,
     PolyQuot,
     RingExpr,
@@ -169,9 +179,11 @@ class CatalogEntry:
     """One isomorphism class of the catalog: its representative expression,
     its ring, and the family that supplied it.
 
-    A product entry (provenance "product") is given no ring, and `ring` is
-    `make_ring(expr)`, built on the first read and kept on the entry.
-    Every other entry is given the ring that classification built.
+    A product entry (provenance "product") is given no ring, and neither
+    is a field entry ("gf") unless the field is the base of a square-zero
+    candidate; `ring` is then `make_ring(expr)`, built on the first read
+    and kept on the entry.  Every other entry is given the ring that
+    classification built.
     """
 
     expr: RingExpr
@@ -191,7 +203,9 @@ class Catalog:
     def local_entries(self):
         """The entries whose ring is local.  A product of two or more local
         factors of order above 1 is not local (`local_structure`), so a
-        product entry is skipped before its ring is read or built."""
+        product entry is skipped before its ring is read or built; a field
+        entry's ring is read, and built on that first read if the catalog
+        did not build it."""
         return tuple(
             e
             for e in self.entries
@@ -239,6 +253,10 @@ _FAMILY_PRIORITY = {"zn": 0, "gf": 1, "product": 2, "polyquot": 3, "squarezero":
 
 
 def _family_candidates(max_order: int):
+    """The candidates `build_catalog` classifies, in family priority order:
+    all but those that cannot change the catalog (listed in `build_catalog`,
+    proofs in the module docstring).  The quotient codes of one (n, d)
+    ascend, as in the full enumeration, so every first hit is the same."""
     for n in range(2, max_order + 1):
         yield "zn", Zn(n)
     for q in range(4, max_order + 1):
@@ -249,18 +267,26 @@ def _family_candidates(max_order: int):
         for n in range(2, max_order + 1):
             if n**deg > max_order:
                 break
-            for code in range(n**deg):
+            pp = prime_power(n)
+            if not pp:
+                continue
+            p, a = pp
+            least = _affine_orbit_minima(n, deg)
+            for code in np.flatnonzero(least == np.arange(n**deg)).tolist():
                 coeffs = tuple((code // n**i) % n for i in range(deg)) + (1,)
-                yield "polyquot", PolyQuot(n, coeffs)
+                if poly_is_primary(coeffs, p) and not (a == 1 and poly_is_irreducible(coeffs, p)):
+                    yield "polyquot", PolyQuot(n, coeffs)
     for b in range(2, max_order + 1):
         if b * b > max_order:
             break
-        bases = [Zn(b)]
         pp = prime_power(b)
-        if pp and pp[1] >= 2:
-            bases.append(gf(b))
-        for base in bases:
-            m = 1
+        if not pp:
+            continue
+        # SZ(Z_b, 1) is Z_b[x]/(x^2); SZ(GF(b), 1) has no earlier twin
+        bases = [(Zn(b), 2)]
+        if pp[1] >= 2:
+            bases.append((gf(b), 1))
+        for base, m in bases:
             while b ** (m + 1) <= max_order:
                 yield "squarezero", SquareZero(base, m)
                 m += 1
@@ -288,12 +314,26 @@ def _local_factors_of(expr: RingExpr, ring: FiniteRing) -> list[FiniteRing]:
 
 
 class _LocalRegistry:
-    """Isomorphism classes of the local rings met during catalog construction."""
+    """Isomorphism classes of the local rings met during catalog construction.
+
+    Class ids count up from 0 in the order the classes are registered.  A
+    class fixed by (order, characteristic) keeps no representative ring,
+    since no isomorphism test reads one.
+    """
 
     def __init__(self, budget):
         self.budget = budget
-        self.reps: list[FiniteRing] = []
-        self._probes: dict[tuple, list[int]] = {}
+        self._ids = itertools.count()
+        self._fixed: dict[tuple[int, int], int] = {}
+        self._probes: dict[tuple, list[tuple[int, FiniteRing]]] = {}
+
+    def fixed_class(self, order: int, characteristic: int) -> int:
+        """The class of the Z_n (characteristic equal to the order) or field
+        of this order and characteristic, read from no ring."""
+        key = (order, characteristic)
+        if key not in self._fixed:
+            self._fixed[key] = next(self._ids)
+        return self._fixed[key]
 
     def classify(self, ring: FiniteRing) -> int:
         # a ring whose characteristic is its order is Z_n, and finite fields
@@ -301,20 +341,16 @@ class _LocalRegistry:
         # order fixes the class of both; a field is never isomorphic to a
         # non-field, and `is_field` reads `units`, which a fingerprint scan
         # reads anyway
-        fixed = ring.characteristic == ring.order or ring.is_field
-        probe = (ring.order, ring.characteristic)
-        if not fixed:
-            # rings of one order compare fingerprints by their keys
-            probe += (np.sort(_fingerprint_keys(ring)).tobytes(),)
+        if ring.characteristic == ring.order or ring.is_field:
+            return self.fixed_class(ring.order, ring.characteristic)
+        # rings of one order compare fingerprints by their keys
+        probe = (ring.order, ring.characteristic, np.sort(_fingerprint_keys(ring)).tobytes())
         bucket = self._probes.setdefault(probe, [])
-        if fixed and bucket:
-            return bucket[0]
-        for idx in bucket:
-            if isomorphism(self.reps[idx], ring, budget=self.budget) is not None:
+        for idx, rep in bucket:
+            if isomorphism(rep, ring, budget=self.budget) is not None:
                 return idx
-        idx = len(self.reps)
-        self.reps.append(ring)
-        bucket.append(idx)
+        idx = next(self._ids)
+        bucket.append((idx, ring))
         return idx
 
 
@@ -357,16 +393,18 @@ def build_catalog(max_order: int = 64, budget=None) -> Catalog:
     first hit in family priority order (Z_n, fields, products, quotients,
     square-zero), and the final listing is sorted by order then by the
     canonical expression string.  Only the candidates classified are
-    built: a product's class key comes from its factors' class ids, so a
-    product entry builds its ring on the first read of `entry.ring`.
+    built: a product's class key comes from its factors' class ids, and a
+    field's from its order and characteristic, so a product or field entry
+    builds its ring on the first read of `entry.ring`.  The fields that are
+    bases of square-zero candidates are built once, and their entries hold
+    them.
 
-    Candidates that cannot change the result are skipped before they are
-    built, with the same result as classifying them (proofs in the module
+    `_family_candidates` generates no candidate that cannot change the
+    result, with the same result as classifying it (proofs in the module
     docstring):
 
     - a quotient Z_n[x]/(f) whose orbit under f -> u^-d * f(ux + a) holds
       a smaller code, since it is isomorphic to that earlier quotient;
-    - a product whose class is already held by a Z_n or field entry;
     - a quotient Z_p[x]/(f), p prime, with f irreducible mod p, a field of
       order p^d, held by the earlier GF(p^d);
     - SZ(Z_n, 1), isomorphic to the earlier quotient Z_n[x]/(x^2);
@@ -378,79 +416,80 @@ def build_catalog(max_order: int = 64, budget=None) -> Catalog:
       quotients.
 
     In the last two cases the candidate's class is a product of local
-    classes registered before it, of order at most max_order, so `expand`
-    offers it as a product, which wins over a quotient or square-zero
-    ring.  Z_n is split by CRT from n (`_local_factors_of`); every other
-    candidate kept is local, so it is its own single factor.  The registry
+    classes registered before it, of order at most max_order, so the
+    product loop offers it as a product, which wins over a quotient or
+    square-zero ring.  A product is offered only when its class is missing or held by
+    a lower-priority family, so a Z_n or field entry keeps its class.  Z_n
+    is split by CRT from n (`_local_factors_of`); every other candidate
+    generated is local, so it is its own single factor.  The registry
     reads a Z_{p^a}'s characteristic, recorded when it is made, and no
     table of it; a Z_n or a field lands on the class registered first for
-    its order and characteristic, with no fingerprint scan or search.
+    its order and characteristic, with no fingerprint scan or search, and
+    a field with no ring built.
     """
     if max_order > MAX_CATALOG_ORDER:
         raise OrderLimitExceeded(f"catalog max_order capped at {MAX_CATALOG_ORDER}")
     registry = _LocalRegistry(budget)
+    # class key -> (priority, (order, str), expr, ring, family)
     best: dict[tuple, tuple] = {}
-    orbit_minima: dict[tuple[int, int], np.ndarray] = {}
 
     def wins(key, family):
         return key not in best or _FAMILY_PRIORITY[family] < best[key][0]
 
-    def offer(key, family, expr, ring):
+    def offer(key, family, sort_key, expr, ring):
         if wins(key, family):
-            best[key] = (_FAMILY_PRIORITY[family], expr, ring, family)
+            best[key] = (_FAMILY_PRIORITY[family], sort_key, expr, ring, family)
 
-    def affine_duplicate(expr):
-        n, d = expr.n, expr.degree
-        if (n, d) not in orbit_minima:
-            orbit_minima[n, d] = _affine_orbit_minima(n, d)
-        code = sum(c * n**i for i, c in enumerate(expr.modulus[:d]))
-        return orbit_minima[n, d][code] < code
-
+    # class id -> (order, str, expr) of its first local candidate
     local_exprs: dict[int, tuple] = {}
+    # the field bases of square-zero candidates, held so that each is built
+    # once and its entry reads it
+    field_bases: dict[RingExpr, FiniteRing] = {}
     for family, expr in _family_candidates(max_order):
-        if family == "polyquot":
-            pp = prime_power(expr.n)
-            if not pp or affine_duplicate(expr) or not poly_is_primary(expr.modulus, pp[0]):
-                continue
-            if pp[1] == 1 and poly_is_irreducible(expr.modulus, pp[0]):
-                continue
-        if family == "squarezero" and (
-            not prime_power(expr_order(expr.base))
-            or (isinstance(expr.base, Zn) and expr.m == 1)
-        ):
-            continue
-        ring = make_ring(expr)
-        factors = _local_factors_of(expr, ring) if family == "zn" else [ring]
-        key = tuple(sorted(registry.classify(f) for f in factors))
-        offer(key, family, expr, ring)
+        order, name = expr_order(expr), str(expr)
+        if family == "gf":
+            ring, key = None, (registry.fixed_class(order, expr.p),)
+        else:
+            if family == "squarezero" and isinstance(expr.base, GF):
+                field_bases.setdefault(expr.base, make_ring(expr.base))
+            ring = make_ring(expr)
+            factors = _local_factors_of(expr, ring) if family == "zn" else [ring]
+            key = tuple(sorted(registry.classify(f) for f in factors))
+        offer(key, family, (order, name), expr, ring)
         if len(key) == 1 and key[0] not in local_exprs:
-            local_exprs[key[0]] = (expr, ring)
+            local_exprs[key[0]] = (order, name, expr)
 
     # products of local classes, as multisets with total order <= max_order
     locals_sorted = sorted(
-        ((cid, expr, ring) for cid, (expr, ring) in local_exprs.items()),
-        key=lambda t: (t[2].order, str(t[1])),
+        ((cid, *local) for cid, local in local_exprs.items()), key=lambda t: t[1:3]
     )
 
-    # `chosen` holds (class, expr) pairs in `locals_sorted` order, which is
-    # the (order, str) order of a product's factors
-    def expand(start: int, chosen: list[tuple], order: int):
-        if len(chosen) >= 2:
-            key = tuple(sorted(cid for cid, _ in chosen))
-            if wins(key, "product"):
-                offer(key, "product", Prod(tuple(e for _, e in chosen)), None)
+    # each item is a product's classes, factors and factor strings, in
+    # `locals_sorted` order, which is the (order, str) order of its factors,
+    # then the index its next factor starts from and its order; no factor is
+    # a product, so their strings joined by " x " are the product's string.
+    # A loop, not a recursive closure, whose reference to itself would keep
+    # `best` and its rings alive after return until the cycle collector ran.
+    stack = [((), (), (), 0, 1)]
+    while stack:
+        cids, exprs, names, start, order = stack.pop()
         for i in range(start, len(locals_sorted)):
-            cid, expr, ring = locals_sorted[i]
-            if order * ring.order > max_order:
+            cid, f_order, name, expr = locals_sorted[i]
+            total = order * f_order
+            if total > max_order:
                 break  # orders ascend
-            chosen.append((cid, expr))
-            expand(i, chosen, order * ring.order)
-            chosen.pop()
+            more_cids, more_exprs, more_names = cids + (cid,), exprs + (expr,), names + (name,)
+            if cids:  # two or more factors
+                key = tuple(sorted(more_cids))
+                if wins(key, "product"):
+                    sort_key = (total, " x ".join(more_names))
+                    offer(key, "product", sort_key, Prod(more_exprs), None)
+            stack.append((more_cids, more_exprs, more_names, i, total))
 
-    expand(0, [], 1)
-
-    entries = [CatalogEntry(expr, ring, family) for _, expr, ring, family in best.values()]
-    entries.sort(key=lambda e: (expr_order(e.expr), str(e.expr)))
+    entries = [
+        CatalogEntry(expr, field_bases.get(expr) if family == "gf" else ring, family)
+        for _, _, expr, ring, family in sorted(best.values(), key=lambda b: b[1])
+    ]
     return Catalog(max_order, tuple(entries))
 
 

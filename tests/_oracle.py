@@ -8,7 +8,8 @@ generator images into matching statistic classes (no conflict pruning,
 no backtracking), extended by replaying the recipe, and filtered by a
 full homomorphism-plus-bijectivity check at the end.  That table check,
 `table_homomorphism`, is also the reference the engine's certificate is
-tested against.
+tested against.  `all_family_candidates` is the unpruned universe of
+constructor-family candidates, with none of the catalog's skip rules.
 """
 
 from itertools import product
@@ -212,6 +213,42 @@ class ReferenceRing:
         self.mul = [[index[mul(a, b)] for b in elements] for a in elements]
         self.zero, self.one = index[zero], index[one]
         self.names = [name(e) for e in elements]
+
+
+def all_family_candidates(max_order):
+    """Every constructor-family candidate of order 2..max_order, in the
+    catalog's family priority order, with none left out: Z_n, GF(q) for q a
+    prime power that is not prime, every monic quotient Z_n[x]/(f) of
+    degree 2 and 3 by ascending code sum(c_i * n**i), and SZ(B, m) over
+    B = Z_b and, for b a prime power that is not prime, GF(b)."""
+    from ringgraph import PolyQuot, SquareZero, Zn, gf
+    from ringgraph.expr import prime_power
+
+    for n in range(2, max_order + 1):
+        yield "zn", Zn(n)
+    for q in range(4, max_order + 1):
+        pp = prime_power(q)
+        if pp and pp[1] >= 2:
+            yield "gf", gf(q)
+    for deg in (2, 3):
+        for n in range(2, max_order + 1):
+            if n**deg > max_order:
+                break
+            for code in range(n**deg):
+                coeffs = tuple((code // n**i) % n for i in range(deg)) + (1,)
+                yield "polyquot", PolyQuot(n, coeffs)
+    for b in range(2, max_order + 1):
+        if b * b > max_order:
+            break
+        bases = [Zn(b)]
+        pp = prime_power(b)
+        if pp and pp[1] >= 2:
+            bases.append(gf(b))
+        for base in bases:
+            m = 1
+            while b ** (m + 1) <= max_order:
+                yield "squarezero", SquareZero(base, m)
+                m += 1
 
 
 def _poly_name(coeffs):

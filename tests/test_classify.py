@@ -1,11 +1,13 @@
+import gc
 import hashlib
 import math
+import weakref
 
 import numpy as np
 import pytest
 
 import ringgraph as rg
-from _oracle import table_homomorphism
+from _oracle import all_family_candidates, table_homomorphism
 from ringgraph import classify, cli, rings
 from ringgraph.expr import expr_order, is_prime, poly_is_irreducible, poly_is_primary, prime_power
 
@@ -133,15 +135,39 @@ def _count_constructions(monkeypatch):
     return built
 
 
+# the fields that are bases of square-zero candidates at order 128, the
+# only ones `build_catalog(128)` builds
+_SQUARE_ZERO_FIELDS = (rg.gf(4), rg.gf(8), rg.gf(9))
+
+
 def test_catalog_and_local_entries_build_no_product(monkeypatch, cold_ring_cache):
     built = _count_constructions(monkeypatch)
     cat = rg.build_catalog(128)
-    assert len(built) == 185
+    assert len(built) == 175
     assert not [str(e) for e in built if isinstance(e, rg.Prod)]
     products = [e for e in cat.entries if e.provenance == "product"]
     assert len(products) == 648
     assert len(cat.local_entries()) == 100
-    assert len(built) == 185
+    # reading the local entries builds the other fields, and nothing else
+    fields = [e.expr for e in cat.entries if e.provenance == "gf"]
+    assert built[175:] == [e for e in fields if e not in _SQUARE_ZERO_FIELDS]
+
+
+def test_catalog_knows_its_fields_without_building_them(monkeypatch, cold_ring_cache):
+    built = _count_constructions(monkeypatch)
+    rg.build_catalog(128)
+    assert [e for e in built if isinstance(e, rg.GF)] == list(_SQUARE_ZERO_FIELDS)
+    monkeypatch.undo()
+    # a field entry filed by its order and characteristic alone is a field
+    # once its ring is read: every nonzero element has an inverse
+    fields = [e for e in rg.build_catalog(256).entries if e.provenance == "gf"]
+    assert [e.expr for e in fields] == [
+        rg.gf(q) for q in range(4, 257) if prime_power(q) and prime_power(q)[1] >= 2
+    ]
+    for entry in fields:
+        ring = entry.ring
+        nonzero = [x for x in range(ring.order) if x != ring.zero]
+        assert (ring.mul_table[nonzero] == ring.one).any(axis=1).all(), str(entry.expr)
 
 
 def test_product_entry_builds_its_ring_from_the_local_entries(monkeypatch, cold_ring_cache):
@@ -157,8 +183,28 @@ def test_product_entry_builds_its_ring_from_the_local_entries(monkeypatch, cold_
         for expr, factor in zip(entry.expr.factors, factors):
             assert named[expr].provenance != "product", str(entry.expr)
             assert factor is named[expr].ring, str(entry.expr)
-    # each product is built once, on its first read, and nothing else is
-    assert built == [e.expr for e in products]
+    # each product is built once, on its first read, then the fields among
+    # its factors that no entry has read yet, and nothing else is built
+    want = []
+    for entry in products:
+        want.append(entry.expr)
+        want += [
+            f
+            for f in dict.fromkeys(entry.expr.factors)
+            if isinstance(f, rg.GF) and f not in _SQUARE_ZERO_FIELDS and f not in want
+        ]
+    assert built == want
+
+
+def test_dropped_catalog_frees_its_rings_without_the_cycle_collector(cold_ring_cache):
+    gc.disable()
+    try:
+        cat = rg.build_catalog(64)
+        refs = [weakref.ref(e.ring) for e in cat.entries if e.provenance != "product"]
+        del cat
+        assert [str(r()) for r in refs if r() is not None] == []
+    finally:
+        gc.enable()
 
 
 def _modulus_code(expr):
@@ -203,7 +249,7 @@ def test_candidates_left_out_are_isomorphic_to_a_catalog_entry(monkeypatch):
         return entry
 
     counts = {"polyquot": [0, 0, 0], "squarezero": [0, 0, 0]}
-    for family, expr in classify._family_candidates(128):
+    for family, expr in all_family_candidates(128):
         if family not in counts:
             continue
         counts[family][0] += 1
@@ -233,10 +279,39 @@ def test_candidates_left_out_are_isomorphic_to_a_catalog_entry(monkeypatch):
     assert counts == {"polyquot": [729, 697, 0], "squarezero": [23, 10, 0]}
 
 
+@pytest.mark.parametrize("max_order", [64, 128, 256])
+def test_candidates_are_the_universe_less_the_skip_rules(max_order):
+    # the rules `build_catalog` once applied to the full universe, before
+    # building a candidate, written out here
+    minima = {}
+
+    def skipped(family, expr):
+        if family == "polyquot":
+            pp = prime_power(expr.n)
+            if not pp:
+                return True  # a product over the prime-power parts of n
+            n, d = expr.n, expr.degree
+            if (n, d) not in minima:
+                minima[n, d] = classify._affine_orbit_minima(n, d)
+            if minima[n, d][_modulus_code(expr)] < _modulus_code(expr):
+                return True  # isomorphic to its orbit minimum
+            if not poly_is_primary(expr.modulus, pp[0]):
+                return True  # not local
+            return pp[1] == 1 and poly_is_irreducible(expr.modulus, pp[0])  # GF(p^d)
+        if family == "squarezero":
+            if not prime_power(expr_order(expr.base)):
+                return True
+            return isinstance(expr.base, rg.Zn) and expr.m == 1  # Z_n[x]/(x^2)
+        return False
+
+    want = [c for c in all_family_candidates(max_order) if not skipped(*c)]
+    assert list(classify._family_candidates(max_order)) == want
+
+
 def test_local_quotient_criterion_matches_the_idempotent_scan():
     # Z_{p^a}[x]/(f) is local iff f mod p is a power of one monic irreducible
     agree, non_local = 0, 0
-    for family, expr in classify._family_candidates(256):
+    for family, expr in all_family_candidates(256):
         pp = prime_power(expr.n) if family == "polyquot" else None
         if not pp:
             continue
@@ -295,7 +370,7 @@ def test_affine_orbit_minima_match_plain_expansion(n, d):
 
 def test_catalog_leaves_out_the_trivial_ring():
     assert all(e.ring.order > 1 for e in rg.build_catalog(8).entries)
-    assert min(expr_order(e) for _, e in classify._family_candidates(8)) == 2
+    assert min(expr_order(e) for _, e in all_family_candidates(8)) == 2
 
 
 def test_catalog_max_order_cap():

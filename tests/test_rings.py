@@ -156,11 +156,9 @@ _REFERENCE_EXTRA = (
 
 
 def test_tables_match_independent_reference():
-    from ringgraph.classify import _family_candidates
+    from _oracle import all_family_candidates, reference_ring
 
-    from _oracle import reference_ring
-
-    exprs = [rg.Zn(1)] + [e for _, e in _family_candidates(32)] + list(_REFERENCE_EXTRA)
+    exprs = [rg.Zn(1)] + [e for _, e in all_family_candidates(32)] + list(_REFERENCE_EXTRA)
     for expr in exprs:
         ring, ref = rg.make_ring(expr), reference_ring(expr)
         assert np.array_equal(ring.add_table, ref.add), str(expr)
@@ -499,10 +497,9 @@ def test_fingerprints_against_naive(catalog64):
 
 
 def test_fingerprints_match_plain_computation_on_family_rings():
-    from _oracle import naive_fingerprint
-    from ringgraph.classify import _family_candidates
+    from _oracle import all_family_candidates, naive_fingerprint
 
-    for expr in [rg.Zn(1)] + [e for _, e in _family_candidates(32)]:
+    for expr in [rg.Zn(1)] + [e for _, e in all_family_candidates(32)]:
         ring = rg.make_ring(expr)
         plain = [naive_fingerprint(ring, x) for x in range(ring.order)]
         assert list(ring.fingerprints) == plain, str(expr)
@@ -684,7 +681,8 @@ def test_deferred_ring_leaves_no_reference_cycle():
 def test_catalog_builds_each_expression_once(monkeypatch, cold_ring_cache):
     # a product reuses its live factors, and a ring is built again only
     # after it was freed, so no expression of the catalog is built twice;
-    # the catalog builds no product, and reading the entries builds them
+    # the catalog builds no product and no field but the bases of its
+    # square-zero candidates, and reading the entries builds the rest
     built = []
     construct = rings._construct_ring
 
@@ -694,7 +692,7 @@ def test_catalog_builds_each_expression_once(monkeypatch, cold_ring_cache):
 
     monkeypatch.setattr(rings, "_construct_ring", counting)
     cat = rg.build_catalog(256)
-    assert len(built) == len(set(built)) == 335
+    assert len(built) == len(set(built)) == 323
     for entry in cat.entries:
         entry.ring
     assert len(built) == len(set(built)) == 2048
