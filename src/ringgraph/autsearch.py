@@ -21,8 +21,9 @@ when `automorphisms` lists the group.
 
 Each operation builds the closure plan and certificate it reads with
 `rings._build_plan` and drops them when it returns.  A ring caches the
-`_Chain` record of its search, and the group once `automorphisms` lists it,
-both read-only in its table dtype (`rings._frozen`).
+`_Chain` record of its search, read-only in its table dtype
+(`rings._frozen`); `automorphisms` lists the group from it on each call
+and keeps no listing.
 """
 
 from __future__ import annotations
@@ -275,6 +276,9 @@ class AutGroup:
     integer rows on the carrier, hold the identity and no row twice, or
     ValueError is raised.  The set is not checked for closure: a
     composition or inverse outside it raises NotAutomorphism when met.
+    Queries name an element by its index or as a morphism: an index
+    outside 0..order-1 raises IndexError, and a morphism that is not an
+    element, a map of another ring included, raises NotAutomorphism.
 
     `generators`, image arrays of elements that generate the group, let
     `is_abelian` and `orbits` read those elements only; a generator that
@@ -320,17 +324,26 @@ class AutGroup:
             raise NotAutomorphism(f"{what} is not an element of this group")
         return row
 
+    def _element(self, i: int) -> np.ndarray:
+        """The image array of elements[i]; i must lie in 0..order-1."""
+        if not 0 <= i < len(self._images):
+            raise IndexError(f"element index {i} outside 0..{len(self._images) - 1}")
+        return self._images[i]
+
     def index_of(self, morphism: RingMorphism) -> int:
-        return self._row(np.asarray(morphism.image, dtype=np.int64), "morphism")
+        if morphism.source is not self.ring or morphism.target is not self.ring:
+            raise NotAutomorphism("morphism is not a self-map of this group's ring")
+        return self._row(morphism.image, "morphism")
 
     def compose_indices(self, i: int, j: int) -> int:
         """Index of elements[i] after elements[j] (j applied first)."""
-        composed = self._images[i][self._images[j]]
+        composed = self._element(i)[self._element(j)]
         return self._row(composed, f"elements[{i}] after elements[{j}]")
 
     def inverse_index(self, i: int) -> int:
-        inv = np.empty_like(self._images[i])
-        inv[self._images[i]] = np.arange(self.ring.order)
+        image = self._element(i)
+        inv = np.empty_like(image)
+        inv[image] = np.arange(self.ring.order)
         return self._row(inv, f"the inverse of elements[{i}]")
 
     def is_abelian(self) -> bool:
@@ -342,14 +355,15 @@ class AutGroup:
         return True
 
     def element_order(self, sigma) -> int:
-        """Order of one automorphism, as the cycle lcm of its permutation.
+        """Order of one element, given as a morphism or by its index, as
+        the cycle lcm of its permutation.
 
         Every point walks its cycle at once, `cur` holding where each has
         got to, and leaves the walk when it is back at its start, so the
         steps at which some point returns are the cycle lengths, and the
         loop runs as many times as the longest cycle is long.
         """
-        img = sigma.image if isinstance(sigma, RingMorphism) else self._images[sigma]
+        img = self._element(self.index_of(sigma) if isinstance(sigma, RingMorphism) else sigma)
         point = np.arange(len(img))
         cur, step, lengths = img, 1, set()
         while len(point):
@@ -547,19 +561,13 @@ def automorphisms(ring: FiniteRing, budget=None) -> AutGroup:
     """The full automorphism group as an explicit, verified element list.
 
     Each element is r_1 .. r_k, r_i from a transversal of G_i in G_{i-1}.
-    The ring caches the listing read-only in its table dtype, an
-    |Aut R|-by-|R| array, and the group each call returns holds an int64
-    copy, since its lookup keys are int64 bytes.
+    The ring keeps its stabilizer chain and not the listing, an
+    |Aut R|-by-|R| array that each call traces afresh and hands to the
+    group it returns.
     """
     chain = _stabilizer_chain(ring, budget)
     # the listing writes |R| element images per automorphism
     _check_budget(math.prod(len(orbit) for orbit in chain.orbits) * ring.order, budget)
-    # the cache holds arrays only: an AutGroup refers to the ring, and a
-    # cached one would keep every ring that was enumerated alive until the
-    # cyclic collector runs
-    cached = ring._derived.get("aut_group")
-    if cached is not None:
-        return AutGroup(ring, cached, chain.strong)
     plan, cert = rings._build_plan(ring)
     images = [np.arange(ring.order, dtype=np.int64)]
     for i, orbit in enumerate(chain.orbits, start=1):
@@ -572,9 +580,7 @@ def automorphisms(ring: FiniteRing, budget=None) -> AutGroup:
     stack = np.stack(images)
     if not _certify(ring, ring, stack, cert).all():  # pragma: no cover - closure of verified maps
         raise RuntimeError("internal error: transversal product is not an automorphism")
-    group = AutGroup(ring, stack, chain.strong)
-    ring._derived["aut_group"] = _frozen(group._images, ring.order)
-    return group
+    return AutGroup(ring, stack, chain.strong)
 
 
 def aut_orbits(ring: FiniteRing, budget=None) -> tuple[tuple[int, ...], ...]:

@@ -8,6 +8,26 @@ samples (module constants) when it reads none, and reports any
 counterexample; the universe is always the constructor families, which
 is provably complete only at orders p and p**2.
 
+`build_catalog` follows one rule: the first candidate offered for a class
+key keeps it.  Candidates come family by family, Z_n, fields, quotients,
+square-zero rings, and the products of local classes after all of them.
+A class key is the sorted tuple of the class ids of a candidate's local
+factors; a finite commutative ring is the product of its local factors
+in one way (Atiyah & Macdonald, Thm 8.7), so two candidates are
+isomorphic exactly when their keys are equal.  `_LocalRegistry` hands
+out the ids.
+
+Classes that the expression fixes are filed from the expression, and no
+ring of them is built.  A ring whose characteristic is its order is Z_n,
+finite fields of one order are isomorphic (Lidl & Niederreiter, *Finite
+Fields*, Thm 2.5), and a field is never isomorphic to a non-field, so the
+class of a Z_n or a field is fixed by its order and characteristic
+(`_LocalRegistry.fixed_class`).  GF(q), q = p^e, is filed under (q, p).
+Z_n with n = q_1 .. q_k, the q_j = p_j^a_j pairwise coprime prime powers,
+is Z_{q_1} x .. x Z_{q_k} (CRT; the proof is at `_local_factors_of`), so
+its key is the sorted ids of the (q_j, q_j), one id when n is a prime
+power.
+
 Candidates that cannot change the catalog are never generated
 (`_family_candidates`), so none of them is built.  A quotient
 Z_n[x]/(f) of degree d is left out when its affine orbit, the moduli
@@ -20,50 +40,32 @@ quotient is never left out by this rule and comes earlier in the candidate
 order, so by the time f would be reached its isomorphism class, its local
 factors and its first hit are all registered, and building f would only
 repeat them.
-Likewise a product of local classes is offered only when its class is
-missing or held by a lower-priority family; a Z_n or field entry of the
-same class always wins.
 
-Two more kinds of candidate are left out because their class is known
-in advance.
+Two more kinds of candidate are left out because an earlier candidate
+holds their class.
 Z_p[x]/(f) with p prime and f irreducible mod p (its least monic
 divisor, found by trial division as in `expr.poly_is_primary`, is f
-itself) is a field of order p^d, and finite fields of one order are
-isomorphic (Lidl & Niederreiter, *Finite Fields*, Thm 2.5); the `gf`
-family offers GF(p^d) earlier, with priority 1 < 3.  SZ(Z_n, 1) is
-isomorphic to Z_n[x]/(x^2) by a + b*x1 -> a + b*x: both are free
-Z_n-modules on 1 and the variable, whose square is 0 on both sides.  That
-quotient has code 0, so the affine rule never drops it; over a prime
-power it is primary and not a field, so it is classified (over any other
-n both rings are left out by the CRT case below), and it comes earlier,
-with priority 3 < 4.  In the registry, a Z_n (characteristic equal to
-its order) and a field are each fixed up to isomorphism by their order,
-and a field is never isomorphic to a non-field, so their class is the
-first one registered with that order and characteristic, found with no
-fingerprints and no `isomorphism` call.  A `gf` candidate GF(q), q = p^e,
-is therefore filed under the class of (q, p) from its expression, and no
-ring of it is built; only a field that is the base of a square-zero
-candidate is built, once, while the catalog holds it.
+itself) is a field of order p^d, whose class the `gf` family offers
+earlier as GF(p^d).  SZ(Z_n, 1) is isomorphic to Z_n[x]/(x^2) by
+a + b*x1 -> a + b*x: both are free Z_n-modules on 1 and the variable,
+whose square is 0 on both sides.  That quotient has code 0, so the affine
+rule never drops it; over a prime power it is primary and not a field,
+so it is classified (over any other n both rings are left out by the
+case below), and the quotient family comes first.
 
-Only local candidates are classified.  A finite commutative ring is the
-product of its local factors in one way (Atiyah & Macdonald, Thm 8.7),
-and a non-local candidate changes nothing when its local factors are
-isomorphic to local factors of earlier candidates: then every class it
-would register is registered, and its own class, a product of two or more
-of them with order |R| <= max_order, is one that the product loop of
-`build_catalog` reaches and that a product (priority 2) takes from a
-quotient (3) or a square-zero ring (4).  This holds for three kinds of
-candidate:
+Non-local candidates are not generated either.  A non-local candidate
+whose local factors are isomorphic to local factors of earlier
+candidates would register no class, and its own class, a product of two
+or more of them with order |R| <= max_order, is one that the product loop
+of `build_catalog` reaches; left out, it leaves that class to the
+product.  This holds for two kinds of candidate:
 
-- Z_n with n = p_1^a_1 .. p_k^a_k is Z_{p_1^a_1} x .. x Z_{p_k^a_k}
-  (CRT); `_local_factors_of` returns those earlier candidates, with no
-  scan, and Z_n is kept, since Z_n wins its class.
 - Z_n[x]/(f) with n not a prime power is the product over p^a || n of
   Z_{p^a}[x]/(f mod p^a), and SZ(Z_b, m) with b not a prime power that
   of the SZ(Z_{p^a}, m) over p^a || b.  Each factor is a candidate of the
   same family over a smaller base, so it came earlier; it is local, or
   its own local factors are those of earlier candidates by the other
-  cases here and the affine rule.  Neither is generated.
+  case here and the affine rule.
 - Z_{p^a}[x]/(f) is local exactly when f mod p is g^k for one monic
   irreducible g over F_p.  The ideal (p) is nilpotent, so it lies in every
   prime ideal, and the maximal ideals of the ring are those of its
@@ -81,22 +83,32 @@ candidate:
   non-local quotient is never generated.
 
 The factors named in each case have order at most the candidate's, so
-they are all candidates at this max_order.  Every other candidate (a
-field, SZ over a local base, a quotient whose f mod p is a power of one
-irreducible) is local, and is classified as its own single factor.
+they are all candidates at this max_order.
+
+So the quotient and square-zero candidates generated are local, and each
+is classified as its own single factor, with a one-id key.  None is a
+Z_n or a field: its characteristic, that of its base, is below its
+order, and it has a nonzero nilpotent (p when a >= 2, g(x) when
+f = g^k with k >= 2 over Z_p, x1 in a square-zero ring).  So the
+registry compares no Z_n and no field.  A product's key has two or more
+ids, so the only earlier key it can meet is that of a composite Z_n,
+which came first and keeps its class, or that of another product.
+Within a family the first hit wins.  This first-offer rule therefore
+picks the representatives that ranking the families Z_n, fields,
+products, quotients, square-zero rings would.
 
 `make_ring` returns the one ring of an expression only while something
-holds it.  The catalog's local entries hold the first ring of each local
-class, apart from the fields it did not build.  A product's class key is
-made of its factors' class ids, and a field's is fixed by its order and
-characteristic, so the catalog builds no product and no field but those
-bases: such an entry builds `make_ring(expr)` on the first read of
-`ring`, and keeps it.  The factors of a product's ring are looked up
-by expression while the catalog holds them, so a product shares the ring
-of each local entry it names, with its fingerprints, and no expression is
-built twice.  Any other candidate ring is freed once it is classified,
-and a ring a sweep builds for one check is freed after it, unless the
-catalog holds it.
+holds it.  The catalog holds the rings it built in one place,
+`Catalog._rings`: the classified rings that won their class, and the
+base of every square-zero candidate, built once.  Every entry's `ring`
+is `make_ring(expr)`, built on the first read and kept on the entry, so
+a classified entry reads the ring the catalog holds, and a Z_n, field or
+product entry is built when first read.  The factors of a product's ring
+are looked up by expression while the catalog holds them, so a product
+shares the ring of each local entry it names, with its fingerprints, and
+no expression is built twice.  Any other candidate ring is freed once it
+is classified, and a ring a sweep builds for one check is freed after
+it, unless the catalog holds it.
 """
 
 from __future__ import annotations
@@ -116,7 +128,6 @@ from .autsearch import (
 )
 from .errors import OrderLimitExceeded
 from .expr import (
-    GF,
     Prod,
     PolyQuot,
     RingExpr,
@@ -176,36 +187,42 @@ THEOREM_IDS = tuple(SWEEPS)
 
 @dataclass(frozen=True)
 class CatalogEntry:
-    """One isomorphism class of the catalog: its representative expression,
-    its ring, and the family that supplied it.
+    """One isomorphism class of the catalog: its representative expression
+    and the family that supplied it.
 
-    A product entry (provenance "product") is given no ring, and neither
-    is a field entry ("gf") unless the field is the base of a square-zero
-    candidate; `ring` is then `make_ring(expr)`, built on the first read
-    and kept on the entry.  Every other entry is given the ring that
-    classification built.
+    `ring` is `make_ring(expr)`, built on the first read and kept on the
+    entry.  The ring of an entry the catalog classified is the one the
+    catalog holds, so that read builds nothing.
     """
 
     expr: RingExpr
-    _ring: FiniteRing | None = field(repr=False, compare=False)
     provenance: str
 
     @cached_property
     def ring(self) -> FiniteRing:
-        return make_ring(self.expr) if self._ring is None else self._ring
+        return make_ring(self.expr)
 
 
 @dataclass(frozen=True)
 class Catalog:
+    """The entries of `build_catalog(max_order)`, sorted by order and then
+    by expression string.
+
+    `_rings` holds the rings the catalog built and keeps: each classified
+    ring that won its class and the base of every square-zero candidate,
+    so `make_ring` returns them while the catalog is alive.
+    """
+
     max_order: int
     entries: tuple[CatalogEntry, ...]
+    _rings: tuple[FiniteRing, ...] = field(default=(), repr=False, compare=False)
 
     def local_entries(self):
         """The entries whose ring is local.  A product of two or more local
         factors of order above 1 is not local (`local_structure`), so a
-        product entry is skipped before its ring is read or built; a field
-        entry's ring is read, and built on that first read if the catalog
-        did not build it."""
+        product entry is skipped before its ring is read or built; every
+        other entry's ring is read, and a Z_n or field entry's is built on
+        that first read."""
         return tuple(
             e
             for e in self.entries
@@ -249,14 +266,13 @@ def _report(theorem_id, universe, checked, counterexamples, notes=()) -> Verific
 # ---------------------------------------------------------------------------
 # catalog construction
 
-_FAMILY_PRIORITY = {"zn": 0, "gf": 1, "product": 2, "polyquot": 3, "squarezero": 4}
-
 
 def _family_candidates(max_order: int):
-    """The candidates `build_catalog` classifies, in family priority order:
-    all but those that cannot change the catalog (listed in `build_catalog`,
-    proofs in the module docstring).  The quotient codes of one (n, d)
-    ascend, as in the full enumeration, so every first hit is the same."""
+    """The candidates `build_catalog` files, in the order it offers them
+    (Z_n, fields, quotients, square-zero rings): all but those that cannot
+    change the catalog (listed in `build_catalog`, proofs in the module
+    docstring).  The quotient codes of one (n, d) ascend, as in the full
+    enumeration, so every first hit is the same."""
     for n in range(2, max_order + 1):
         yield "zn", Zn(n)
     for q in range(4, max_order + 1):
@@ -317,8 +333,12 @@ class _LocalRegistry:
     """Isomorphism classes of the local rings met during catalog construction.
 
     Class ids count up from 0 in the order the classes are registered.  A
-    class fixed by (order, characteristic) keeps no representative ring,
-    since no isomorphism test reads one.
+    Z_n or a field has its class fixed by its order and characteristic,
+    and `build_catalog` files it with `fixed_class` from its expression;
+    such a class keeps no representative ring.  `classify` compares every
+    other ring by fingerprints and `isomorphism`, so it must be given no
+    Z_n and no field: the quotient and square-zero candidates it is given
+    have characteristic below their order and a nonzero nilpotent.
     """
 
     def __init__(self, budget):
@@ -336,13 +356,6 @@ class _LocalRegistry:
         return self._fixed[key]
 
     def classify(self, ring: FiniteRing) -> int:
-        # a ring whose characteristic is its order is Z_n, and finite fields
-        # of one order are isomorphic (Lidl & Niederreiter, Thm 2.5), so the
-        # order fixes the class of both; a field is never isomorphic to a
-        # non-field, and `is_field` reads `units`, which a fingerprint scan
-        # reads anyway
-        if ring.characteristic == ring.order or ring.is_field:
-            return self.fixed_class(ring.order, ring.characteristic)
         # rings of one order compare fingerprints by their keys
         probe = (ring.order, ring.characteristic, np.sort(_fingerprint_keys(ring)).tobytes())
         bucket = self._probes.setdefault(probe, [])
@@ -389,15 +402,16 @@ def _affine_orbit_minima(n: int, d: int) -> np.ndarray:
 def build_catalog(max_order: int = 64, budget=None) -> Catalog:
     """Deduplicated catalog of all constructor-family rings of orders 2..max_order.
 
-    Entries are isomorphism classes; the representative expression is the
-    first hit in family priority order (Z_n, fields, products, quotients,
-    square-zero), and the final listing is sorted by order then by the
-    canonical expression string.  Only the candidates classified are
-    built: a product's class key comes from its factors' class ids, and a
-    field's from its order and characteristic, so a product or field entry
-    builds its ring on the first read of `entry.ring`.  The fields that are
-    bases of square-zero candidates are built once, and their entries hold
-    them.
+    Entries are isomorphism classes.  Candidates are offered in the order
+    Z_n, fields, quotients, square-zero rings, then products, and the
+    first candidate offered for a class key is its representative; the
+    final listing is sorted by order then by the canonical expression
+    string.  A Z_n or field is filed from its expression, by its order
+    and characteristic and, for Z_n, the CRT split of n; a product from
+    its factors' class ids.  Only quotient and square-zero candidates are
+    built and classified, and the catalog holds those that win their
+    class and the bases of the square-zero candidates.  Every other entry
+    builds its ring on the first read of `entry.ring`.
 
     `_family_candidates` generates no candidate that cannot change the
     result, with the same result as classifying it (proofs in the module
@@ -417,59 +431,46 @@ def build_catalog(max_order: int = 64, budget=None) -> Catalog:
 
     In the last two cases the candidate's class is a product of local
     classes registered before it, of order at most max_order, so the
-    product loop offers it as a product, which wins over a quotient or
-    square-zero ring.  A product is offered only when its class is missing or held by
-    a lower-priority family, so a Z_n or field entry keeps its class.  Z_n
-    is split by CRT from n (`_local_factors_of`); every other candidate
-    generated is local, so it is its own single factor.  The registry
-    reads a Z_{p^a}'s characteristic, recorded when it is made, and no
-    table of it; a Z_n or a field lands on the class registered first for
-    its order and characteristic, with no fingerprint scan or search, and
-    a field with no ring built.
+    product loop offers it as a product.  Every candidate classified is
+    local and neither a Z_n nor a field, so its key is one id, which no
+    product key (two or more ids) meets; a product meets only the key of
+    a composite Z_n, which came first, or of another product.
     """
     if max_order > MAX_CATALOG_ORDER:
         raise OrderLimitExceeded(f"catalog max_order capped at {MAX_CATALOG_ORDER}")
     registry = _LocalRegistry(budget)
-    # class key -> (priority, (order, str), expr, ring, family)
+    # class key -> ((order, str), expr, family) of the first candidate offered
     best: dict[tuple, tuple] = {}
-
-    def wins(key, family):
-        return key not in best or _FAMILY_PRIORITY[family] < best[key][0]
-
-    def offer(key, family, sort_key, expr, ring):
-        if wins(key, family):
-            best[key] = (_FAMILY_PRIORITY[family], sort_key, expr, ring, family)
-
-    # class id -> (order, str, expr) of its first local candidate
-    local_exprs: dict[int, tuple] = {}
-    # the field bases of square-zero candidates, held so that each is built
-    # once and its entry reads it
-    field_bases: dict[RingExpr, FiniteRing] = {}
+    # the rings the catalog holds: each classified ring that won its class,
+    # and the base of every square-zero candidate, built once
+    held: dict[RingExpr, FiniteRing] = {}
     for family, expr in _family_candidates(max_order):
-        order, name = expr_order(expr), str(expr)
-        if family == "gf":
-            ring, key = None, (registry.fixed_class(order, expr.p),)
+        if family == "zn":
+            parts = (p**a for p, a in factorize(expr.n).items())
+            key = tuple(sorted(registry.fixed_class(q, q) for q in parts))
+        elif family == "gf":
+            key = (registry.fixed_class(expr_order(expr), expr.p),)
         else:
-            if family == "squarezero" and isinstance(expr.base, GF):
-                field_bases.setdefault(expr.base, make_ring(expr.base))
+            if family == "squarezero":
+                held.setdefault(expr.base, make_ring(expr.base))
             ring = make_ring(expr)
-            factors = _local_factors_of(expr, ring) if family == "zn" else [ring]
-            key = tuple(sorted(registry.classify(f) for f in factors))
-        offer(key, family, (order, name), expr, ring)
-        if len(key) == 1 and key[0] not in local_exprs:
-            local_exprs[key[0]] = (order, name, expr)
+            key = (registry.classify(ring),)
+            if key not in best:
+                held[expr] = ring
+        best.setdefault(key, ((expr_order(expr), str(expr)), expr, family))
 
     # products of local classes, as multisets with total order <= max_order
     locals_sorted = sorted(
-        ((cid, *local) for cid, local in local_exprs.items()), key=lambda t: t[1:3]
+        ((key[0], *sort_key, expr) for key, (sort_key, expr, _) in best.items() if len(key) == 1),
+        key=lambda t: t[1:3],
     )
 
     # each item is a product's classes, factors and factor strings, in
     # `locals_sorted` order, which is the (order, str) order of its factors,
     # then the index its next factor starts from and its order; no factor is
     # a product, so their strings joined by " x " are the product's string.
-    # A loop, not a recursive closure, whose reference to itself would keep
-    # `best` and its rings alive after return until the cycle collector ran.
+    # A loop, not a recursive closure: a closure that refers to itself is a
+    # reference cycle, which only the cycle collector frees.
     stack = [((), (), (), 0, 1)]
     while stack:
         cids, exprs, names, start, order = stack.pop()
@@ -481,16 +482,13 @@ def build_catalog(max_order: int = 64, budget=None) -> Catalog:
             more_cids, more_exprs, more_names = cids + (cid,), exprs + (expr,), names + (name,)
             if cids:  # two or more factors
                 key = tuple(sorted(more_cids))
-                if wins(key, "product"):
-                    sort_key = (total, " x ".join(more_names))
-                    offer(key, "product", sort_key, Prod(more_exprs), None)
+                if key not in best:
+                    best[key] = ((total, " x ".join(more_names)), Prod(more_exprs), "product")
             stack.append((more_cids, more_exprs, more_names, i, total))
 
-    entries = [
-        CatalogEntry(expr, field_bases.get(expr) if family == "gf" else ring, family)
-        for _, _, expr, ring, family in sorted(best.values(), key=lambda b: b[1])
-    ]
-    return Catalog(max_order, tuple(entries))
+    ranked = sorted(best.values(), key=lambda b: b[0])
+    entries = tuple(CatalogEntry(expr, family) for _, expr, family in ranked)
+    return Catalog(max_order, entries, tuple(held.values()))
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@ class OrbitGraph:
     by least element: `block_of[x]` is the block of x, `sizes[b]` its size.
     """
 
-    def __init__(self, ring: FiniteRing, labels, group: AutGroup | None = None):
+    def __init__(self, ring: FiniteRing, labels):
         labels = np.asarray(labels)
         ok = labels.shape == (ring.order,) and labels.dtype.kind in "iu"
         ok = ok and ((labels >= 0) & (labels <= np.arange(ring.order))).all()
@@ -44,7 +44,6 @@ class OrbitGraph:
         block_of.setflags(write=False)
         sizes.setflags(write=False)
         self.ring = ring
-        self.group = group
         self.block_of = block_of
         self.sizes = sizes
 
@@ -102,17 +101,16 @@ def build_graph(ring: FiniteRing, group: AutGroup) -> OrbitGraph:
     """Orbit graph of `ring` under an explicit automorphism group."""
     if group.ring is not ring:
         raise ValueError("group does not act on this ring")
-    return OrbitGraph(ring, group._labels(), group)
+    return OrbitGraph(ring, group._labels())
 
 
 def aut_orbit_graph(ring: FiniteRing, budget=None) -> OrbitGraph:
     """Orbit graph under the full automorphism group.
 
     The labels are the ones the stabilizer chain leaves behind, so this
-    works even when Aut R is too large to list element by element; the
-    graph's `group` is always None, since no group is listed.
+    works even when Aut R is too large to list element by element.
     """
-    return OrbitGraph(ring, _stabilizer_chain(ring, budget).labels, None)
+    return OrbitGraph(ring, _stabilizer_chain(ring, budget).labels)
 
 
 def aut_embeds_in_graph_aut(ring: FiniteRing, budget=None) -> bool:

@@ -217,7 +217,7 @@ class ReferenceRing:
 
 def all_family_candidates(max_order):
     """Every constructor-family candidate of order 2..max_order, in the
-    catalog's family priority order, with none left out: Z_n, GF(q) for q a
+    catalog's candidate order, with none left out: Z_n, GF(q) for q a
     prime power that is not prime, every monic quotient Z_n[x]/(f) of
     degree 2 and 3 by ascending code sum(c_i * n**i), and SZ(B, m) over
     B = Z_b and, for b a prime power that is not prime, GF(b)."""

@@ -22,7 +22,6 @@ from ringgraph.autsearch import (
     _stabilizer_chain,
     _transversal,
 )
-from ringgraph.classify import _LocalRegistry
 
 
 def _count_plans(monkeypatch):
@@ -262,6 +261,29 @@ def test_group_lookups_outside_a_set_that_is_not_closed_raise():
     for query in queries:
         with pytest.raises(rg.NotAutomorphism, match=r"elements\[1\]"):
             query()
+
+
+def test_group_refuses_maps_of_another_ring_and_indices_outside_it():
+    f4, z4 = rg.make_ring(rg.gf(4)), rg.make_ring(rg.Zn(4))
+    group = rg.automorphisms(f4)
+    # the identity of Z4 has the image of the identity of GF(4)
+    foreign = (rg.identity_automorphism(z4), rg.RingMorphism(f4, z4, np.arange(4)))
+    for sigma in foreign:
+        for query in (group.index_of, group.element_order):
+            with pytest.raises(rg.NotAutomorphism):
+                query(sigma)
+    for i in (-2, -1, 2, 3):
+        queries = (
+            lambda: group.element_order(i),
+            lambda: group.inverse_index(i),
+            lambda: group.compose_indices(i, 0),
+            lambda: group.compose_indices(0, i),
+        )
+        for query in queries:
+            with pytest.raises(IndexError):
+                query()
+    assert group.element_order(1) == 2 and group.inverse_index(1) == 1
+    assert group.compose_indices(1, 1) == 0
 
 
 def test_group_generators_are_the_rows_its_queries_read():
@@ -792,18 +814,21 @@ def test_isomorphism_onto_relabelled_copy_is_a_table_homomorphism(catalog64):
         assert table_homomorphism(entry.ring, twisted, iso.image).all(), str(entry.expr)
 
 
-def test_cyclic_rings_need_no_fingerprints():
+def test_cyclic_rings_need_no_fingerprints(cold_ring_cache):
     for n in (1, 2, 12, 64):
         ring = fresh_copy(rg.make_ring(rg.Zn(n)))
         assert rg.aut_group_order(ring) == 1
         assert rg.aut_orbits(ring) == tuple((x,) for x in range(n))
-        registry = _LocalRegistry(None)
-        twisted, _ = shuffled_copy(ring, np.random.default_rng(n))
-        assert registry.classify(ring) == registry.classify(twisted) == 0
-        assert "fingerprint_keys" not in ring._derived | twisted._derived
-        # the key that proves no scan ran is the one a scan fills
-        rings._fingerprint_keys(twisted)
-        assert "fingerprint_keys" in twisted._derived
+        assert "fingerprint_keys" not in ring._derived
+    # the catalog files a Z_n from n, so no Z_n scans its fingerprints
+    cat = rg.build_catalog(64)
+    entries = [e.ring for e in cat.entries if isinstance(e.expr, rg.Zn)]
+    cyclic = [ring for expr, ring in rings._RINGS.items() if isinstance(expr, rg.Zn)]
+    assert len(cyclic) == len(entries) == 63
+    assert not [str(ring) for ring in cyclic if "fingerprint_keys" in ring._derived]
+    # the key that proves no scan ran is the one a scan fills
+    rings._fingerprint_keys(cyclic[0])
+    assert "fingerprint_keys" in cyclic[0]._derived
 
 
 def test_cyclic_chain_builds_no_plan_or_tables(monkeypatch, cold_ring_cache):
@@ -864,12 +889,11 @@ def test_cached_arrays_are_in_the_table_dtype(catalog64):
         assert all(array.dtype == dtype for array in cached), str(entry.expr)
     ring = fresh_copy(rg.make_ring(rg.SquareZero(rg.Zn(2), 4)))
     group = rg.automorphisms(ring)
-    listing = ring._derived["aut_group"]
-    assert listing.shape == (20160, 32) and listing.dtype == np.int8
-    assert listing.nbytes == 645_120
-    # a second call rebuilds the group from the narrowed listing
+    # the ring keeps its chain and no listing, so a second call lists afresh
+    assert "aut_group" not in ring._derived
     again = rg.automorphisms(ring)
-    assert again.elements == group.elements and again._images.dtype == np.int64
+    assert again.order == 20160 and again.elements == group.elements
+    assert again._images.dtype == np.int64
 
 
 def test_cached_answers_are_read_only(cold_ring_cache):
@@ -880,14 +904,14 @@ def test_cached_answers_are_read_only(cold_ring_cache):
     with pytest.raises(ValueError):
         z5._neg[2] = 0
     assert z5.neg(2) == 3
-    rg.automorphisms(ring)
+    group = rg.automorphisms(ring)
+    assert "aut_group" not in ring._derived
     chain = _stabilizer_chain(ring)
-    cached = [*chain.orbits, *chain.strong, chain.labels, rings._unit_indices(ring),
-              ring._derived["aut_group"], ring._neg]
+    cached = [*chain.orbits, *chain.strong, chain.labels, rings._unit_indices(ring), ring._neg]
     for array in cached:
         with pytest.raises(ValueError):
             array[...] = 0
-    assert rg.automorphisms(ring).order == 6 and len(ring.units) == 4
+    assert rg.automorphisms(ring).elements == group.elements and len(ring.units) == 4
 
 
 def _cycle_walk_order(image):

@@ -128,6 +128,23 @@ def test_catalog_scans_no_field_fingerprints(cold_ring_cache):
     assert "fingerprint_keys" in fields[0].ring._derived
 
 
+def test_registry_compares_no_cyclic_ring_and_no_field(monkeypatch, cold_ring_cache):
+    # Z_n and fields are filed from their expression; the registry compares
+    # only quotient and square-zero rings, none of them a Z_n or a field
+    classified = []
+    register = classify._LocalRegistry.classify
+
+    def recording(self, ring):
+        classified.append(ring)
+        return register(self, ring)
+
+    monkeypatch.setattr(classify._LocalRegistry, "classify", recording)
+    rg.build_catalog(256)
+    assert len(classified) == 64
+    fixed = [r for r in classified if r.characteristic == r.order or r.is_field]
+    assert not [str(r) for r in fixed]
+
+
 def _count_constructions(monkeypatch):
     built = []
     construct = rings._construct_ring
@@ -138,19 +155,31 @@ def _count_constructions(monkeypatch):
 # the fields that are bases of square-zero candidates at order 128, the
 # only ones `build_catalog(128)` builds
 _SQUARE_ZERO_FIELDS = (rg.gf(4), rg.gf(8), rg.gf(9))
+# every base of a square-zero candidate at order 128, the only Z_n and
+# fields that `build_catalog(128)` builds
+_SQUARE_ZERO_BASES = (rg.Zn(2), rg.Zn(3), rg.Zn(4), rg.Zn(5)) + _SQUARE_ZERO_FIELDS
+
+
+def _read_on_first_use(cat):
+    """The Z_n and field entries of `cat` that `build_catalog(128)` did not build."""
+    return [
+        e.expr
+        for e in cat.entries
+        if e.provenance in ("zn", "gf") and e.expr not in _SQUARE_ZERO_BASES
+    ]
 
 
 def test_catalog_and_local_entries_build_no_product(monkeypatch, cold_ring_cache):
     built = _count_constructions(monkeypatch)
     cat = rg.build_catalog(128)
-    assert len(built) == 175
-    assert not [str(e) for e in built if isinstance(e, rg.Prod)]
+    assert len(built) == 52
+    # no product, and no Z_n or field but the square-zero bases
+    assert {e for e in built if isinstance(e, (rg.Prod, rg.Zn, rg.GF))} == set(_SQUARE_ZERO_BASES)
     products = [e for e in cat.entries if e.provenance == "product"]
     assert len(products) == 648
     assert len(cat.local_entries()) == 100
-    # reading the local entries builds the other fields, and nothing else
-    fields = [e.expr for e in cat.entries if e.provenance == "gf"]
-    assert built[175:] == [e for e in fields if e not in _SQUARE_ZERO_FIELDS]
+    # reading the local entries builds the other Z_n and fields, and nothing else
+    assert built[52:] == _read_on_first_use(cat)
 
 
 def test_catalog_knows_its_fields_without_building_them(monkeypatch, cold_ring_cache):
@@ -183,16 +212,14 @@ def test_product_entry_builds_its_ring_from_the_local_entries(monkeypatch, cold_
         for expr, factor in zip(entry.expr.factors, factors):
             assert named[expr].provenance != "product", str(entry.expr)
             assert factor is named[expr].ring, str(entry.expr)
-    # each product is built once, on its first read, then the fields among
-    # its factors that no entry has read yet, and nothing else is built
+    # each product is built once, on its first read, then the Z_n and
+    # fields among its factors that neither the catalog nor an earlier
+    # read built, and nothing else is built
+    lazy = set(_read_on_first_use(cat))
     want = []
     for entry in products:
         want.append(entry.expr)
-        want += [
-            f
-            for f in dict.fromkeys(entry.expr.factors)
-            if isinstance(f, rg.GF) and f not in _SQUARE_ZERO_FIELDS and f not in want
-        ]
+        want += [f for f in dict.fromkeys(entry.expr.factors) if f in lazy and f not in want]
     assert built == want
 
 
@@ -492,7 +519,7 @@ def test_units_connected_records_non_local_observations():
 
 def test_verify_with_trivial_ring_included():
     # a catalog built by hand may hold the zero ring, which the sweep skips
-    trivial = classify.CatalogEntry(rg.Zn(1), rg.make_ring(rg.Zn(1)), "zn")
+    trivial = classify.CatalogEntry(rg.Zn(1), "zn")
     cat = classify.Catalog(8, (trivial,) + rg.build_catalog(8).entries)
     rep = rg.verify_trivial_aut_classification(cat)
     assert rep.passed

@@ -681,7 +681,7 @@ def test_deferred_ring_leaves_no_reference_cycle():
 def test_catalog_builds_each_expression_once(monkeypatch, cold_ring_cache):
     # a product reuses its live factors, and a ring is built again only
     # after it was freed, so no expression of the catalog is built twice;
-    # the catalog builds no product and no field but the bases of its
+    # the catalog builds no product, Z_n or field but the bases of its
     # square-zero candidates, and reading the entries builds the rest
     built = []
     construct = rings._construct_ring
@@ -692,7 +692,7 @@ def test_catalog_builds_each_expression_once(monkeypatch, cold_ring_cache):
 
     monkeypatch.setattr(rings, "_construct_ring", counting)
     cat = rg.build_catalog(256)
-    assert len(built) == len(set(built)) == 323
+    assert len(built) == len(set(built)) == 72
     for entry in cat.entries:
         entry.ring
     assert len(built) == len(set(built)) == 2048
