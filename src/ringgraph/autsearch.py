@@ -23,12 +23,21 @@ Each operation builds the closure plan and certificate it reads with
 `rings._build_plan` and drops them when it returns.  A ring caches the
 `_Chain` record of its search, read-only in its table dtype
 (`rings._frozen`); `automorphisms` lists the group from it on each call
-and keeps no listing.
+and keeps no listing.  `_stabilizer_chains` fills the records of many
+rings at once, and on a host with two CPUs it searches half of the
+products in a forked child, whose records come back through a pipe.
 """
 
 from __future__ import annotations
 
+import gc
+import io
 import math
+import os
+import pickle
+import sys
+import threading
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -494,6 +503,11 @@ def _stabilizer_chain(ring: FiniteRing, budget=None) -> _Chain:
     search does not depend on the budget, so every run builds the same
     scopes, and a scope's count only grows, so a run raises exactly when
     some scope's final count exceeds its budget.
+
+    The cached record may also come from `_stabilizer_chains`, which
+    searches some products in a forked child: that record is this
+    function's, field for field and node count included, installed through
+    `_Chain` in the parent, and the budget check above applies to it alike.
     """
 
     def build():
@@ -534,6 +548,144 @@ def _search_chain(ring: FiniteRing, budget) -> _Chain:
         chain.append(np.flatnonzero(label == label[gen]))
     chain.reverse()
     return _Chain(chain, strong, label, engine.peak)
+
+
+def _stabilizer_chains(ring_list, budget=None) -> None:
+    """Fill the `_stabilizer_chain` cache of every ring given, in one call.
+
+    The rings' searches are independent, so on Linux, when the process may
+    run on two or more CPUs, no other Python thread runs and at least two
+    uncached products remain, one child is forked to search half of the
+    products while this process searches the rest.  A product here is a
+    ring whose tables are still deferred and that is not its own prime
+    subring; in the catalog that is exactly the product entries.  Its
+    search runs on a `_working_ring` copy, so it leaves nothing on the
+    ring but its `_Chain`, and that record is all the child sends back:
+    orbits, strong generators, labels and nodes, pickled through a pipe.
+    The products go in descending order, every other one to the child.
+    This process searches everything else, local rings included, whose
+    searches leave fingerprints, units and the prime subring on the ring
+    for later sweeps, and then installs each record received through
+    `_Chain`, narrowed and read-only as its own are.  In every other case,
+    the rings are searched here one by one.
+
+    Every answer, node count and error is the serial one.  A search that
+    runs over the budget ends the batch and leaves its ring and the rest
+    uncached, and a ring the child does not finish (any exception ends the
+    child's batch) gets no record.  The callers then search every ring
+    they passed with the same budget, so the first of them to raise does,
+    at the same point and with the same message as without this call.
+
+    The child leaves only through `os._exit`, so it never returns into the
+    caller.  This process closes its end of the pipe and reaps the child
+    before it returns or raises; a child still searching then fails its
+    next write and exits.
+    """
+    todo = [r for r in ring_list if "aut_chain" not in r._derived]
+    products = [r for r in todo if r._build_tables is not None and r.characteristic != r.order]
+    products.sort(key=lambda r: r.order, reverse=True)
+    theirs = products[::2] if len(products) >= 2 and _may_fork() else []
+    forked = _fork_with_pipe() if theirs else None
+    if forked is None:
+        _search_each(todo, budget)
+        return
+    pid, read, write = forked
+    if pid == 0:
+        try:
+            # a collection would copy the pages of every object it visits,
+            # and could finalize the parent's garbage a second time
+            gc.disable()
+            os.close(read)
+            with os.fdopen(write, "wb") as out:
+                for i, ring in enumerate(theirs):
+                    chain = _stabilizer_chain(ring, budget)
+                    pickle.dump((i, chain.orbits, chain.strong, chain.labels, chain.nodes), out)
+                    out.flush()
+        finally:
+            os._exit(0)
+    os.close(write)
+    skip = {id(r) for r in theirs}
+    mine = [r for r in todo if id(r) not in skip]
+    received = bytearray()
+    try:
+        os.set_blocking(read, False)
+        if not _search_each(mine, budget, lambda: _drain(read, received)):
+            return
+        os.set_blocking(read, True)
+        _drain(read, received)
+    finally:
+        os.close(read)
+        os.waitpid(pid, 0)
+    stream = io.BytesIO(received)
+    while stream.tell() < len(received):
+        try:
+            i, *fields = pickle.load(stream)
+        except (EOFError, pickle.UnpicklingError):  # a record cut short
+            break
+        theirs[i]._derived.setdefault("aut_chain", _Chain(*fields))
+
+
+def _search_each(ring_list, budget, between=lambda: None) -> bool:
+    """Search the rings' chains in order, calling `between` after each;
+    False, with that ring and the rest uncached, at the first search that
+    runs over the budget."""
+    for ring in ring_list:
+        try:
+            _stabilizer_chain(ring, budget)
+        except SearchBudgetExceeded:
+            return False
+        between()
+    return True
+
+
+def _may_fork() -> bool:
+    """Whether a forked child can search next to this process: Linux, two
+    or more usable CPUs, and no other Python thread, whose locks a child
+    could inherit held."""
+    return (
+        sys.platform.startswith("linux")
+        and hasattr(os, "fork")
+        and len(os.sched_getaffinity(0)) >= 2
+        and threading.active_count() == 1
+    )
+
+
+def _fork_with_pipe():
+    """`os.fork()` with a pipe from the child to this process, as (pid, read
+    end, write end), or None when the system has no process or pipe to spare.
+
+    Python 3.12+ warns when it forks a process with other OS threads; that
+    warning, and only it, is silenced.  After `import numpy` the process
+    holds OpenBLAS's idle worker threads, which run no Python code.
+    OpenBLAS stops its pool around a fork (`pthread_atfork`), glibc's
+    malloc takes its locks across it, and the child makes no BLAS call,
+    only integer gathers and ufuncs, so the deadlock the warning is about
+    cannot happen here.
+    """
+    try:
+        read, write = os.pipe()
+    except OSError:
+        return None
+    with warnings.catch_warnings():
+        warnings.filterwarnings(
+            "ignore", r"This process .* is multi-threaded, use of fork\(\)", DeprecationWarning
+        )
+        try:
+            return os.fork(), read, write
+        except OSError:
+            os.close(read)
+            os.close(write)
+            return None
+
+
+def _drain(fd: int, into: bytearray) -> None:
+    """Append what the pipe holds to `into`: until it is empty when `fd` is
+    non-blocking, until the writer closes it when blocking."""
+    try:
+        while chunk := os.read(fd, 1 << 16):
+            into += chunk
+    except BlockingIOError:
+        pass
 
 
 def _transversal(n: int, point: int, gens) -> dict:

@@ -122,6 +122,7 @@ import numpy as np
 
 from .autsearch import (
     AutGroup,
+    _stabilizer_chains,
     aut_group_order,
     automorphisms,
     isomorphism,
@@ -520,10 +521,16 @@ def _is_product_of_distinct_rigid_locals(entry: CatalogEntry, budget) -> bool:
 
 
 def verify_trivial_aut_classification(catalog: Catalog, budget=None) -> VerificationReport:
-    """|Aut R| = 1 exactly for products of pairwise distinct Z_{p^a} and Z_2[x]/(x^2)."""
+    """|Aut R| = 1 exactly for products of pairwise distinct Z_{p^a} and Z_2[x]/(x^2).
+
+    Every entry's stabilizer chain is searched first, in one
+    `_stabilizer_chains` call, which may hand half of the products to a
+    forked child; the loop then reads the cached chains.
+    """
     cex = []
     # the zero ring sits outside the classified universe
     entries = tuple(e for e in catalog.entries if e.ring.order > 1)
+    _stabilizer_chains([e.ring for e in entries], budget)
     for entry in entries:
         rigid = aut_group_order(entry.ring, budget=budget) == 1
         expected = _is_product_of_distinct_rigid_locals(entry, budget)
@@ -547,15 +554,21 @@ def verify_units_connected_classification(catalog: Catalog, budget=None) -> Veri
 
     The classified statement covers local rings only; non-local rings with
     the subset connected are recorded as notes, with nothing asserted.
+    The non-local entries' chains are searched first, in one
+    `_stabilizer_chains` call; after the trivial-aut sweep on the same
+    catalog they are all cached, and that call searches and forks nothing.
     """
     cex = []
     notes = []
-    for entry in catalog.entries:
+    non_local = [
+        e for e in catalog.entries if e.ring.order > 1 and not local_structure(e.ring).is_local
+    ]
+    _stabilizer_chains([e.ring for e in non_local], budget)
+    for entry in non_local:
         ring = entry.ring
-        if ring.order > 1 and not local_structure(ring).is_local:
-            graph = aut_orbit_graph(ring, budget=budget)
-            if graph.subset_connected(ring.units - {ring.one}):
-                notes.append(f"non-local {entry.expr}: units minus one connected")
+        graph = aut_orbit_graph(ring, budget=budget)
+        if graph.subset_connected(ring.units - {ring.one}):
+            notes.append(f"non-local {entry.expr}: units minus one connected")
     entries = catalog.local_entries()
     for entry in entries:
         ring = entry.ring

@@ -2,6 +2,7 @@ import dataclasses
 import gc
 import hashlib
 import math
+import os
 import weakref
 
 import numpy as np
@@ -14,12 +15,14 @@ from _oracle import (
     reference_orbits,
     table_homomorphism,
 )
-from ringgraph import rings
+from conftest import forks_here
+from ringgraph import autsearch, classify, rings
 from ringgraph.autsearch import (
     _blocks,
     _certify,
     _orbit_labels,
     _stabilizer_chain,
+    _stabilizer_chains,
     _transversal,
 )
 
@@ -935,3 +938,77 @@ def test_element_order_matches_a_cycle_walk(entries32):
         for i, sigma in enumerate(group):
             want = _cycle_walk_order(sigma.image)
             assert group.element_order(sigma) == group.element_order(i) == want, (str(entry.expr), i)
+
+
+def _split_products(ring_list):
+    """The products `_stabilizer_chains` splits, in its order: the child
+    takes every other one, from the first."""
+    products = [r for r in ring_list if r._build_tables is not None and r.characteristic != r.order]
+    return sorted(products, key=lambda r: r.order, reverse=True)
+
+
+@pytest.mark.skipif(not forks_here, reason="the split forks on Linux only")
+@pytest.mark.parametrize("chain_split", [True], ids=["forked"], indirect=True)
+@pytest.mark.parametrize("max_order", [64, 128])
+def test_chain_records_from_the_child_equal_the_serial_ones(chain_split, max_order, monkeypatch):
+    ring_list = [e.ring for e in rg.build_catalog(max_order).entries if e.ring.order > 1]
+    searched = []
+    search = autsearch._search_chain
+    monkeypatch.setattr(
+        autsearch, "_search_chain", lambda ring, budget: searched.append(ring) or search(ring, budget)
+    )
+    _stabilizer_chains(ring_list)
+    assert len(chain_split.pids) == 1
+    # this process searched every ring but the child's half of the products
+    nontrivial = [r for r in ring_list if r.characteristic != r.order]
+    assert len(searched) == len(nontrivial) - len(_split_products(ring_list)[::2])
+    for ring in ring_list:
+        record = ring._derived.pop("aut_chain")
+        serial = _stabilizer_chain(ring)
+        assert (len(record.orbits), len(record.strong), record.nodes) == (
+            len(serial.orbits), len(serial.strong), serial.nodes
+        )
+        dtype = rings._table_dtype(ring.order)
+        pairs = zip((*record.orbits, *record.strong, record.labels),
+                    (*serial.orbits, *serial.strong, serial.labels))
+        for got, want in pairs:
+            assert got.dtype == want.dtype == dtype and not got.flags.writeable
+            assert np.array_equal(got, want)
+
+
+@pytest.mark.skipif(not forks_here, reason="the split forks on Linux only")
+@pytest.mark.parametrize("chain_split", [True], ids=["forked"], indirect=True)
+def test_a_ring_the_child_does_not_finish_is_searched_by_the_sweep(chain_split, monkeypatch):
+    catalog = rg.build_catalog(64)
+    ring_list = [e.ring for e in catalog.entries if e.ring.order > 1]
+    products = _split_products(ring_list)
+    failing = products[2]  # the second product of the child's half
+    parent = os.getpid()
+    chain = autsearch._stabilizer_chain
+
+    def failing_in_the_child(ring, budget=None):
+        if ring is failing and os.getpid() != parent:
+            raise RuntimeError("a search that fails in the child")
+        return chain(ring, budget)
+
+    monkeypatch.setattr(autsearch, "_stabilizer_chain", failing_in_the_child)
+    _stabilizer_chains(ring_list)
+    assert len(chain_split.pids) == 1
+    # the child's first record arrived; its batch ended at the failure
+    assert "aut_chain" in products[0]._derived
+    assert not [r for r in products[2::2] if "aut_chain" in r._derived]
+    report = classify.verify_trivial_aut_classification(catalog)
+    assert all("aut_chain" in r._derived for r in ring_list)
+    # the sweep's own call split the products left over again
+    assert len(chain_split.pids) == 2
+    # the same report, and the same record, as a serial run on fresh rings
+    rings._RINGS.clear()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    fresh = rg.build_catalog(64)
+    assert classify.verify_trivial_aut_classification(fresh) == report
+    assert len(chain_split.pids) == 2
+    name = next(e.expr for e in catalog.entries if e.ring is failing)
+    got, want = (next(e.ring for e in cat.entries if e.expr == name)._derived["aut_chain"]
+                 for cat in (catalog, fresh))
+    assert got.nodes == want.nodes and len(got.strong) == len(want.strong)
+    assert all(np.array_equal(a, b) for a, b in zip(got.strong, want.strong))

@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import math
+import os
 import weakref
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 
 import ringgraph as rg
 from _oracle import all_family_candidates, table_homomorphism
+from conftest import forks_here
 from ringgraph import classify, cli, rings
 from ringgraph.expr import expr_order, is_prime, poly_is_irreducible, poly_is_primary, prime_power
 
@@ -503,6 +505,16 @@ def test_verify_all_small():
     assert len(reports) == 7
     assert all(r.passed for r in reports)
     assert [r.theorem_id for r in reports] == list(THEOREM_IDS)
+
+
+@pytest.mark.skipif(not forks_here, reason="the split forks on Linux only")
+@pytest.mark.parametrize("chain_split", [True], ids=["forked"], indirect=True)
+def test_verify_all_leaves_no_child_process(chain_split):
+    assert all(r.passed for r in rg.verify_all(16))
+    # trivial-aut forked; units-connected found its chains cached
+    assert len(chain_split.pids) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_report_that_checked_nothing_does_not_pass():

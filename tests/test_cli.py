@@ -11,6 +11,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import ringgraph as rg
+from conftest import forks_here
+from ringgraph import rings
 from ringgraph.classify import THEOREM_IDS
 from ringgraph.cli import emit_dot, emit_json, main, parse_ring_expr, ring_summary
 
@@ -406,10 +408,32 @@ def test_cmd_verify_that_checks_nothing_is_not_a_pass(capsys):
 VERIFY_ALL_64_SHA256 = "1f35989a3d90730eb0fec3400be691a73a3e6701eda127e56f3869078d2bdbad"
 
 
-def test_verify_all_json_is_byte_stable(capsys):
+def test_verify_all_json_is_byte_stable(chain_split, capsys):
     assert main(["verify", "all", "--max-order", "64", "--json"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_ALL_64_SHA256
+    assert len(chain_split.pids) == (chain_split.forked and forks_here)
+
+
+@pytest.mark.skipif(not forks_here, reason="the split forks on Linux only")
+def test_verify_refused_mid_split_reaps_its_child(monkeypatch, capsys, cold_ring_cache):
+    # at a budget of 50 the catalog builds, and this process's half of the
+    # trivial-aut split meets GF(16), whose chain search takes 60 nodes
+    argv = ["--search-budget", "50", "verify", "all", "--max-order", "16"]
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    outcomes = []
+    for cpus in ({0}, {0, 1}):
+        rings._RINGS.clear()
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+        outcomes.append((main(argv), capsys.readouterr().err))
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+    assert len(forks) == 1
+    assert outcomes[0] == outcomes[1] == (
+        3, "resource limit: 60 element images exceed the budget of 50; raise the budget to continue\n"
+    )
 
 
 def test_python_m_ringgraph_runs_cleanly():
