@@ -25,13 +25,13 @@ Each operation builds the closure plan and certificate it reads with
 (`rings._frozen`); `automorphisms` lists the group from it on each call
 and keeps no listing.  `_stabilizer_chains` fills the records of many
 rings at once, and on a host with two CPUs it searches half of the
-products in a forked child, whose records come back through a pipe.
+products in a forked child, which writes its finished records to a pipe
+once its whole half is searched.
 """
 
 from __future__ import annotations
 
 import gc
-import io
 import math
 import os
 import pickle
@@ -265,8 +265,11 @@ class _Engine:
 
 
 def _check_budget(nodes: int, budget) -> None:
-    """Raise when `nodes` element images exceed the budget (None: the default)."""
+    """Raise when `nodes` element images exceed the budget (None: the
+    default); a budget that is not an integer, or is a bool, is a ValueError."""
     budget = DEFAULT_SEARCH_BUDGET if budget is None else budget
+    if isinstance(budget, bool) or not isinstance(budget, (int, np.integer)):
+        raise ValueError(f"the search budget must be an integer or None, got {budget!r}")
     if nodes > budget:
         raise SearchBudgetExceeded(
             f"{nodes} element images exceed the budget of {budget}; raise the budget to continue"
@@ -282,9 +285,13 @@ class AutGroup:
 
     Element 0 is the identity; elements are sorted lexicographically by
     image tuple, so group listings are reproducible.  `images` must be
-    integer rows on the carrier, hold the identity and no row twice, or
-    ValueError is raised.  The set is not checked for closure: a
-    composition or inverse outside it raises NotAutomorphism when met.
+    integer rows on the carrier, hold the identity and no row twice, and
+    every row must pass one `_certify` call, or ValueError is raised: a
+    self-map that passes is injective, so it is an automorphism.  A group
+    of the identity alone needs no certificate; `_cert`, one that a caller
+    built with `rings._build_plan(ring)`, spares building a second.  The
+    set is not checked for closure: a composition or inverse outside it
+    raises NotAutomorphism when met.
     Queries name an element by its index or as a morphism: an index
     outside 0..order-1 raises IndexError, and a morphism that is not an
     element, a map of another ring included, raises NotAutomorphism.
@@ -295,7 +302,7 @@ class AutGroup:
     read.
     """
 
-    def __init__(self, ring: FiniteRing, images: np.ndarray, generators=None):
+    def __init__(self, ring: FiniteRing, images: np.ndarray, generators=None, *, _cert=None):
         images = _carrier_array(images, ring.order, "group images")
         order = np.lexsort(images.T[::-1])
         images = np.ascontiguousarray(images[order], dtype=np.int64)  # keys are int64 bytes
@@ -306,6 +313,10 @@ class AutGroup:
         # the identity is the least permutation, so it sorts first
         if not len(images) or not np.array_equal(images[0], np.arange(ring.order)):
             raise ValueError("group images must include the identity")
+        if len(images) > 1:
+            cert = rings._build_plan(ring)[1] if _cert is None else _cert
+            if not _certify(ring, ring, images, cert).all():
+                raise ValueError("group images must be automorphisms of the ring")
         self.ring = ring
         self._images = images
         self.elements = tuple(RingMorphism(ring, ring, images[i]) for i in range(len(images)))
@@ -505,9 +516,10 @@ def _stabilizer_chain(ring: FiniteRing, budget=None) -> _Chain:
     some scope's final count exceeds its budget.
 
     The cached record may also come from `_stabilizer_chains`, which
-    searches some products in a forked child: that record is this
-    function's, field for field and node count included, installed through
-    `_Chain` in the parent, and the budget check above applies to it alike.
+    searches some products in a forked child and reads their records from
+    it once both halves are done: such a record is this function's, field
+    for field and node count included, installed through `_Chain` in the
+    parent, and the budget check above applies to it alike.
     """
 
     def build():
@@ -561,25 +573,33 @@ def _stabilizer_chains(ring_list, budget=None) -> None:
     subring; in the catalog that is exactly the product entries.  Its
     search runs on a `_working_ring` copy, so it leaves nothing on the
     ring but its `_Chain`, and that record is all the child sends back:
-    orbits, strong generators, labels and nodes, pickled through a pipe.
-    The products go in descending order, every other one to the child.
-    This process searches everything else, local rings included, whose
+    orbits, strong generators, labels and nodes.  The products go in
+    descending order, every other one to the child.  The child searches
+    its whole half first, and only then pickles the records it finished
+    into the pipe, one `pickle.dump` each, in the order of its half.  This
+    process searches everything else, local rings included, whose
     searches leave fingerprints, units and the prime subring on the ring
-    for later sweeps, and then installs each record received through
-    `_Chain`, narrowed and read-only as its own are.  In every other case,
-    the rings are searched here one by one.
+    for later sweeps, then loads the child's records until the pipe ends
+    and installs each through `_Chain`, narrowed and read-only as its own
+    are.  In every other case, the rings are searched here one by one.
+
+    The child writes only when it has nothing left to search, so it can
+    wait on a full pipe only while this process finishes its own half,
+    which it does before it reads.
 
     Every answer, node count and error is the serial one.  A search that
     runs over the budget ends the batch and leaves its ring and the rest
     uncached, and a ring the child does not finish (any exception ends the
-    child's batch) gets no record.  The callers then search every ring
-    they passed with the same budget, so the first of them to raise does,
-    at the same point and with the same message as without this call.
+    child's batch, and it still writes the records it finished) gets no
+    record.  The callers then search every ring they passed with the same
+    budget, so the first of them to raise does, at the same point and with
+    the same message as without this call.
 
     The child leaves only through `os._exit`, so it never returns into the
-    caller.  This process closes its end of the pipe and reaps the child
-    before it returns or raises; a child still searching then fails its
-    next write and exits.
+    caller.  This process kills the child with SIGKILL and reaps it before
+    it returns or raises.  When its own half ends early, over the budget
+    or by an exception, that stops a child still searching, and nothing is
+    read from it; otherwise the child has already written all it will.
     """
     todo = [r for r in ring_list if "aut_chain" not in r._derived]
     products = [r for r in todo if r._build_tables is not None and r.characteristic != r.order]
@@ -596,45 +616,43 @@ def _stabilizer_chains(ring_list, budget=None) -> None:
             # and could finalize the parent's garbage a second time
             gc.disable()
             os.close(read)
-            with os.fdopen(write, "wb") as out:
-                for i, ring in enumerate(theirs):
-                    chain = _stabilizer_chain(ring, budget)
-                    pickle.dump((i, chain.orbits, chain.strong, chain.labels, chain.nodes), out)
-                    out.flush()
+            chains = []
+            try:
+                for ring in theirs:
+                    chains.append(_stabilizer_chain(ring, budget))
+            finally:
+                with os.fdopen(write, "wb") as out:
+                    for chain in chains:
+                        pickle.dump((chain.orbits, chain.strong, chain.labels, chain.nodes), out)
         finally:
             os._exit(0)
+    import signal  # here, so that a process that never forks skips its import
+
     os.close(write)
     skip = {id(r) for r in theirs}
-    mine = [r for r in todo if id(r) not in skip]
-    received = bytearray()
     try:
-        os.set_blocking(read, False)
-        if not _search_each(mine, budget, lambda: _drain(read, received)):
-            return
-        os.set_blocking(read, True)
-        _drain(read, received)
+        with os.fdopen(read, "rb") as records:
+            if not _search_each([r for r in todo if id(r) not in skip], budget):
+                return
+            for ring in theirs:
+                try:
+                    fields = pickle.load(records)
+                except (EOFError, pickle.UnpicklingError):  # the child's batch ended early
+                    break
+                ring._derived.setdefault("aut_chain", _Chain(*fields))
     finally:
-        os.close(read)
+        os.kill(pid, signal.SIGKILL)
         os.waitpid(pid, 0)
-    stream = io.BytesIO(received)
-    while stream.tell() < len(received):
-        try:
-            i, *fields = pickle.load(stream)
-        except (EOFError, pickle.UnpicklingError):  # a record cut short
-            break
-        theirs[i]._derived.setdefault("aut_chain", _Chain(*fields))
 
 
-def _search_each(ring_list, budget, between=lambda: None) -> bool:
-    """Search the rings' chains in order, calling `between` after each;
-    False, with that ring and the rest uncached, at the first search that
-    runs over the budget."""
+def _search_each(ring_list, budget) -> bool:
+    """Search the rings' chains in order; False, with that ring and the
+    rest uncached, at the first search that runs over the budget."""
     for ring in ring_list:
         try:
             _stabilizer_chain(ring, budget)
         except SearchBudgetExceeded:
             return False
-        between()
     return True
 
 
@@ -678,16 +696,6 @@ def _fork_with_pipe():
             return None
 
 
-def _drain(fd: int, into: bytearray) -> None:
-    """Append what the pipe holds to `into`: until it is empty when `fd` is
-    non-blocking, until the writer closes it when blocking."""
-    try:
-        while chunk := os.read(fd, 1 << 16):
-            into += chunk
-    except BlockingIOError:
-        pass
-
-
 def _transversal(n: int, point: int, gens) -> dict:
     """Point y -> a product of the maps `gens` sending `point` to y, by one BFS."""
     orbit = {point: np.arange(n, dtype=np.int64)}
@@ -715,7 +723,7 @@ def automorphisms(ring: FiniteRing, budget=None) -> AutGroup:
     Each element is r_1 .. r_k, r_i from a transversal of G_i in G_{i-1}.
     The ring keeps its stabilizer chain and not the listing, an
     |Aut R|-by-|R| array that each call traces afresh and hands to the
-    group it returns.
+    group it returns, whose constructor certifies every element.
     """
     chain = _stabilizer_chain(ring, budget)
     # the listing writes |R| element images per automorphism
@@ -729,10 +737,7 @@ def automorphisms(ring: FiniteRing, budget=None) -> AutGroup:
         if sorted(level) != orbit.tolist():  # pragma: no cover - the chain's invariant
             raise RuntimeError("internal error: transversal does not cover the chain orbit")
         images = [acc[rep] for acc in images for rep in level.values()]
-    stack = np.stack(images)
-    if not _certify(ring, ring, stack, cert).all():  # pragma: no cover - closure of verified maps
-        raise RuntimeError("internal error: transversal product is not an automorphism")
-    return AutGroup(ring, stack, chain.strong)
+    return AutGroup(ring, np.stack(images), chain.strong, _cert=cert)
 
 
 def aut_orbits(ring: FiniteRing, budget=None) -> tuple[tuple[int, ...], ...]:
@@ -797,12 +802,15 @@ def inverse(f: RingMorphism) -> RingMorphism:
 
 def subgroup_closure(ring: FiniteRing, gens) -> AutGroup:
     """Smallest automorphism group of `ring` containing the given maps, checked
-    with one certificate: a self-map that `_certify` passes is injective."""
+    with one certificate: a self-map that `_certify` passes is injective.
+    The generators are checked before the closure, which they bound, and the
+    group is handed the same certificate."""
     gens = list(gens)
     gen_arrays = [g.image for g in gens]
+    cert = rings._build_plan(ring)[1] if gens else None
     if gens and not (
         all(g.source is ring and g.target is ring for g in gens)
-        and _certify(ring, ring, np.stack(gen_arrays), rings._build_plan(ring)[1]).all()
+        and _certify(ring, ring, np.stack(gen_arrays), cert).all()
     ):
         raise NotAutomorphism("subgroup_closure generators must be automorphisms of the ring")
     ident = np.arange(ring.order, dtype=np.int64)
@@ -818,4 +826,4 @@ def subgroup_closure(ring: FiniteRing, gens) -> AutGroup:
                     seen[key] = c
                     nxt.append(c)
         frontier = nxt
-    return AutGroup(ring, np.stack(list(seen.values())), gen_arrays)
+    return AutGroup(ring, np.stack(list(seen.values())), gen_arrays, _cert=cert)

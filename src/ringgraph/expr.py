@@ -9,6 +9,7 @@ CLI grammar (`cli.parse_ring_expr`).
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -187,8 +188,8 @@ class Zn(RingExpr):
     n: int
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"Zn needs n >= 1, got {self.n}")
+        if isinstance(self.n, bool) or not isinstance(self.n, numbers.Integral) or self.n < 1:
+            raise ValueError(f"Zn needs an integer n >= 1, got {self.n!r}")
 
     def __str__(self):
         return f"Z{self.n}"

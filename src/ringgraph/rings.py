@@ -255,7 +255,9 @@ class FiniteRing:
 
         With recorded factors, k*1 has coordinates k*1_j, the k mod char F_j
         entry of each factor's prime subring, and k*1 = 0 exactly when
-        every char F_j divides k, so char R is the lcm of theirs.
+        every char F_j divides k, so char R is the lcm of theirs.  Tables
+        whose multiples of 1 do not reach 0 within `order` steps are not a
+        ring, and raise ValueError.
         """
 
         def build():
@@ -268,6 +270,9 @@ class FiniteRing:
             out = [self.zero]
             x = self.one
             while x != self.zero:
+                # in an additive group the order-th multiple of 1 is 0
+                if len(out) == self.order:
+                    raise ValueError("1, 1+1, ... never reaches 0: the addition is not a group")
                 out.append(x)
                 x = int(self.add_table[x, self.one])
             return tuple(out)

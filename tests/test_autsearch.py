@@ -3,6 +3,7 @@ import gc
 import hashlib
 import math
 import os
+import signal
 import weakref
 
 import numpy as np
@@ -974,6 +975,65 @@ def test_chain_records_from_the_child_equal_the_serial_ones(chain_split, max_ord
         for got, want in pairs:
             assert got.dtype == want.dtype == dtype and not got.flags.writeable
             assert np.array_equal(got, want)
+
+
+@pytest.mark.skipif(not forks_here, reason="the split forks on Linux only")
+@pytest.mark.parametrize("chain_split", [True], ids=["forked"], indirect=True)
+@pytest.mark.parametrize("error", [rg.SearchBudgetExceeded, RuntimeError])
+def test_a_half_that_ends_early_here_kills_the_child_unread(chain_split, error, monkeypatch):
+    ring_list = [e.ring for e in rg.build_catalog(64).entries if e.ring.order > 1]
+    parent = os.getpid()
+    chain = autsearch._stabilizer_chain
+
+    def failing_here(ring, budget=None):
+        if os.getpid() == parent:
+            raise error("this process's first search fails")
+        return chain(ring, budget)
+
+    monkeypatch.setattr(autsearch, "_stabilizer_chain", failing_here)
+    kills = []
+    kill = os.kill
+    monkeypatch.setattr(os, "kill", lambda pid, sig: kills.append((pid, sig)) or kill(pid, sig))
+    if error is rg.SearchBudgetExceeded:
+        _stabilizer_chains(ring_list)  # over the budget: the batch ends and the call returns
+    else:
+        with pytest.raises(RuntimeError, match="first search fails"):
+            _stabilizer_chains(ring_list)
+    assert kills == [(*chain_split.pids, signal.SIGKILL)]
+    # this process's first search failed, and the child was killed unread
+    assert not [r for r in ring_list if "aut_chain" in r._derived]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_aut_group_refuses_rows_that_are_not_automorphisms():
+    f4 = rg.make_ring(rg.gf(4))
+    # a second row that is no bijection, and one that moves 1
+    for rows in ([[0, 1, 2, 3], [0, 1, 3, 3]], [[0, 1, 2, 3], [0, 2, 1, 3]]):
+        with pytest.raises(ValueError, match="automorphisms"):
+            rg.AutGroup(f4, rows)
+    assert rg.AutGroup(f4, rg.automorphisms(f4)._images).order == 2
+
+
+def test_automorphisms_certifies_its_listing_once_in_the_group(monkeypatch):
+    ring = rg.make_ring(rg.SquareZero(rg.Zn(2), 2))
+    calls = []
+    certify = autsearch._certify
+    monkeypatch.setattr(
+        autsearch, "_certify", lambda *a, **k: calls.append(len(np.atleast_2d(a[2]))) or certify(*a, **k)
+    )
+    rg.aut_group_order(ring)
+    calls.clear()
+    assert rg.automorphisms(ring).order == 6
+    assert calls == [6]
+
+
+@pytest.mark.parametrize("budget", ["x", 1.5, True, False, np.float64(3)])
+def test_a_budget_that_is_not_an_integer_is_refused(budget):
+    ring = fresh_copy(rg.make_ring(rg.gf(4)))
+    with pytest.raises(ValueError, match="budget must be an integer"):
+        rg.aut_group_order(ring, budget=budget)
+    assert rg.aut_group_order(ring, budget=np.int64(100)) == 2
 
 
 @pytest.mark.skipif(not forks_here, reason="the split forks on Linux only")

@@ -436,6 +436,20 @@ def test_verify_refused_mid_split_reaps_its_child(monkeypatch, capsys, cold_ring
     )
 
 
+def test_verify_refused_in_a_chain_search_is_the_same_split_or_not(chain_split, capsys):
+    # at a budget of 1000 the catalog builds, and a chain search of the
+    # trivial-aut sweep runs over it
+    argv = ["--search-budget", "1000", "verify", "trivial-aut", "--max-order", "64"]
+    assert main(argv) == 3
+    assert capsys.readouterr().err == (
+        "resource limit: 1120 element images exceed the budget of 1000; raise the budget to continue\n"
+    )
+    assert len(chain_split.pids) == (chain_split.forked and forks_here)
+    if forks_here:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+
 def test_python_m_ringgraph_runs_cleanly():
     proc = _run_cli(["info", "Z4"], timeout=120)
     assert proc.returncode == 0 and proc.stderr == ""

@@ -55,6 +55,12 @@ def test_default_modulus_beyond_bundle():
     assert poly_is_irreducible(list(mod), 3)
 
 
+@pytest.mark.parametrize("n", [True, False, 2.0, "4", None])
+def test_zn_refuses_an_n_that_is_not_an_integer(n):
+    with pytest.raises(ValueError, match="integer"):
+        rg.Zn(n)
+
+
 def test_expr_validation():
     with pytest.raises(ValueError):
         rg.Zn(0)

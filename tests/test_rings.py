@@ -754,3 +754,13 @@ def test_ring_axioms_hypothesis(expr):
     if rg.expr_order(expr) > 64:
         return
     assert_ring_axioms(rg.make_ring(expr))
+
+
+def test_prime_subring_of_an_addition_that_is_not_a_group_raises():
+    # 7 + 1 = 1: the multiples of 1 cycle through 1..7 and never reach 0
+    z8 = rg.make_ring(rg.Zn(8))
+    add = z8.add_table.copy()
+    add[7, 1] = add[1, 7] = 1
+    ring = rg.FiniteRing(add, z8.mul_table, z8.zero, z8.one, None, z8.element_names)
+    with pytest.raises(ValueError, match="not a group"):
+        ring.characteristic
