@@ -24,9 +24,11 @@ Each operation builds the closure plan and certificate it reads with
 `_Chain` record of its search, read-only in its table dtype
 (`rings._frozen`); `automorphisms` lists the group from it on each call
 and keeps no listing.  `_stabilizer_chains` fills the records of many
-rings at once, and on a host with two CPUs it searches half of the
-products in a forked child, which writes its finished records to a pipe
-once its whole half is searched.
+rings at once.  On a host with two CPUs it forks a child, and the two
+processes take the products from one queue, a pipe of product indices,
+while this process also searches the other rings and runs the caller's
+other work; the child writes its finished records to a second pipe once
+the queue is empty.
 """
 
 from __future__ import annotations
@@ -266,10 +268,11 @@ class _Engine:
 
 def _check_budget(nodes: int, budget) -> None:
     """Raise when `nodes` element images exceed the budget (None: the
-    default); a budget that is not an integer, or is a bool, is a ValueError."""
+    default); a budget that is not an integer, is a bool or is negative is a
+    ValueError, as the CLI refuses a negative one."""
     budget = DEFAULT_SEARCH_BUDGET if budget is None else budget
-    if isinstance(budget, bool) or not isinstance(budget, (int, np.integer)):
-        raise ValueError(f"the search budget must be an integer or None, got {budget!r}")
+    if isinstance(budget, bool) or not isinstance(budget, (int, np.integer)) or budget < 0:
+        raise ValueError(f"the search budget must be an integer >= 0 or None, got {budget!r}")
     if nodes > budget:
         raise SearchBudgetExceeded(
             f"{nodes} element images exceed the budget of {budget}; raise the budget to continue"
@@ -517,9 +520,9 @@ def _stabilizer_chain(ring: FiniteRing, budget=None) -> _Chain:
 
     The cached record may also come from `_stabilizer_chains`, which
     searches some products in a forked child and reads their records from
-    it once both halves are done: such a record is this function's, field
-    for field and node count included, installed through `_Chain` in the
-    parent, and the budget check above applies to it alike.
+    it once the products are all taken: such a record is this function's,
+    field for field and node count included, installed through `_Chain` in
+    the parent, and the budget check above applies to it alike.
     """
 
     def build():
@@ -562,51 +565,66 @@ def _search_chain(ring: FiniteRing, budget) -> _Chain:
     return _Chain(chain, strong, label, engine.peak)
 
 
-def _stabilizer_chains(ring_list, budget=None) -> None:
+def _stabilizer_chains(ring_list, budget=None, meanwhile=None) -> None:
     """Fill the `_stabilizer_chain` cache of every ring given, in one call.
 
     The rings' searches are independent, so on Linux, when the process may
     run on two or more CPUs, no other Python thread runs and at least two
-    uncached products remain, one child is forked to search half of the
-    products while this process searches the rest.  A product here is a
-    ring whose tables are still deferred and that is not its own prime
-    subring; in the catalog that is exactly the product entries.  Its
-    search runs on a `_working_ring` copy, so it leaves nothing on the
-    ring but its `_Chain`, and that record is all the child sends back:
-    orbits, strong generators, labels and nodes.  The products go in
-    descending order, every other one to the child.  The child searches
-    its whole half first, and only then pickles the records it finished
-    into the pipe, one `pickle.dump` each, in the order of its half.  This
-    process searches everything else, local rings included, whose
-    searches leave fingerprints, units and the prime subring on the ring
-    for later sweeps, then loads the child's records until the pipe ends
-    and installs each through `_Chain`, narrowed and read-only as its own
-    are.  In every other case, the rings are searched here one by one.
+    uncached products remain, one child is forked to share the products
+    with this process.  A product here is a ring whose tables are still
+    deferred and that is not its own prime subring; in the catalog that is
+    exactly the product entries.  Its search runs on a `_working_ring`
+    copy, so it leaves nothing on the ring but its `_Chain`, and that
+    record is all the child sends back: orbits, strong generators, labels
+    and nodes.
 
-    The child writes only when it has nothing left to search, so it can
-    wait on a full pipe only while this process finishes its own half,
-    which it does before it reads.
+    The products are shared through a queue (`_product_queue`): a pipe
+    that holds each product's index, largest product first, as one 4-byte
+    token, and whose write end is closed before the fork.  Each process
+    takes the next product with `os.read(queue, 4)`.  Linux reads a pipe
+    under the pipe's lock, so two reads never take bytes of one token;
+    every token is in the pipe before either process reads, and every
+    read asks for 4 bytes, so the bytes left are always whole tokens, and
+    a read returns one token, or b"" (EOF) once the queue is empty.  So
+    each product is taken exactly once.  The child takes products until
+    the queue ends, then pickles the (index, record) pairs it finished
+    into a second pipe, once.  This process first searches every ring
+    that is not a product, local rings included, whose searches leave
+    fingerprints, units and the prime subring on the ring for later
+    sweeps; then it calls `meanwhile()`, work that needs none of the
+    child's records; then it takes products until the queue ends; last,
+    it loads the child's pairs and installs each record through `_Chain`,
+    narrowed and read-only as its own are.  In every other case the rings
+    are searched here one by one, and `meanwhile` is not called.
+
+    The child writes only when it takes no more products, so it can wait
+    on a full pipe only while this process finishes its own work, which
+    it does before it reads.
 
     Every answer, node count and error is the serial one.  A search that
     runs over the budget ends the batch and leaves its ring and the rest
-    uncached, and a ring the child does not finish (any exception ends the
-    child's batch, and it still writes the records it finished) gets no
-    record.  The callers then search every ring they passed with the same
-    budget, so the first of them to raise does, at the same point and with
-    the same message as without this call.
+    uncached, and a product the child does not finish (any exception ends
+    the child's batch: it takes no more products, and it still writes the
+    records it finished) gets no record.  The callers then search every
+    ring they passed with the same budget, so the first of them to raise
+    does, at the same point and with the same message as without this
+    call.
 
     The child leaves only through `os._exit`, so it never returns into the
     caller.  This process kills the child with SIGKILL and reaps it before
-    it returns or raises.  When its own half ends early, over the budget
-    or by an exception, that stops a child still searching, and nothing is
-    read from it; otherwise the child has already written all it will.
+    it returns or raises.  When its own work ends early, over the budget
+    or by an exception, `meanwhile`'s included, that stops a child still
+    searching, and nothing is read from it; otherwise the child has
+    already written all it will.
     """
     todo = [r for r in ring_list if "aut_chain" not in r._derived]
     products = [r for r in todo if r._build_tables is not None and r.characteristic != r.order]
     products.sort(key=lambda r: r.order, reverse=True)
-    theirs = products[::2] if len(products) >= 2 and _may_fork() else []
-    forked = _fork_with_pipe() if theirs else None
+    queue = _product_queue(len(products)) if len(products) >= 2 and _may_fork() else None
+    forked = _fork_with_pipe() if queue is not None else None
     if forked is None:
+        if queue is not None:
+            os.close(queue)
         _search_each(todo, budget)
         return
     pid, read, write = forked
@@ -618,29 +636,35 @@ def _stabilizer_chains(ring_list, budget=None) -> None:
             os.close(read)
             chains = []
             try:
-                for ring in theirs:
-                    chains.append(_stabilizer_chain(ring, budget))
+                while token := os.read(queue, 4):
+                    i = int.from_bytes(token, "little")
+                    chains.append((i, _stabilizer_chain(products[i], budget)))
             finally:
                 with os.fdopen(write, "wb") as out:
-                    for chain in chains:
-                        pickle.dump((chain.orbits, chain.strong, chain.labels, chain.nodes), out)
+                    pickle.dump([(i, c.orbits, c.strong, c.labels, c.nodes) for i, c in chains], out)
         finally:
             os._exit(0)
     import signal  # here, so that a process that never forks skips its import
 
     os.close(write)
-    skip = {id(r) for r in theirs}
+    queued = {id(r) for r in products}
     try:
         with os.fdopen(read, "rb") as records:
-            if not _search_each([r for r in todo if id(r) not in skip], budget):
+            if not _search_each([r for r in todo if id(r) not in queued], budget):
                 return
-            for ring in theirs:
-                try:
-                    fields = pickle.load(records)
-                except (EOFError, pickle.UnpicklingError):  # the child's batch ended early
-                    break
-                ring._derived.setdefault("aut_chain", _Chain(*fields))
+            if meanwhile is not None:
+                meanwhile()
+            while token := os.read(queue, 4):
+                if not _search_each([products[int.from_bytes(token, "little")]], budget):
+                    return
+            try:
+                theirs = pickle.load(records)
+            except (EOFError, pickle.UnpicklingError):  # the child wrote nothing whole
+                theirs = []
+            for i, *fields in theirs:
+                products[i]._derived.setdefault("aut_chain", _Chain(*fields))
     finally:
+        os.close(queue)
         os.kill(pid, signal.SIGKILL)
         os.waitpid(pid, 0)
 
@@ -654,6 +678,33 @@ def _search_each(ring_list, budget) -> bool:
         except SearchBudgetExceeded:
             return False
     return True
+
+
+def _product_queue(n: int):
+    """The read end of a pipe holding the indices 0..n-1, in order, as
+    4-byte little-endian tokens, with its write end closed; or None.
+
+    The tokens are all written before any process reads, so they must fit
+    the pipe's buffer at once: 64 KiB on Linux, 16384 tokens, or less when
+    the kernel hands a user over its pipe quota a pipe of one or two pages.
+    The write is non-blocking, so tokens that do not fit come back as a
+    short write, and None is returned, as it is when the system has no
+    pipe to spare: the rings are then searched one by one.
+    """
+    try:
+        read, write = os.pipe()
+    except OSError:
+        return None
+    tokens = b"".join(i.to_bytes(4, "little") for i in range(n))
+    os.set_blocking(write, False)
+    try:
+        written = os.write(write, tokens)  # an empty pipe takes a page at least
+    finally:
+        os.close(write)
+    if written == len(tokens):
+        return read
+    os.close(read)
+    return None
 
 
 def _may_fork() -> bool:
@@ -767,8 +818,10 @@ def isomorphism(source: FiniteRing, target: FiniteRing, budget=None) -> RingMorp
     S_{i-1}, since g_i is the least index outside it, so under the
     identity on S_{i-1} each of them is a used image, and g_i is the first
     candidate image of g_i; the identity on S_i keeps every fingerprint,
-    and the complete identity passes the certificate.
+    and the complete identity passes the certificate.  The budget is
+    checked first, so a bad one raises ValueError even then.
     """
+    _check_budget(0, budget)
     if source is target:
         return identity_automorphism(source)
     if source.order != target.order or source.characteristic != target.characteristic:

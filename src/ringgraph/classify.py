@@ -184,6 +184,8 @@ SWEEPS = {
     "residue-remark": ("verify_residue_field_remark", True),
 }
 THEOREM_IDS = tuple(SWEEPS)
+# the sweeps that read the stabilizer chains of the catalog's products
+_READ_PRODUCT_CHAINS = ("trivial-aut", "units-connected")
 
 
 @dataclass(frozen=True)
@@ -524,8 +526,8 @@ def verify_trivial_aut_classification(catalog: Catalog, budget=None) -> Verifica
     """|Aut R| = 1 exactly for products of pairwise distinct Z_{p^a} and Z_2[x]/(x^2).
 
     Every entry's stabilizer chain is searched first, in one
-    `_stabilizer_chains` call, which may hand half of the products to a
-    forked child; the loop then reads the cached chains.
+    `_stabilizer_chains` call, which may share the products with a forked
+    child; the loop then reads the cached chains.
     """
     cex = []
     # the zero ring sits outside the classified universe
@@ -828,16 +830,42 @@ def verify_residue_field_remark(catalog: Catalog, budget=None) -> VerificationRe
 
 def _run_sweeps(theorem_ids, max_order: int, budget=None) -> list[VerificationReport]:
     """The reports of the given sweeps, in order; the catalog up to
-    `max_order` is built once, and only when one of them reads it."""
+    `max_order` is built once, and only when one of them reads it.
+
+    Only the trivial-aut and units-connected sweeps read the chains of
+    product entries, and between them they read the chain of every entry
+    of order above 1.  When one of them runs with other sweeps, those
+    chains are searched first, in one `_stabilizer_chains` call, whose
+    `meanwhile` computes the other sweeps' reports, in the order given.
+    Where that call forks, this process runs `meanwhile` while the child
+    searches products, and takes products after it; on one CPU
+    `meanwhile` never runs.  `meanwhile` stops at the first exception and
+    drops it.  The pass in the given order then takes each stored report,
+    or runs its sweep, so an error is raised where the serial run raises
+    it, with the same message.
+    """
     catalog = None
     if any(SWEEPS[t][1] for t in theorem_ids):
         catalog = build_catalog(max_order, budget=budget)
-    reports = []
-    for t in theorem_ids:
+
+    def run(t):
         name, reads_catalog = SWEEPS[t]
         sweep = globals()[name]
-        reports.append(sweep(catalog, budget=budget) if reads_catalog else sweep(budget=budget))
-    return reports
+        return sweep(catalog, budget=budget) if reads_catalog else sweep(budget=budget)
+
+    done = {}
+    rest = [t for t in theorem_ids if t not in _READ_PRODUCT_CHAINS]
+    if rest and len(rest) < len(theorem_ids):
+
+        def meanwhile():
+            try:
+                for t in rest:
+                    done[t] = run(t)
+            except Exception:  # the pass below runs this sweep again, and raises there
+                pass
+
+        _stabilizer_chains([e.ring for e in catalog.entries if e.ring.order > 1], budget, meanwhile)
+    return [done[t] if t in done else run(t) for t in theorem_ids]
 
 
 def verify_all(max_order: int = 64, budget=None) -> list[VerificationReport]:

@@ -88,7 +88,7 @@ def _tokenize(text: str) -> list[_Token]:
 
 
 class _Parser:
-    def __init__(self, text: str, max_order: int | None = None):
+    def __init__(self, text: str, max_order: int):
         self.tokens = _tokenize(text)
         self.i = 0
         self.max_order = max_order
@@ -121,7 +121,7 @@ class _Parser:
         `make_ring` checks the smaller orders."""
         cap = self.max_order
         # base**exponent >= 2**exponent > cap once exponent reaches cap's bit length
-        if cap is not None and base >= 2 and exponent >= cap.bit_length():
+        if base >= 2 and exponent >= cap.bit_length():
             raise OrderLimitExceeded(f"ring order at column {column} exceeds cap {cap}")
 
     # -- grammar ------------------------------------------------------------
@@ -268,7 +268,7 @@ class _Parser:
         self.expect(")", "')'")
         # factorizing q and searching for a modulus both grow with q, so a
         # field above the cap is refused before either runs
-        if self.max_order is not None and q > self.max_order:
+        if q > self.max_order:
             raise OrderLimitExceeded(f"field order {q} exceeds cap {self.max_order}")
         if prime_power(q) is None:
             raise SemanticError(f"{q} is not a prime power", column)
@@ -289,12 +289,12 @@ class _Parser:
 def parse_ring_expr(text: str, max_order: int | None = None) -> RingExpr:
     """Parse the ring-expression grammar; ParseError / SemanticError on failure.
 
-    With `max_order`, a GF(q) with q above it raises OrderLimitExceeded
-    before q is factorized, and so does a quotient or square-zero ring of
-    order n**k with 2**k above it, before a power or a list of size k is
-    built.
+    `max_order` is the order cap, `DEFAULT_MAX_ORDER` when None, as in
+    `make_ring`: a GF(q) with q above it raises OrderLimitExceeded before q
+    is factorized, and so does a quotient or square-zero ring of order
+    n**k with 2**k above it, before a power or a list of size k is built.
     """
-    return _Parser(text, max_order).parse()
+    return _Parser(text, DEFAULT_MAX_ORDER if max_order is None else max_order).parse()
 
 
 # ---------------------------------------------------------------------------

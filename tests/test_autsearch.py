@@ -3,6 +3,7 @@ import gc
 import hashlib
 import math
 import os
+import pickle
 import signal
 import weakref
 
@@ -941,11 +942,34 @@ def test_element_order_matches_a_cycle_walk(entries32):
             assert group.element_order(sigma) == group.element_order(i) == want, (str(entry.expr), i)
 
 
-def _split_products(ring_list):
-    """The products `_stabilizer_chains` splits, in its order: the child
-    takes every other one, from the first."""
+def _queued_products(ring_list):
+    """The products `_stabilizer_chains` puts on its queue, in queue order."""
     products = [r for r in ring_list if r._build_tables is not None and r.characteristic != r.order]
     return sorted(products, key=lambda r: r.order, reverse=True)
+
+
+def _watch_the_split(monkeypatch):
+    """The rings whose chain this process searches, and the child's (index,
+    record) pairs as this process loads them, each as a list filled from
+    now on."""
+    searched, theirs = [], []
+    chain = autsearch._stabilizer_chain
+
+    def searching(ring, budget=None):
+        if "aut_chain" not in ring._derived:
+            searched.append(ring)
+        return chain(ring, budget)
+
+    monkeypatch.setattr(autsearch, "_stabilizer_chain", searching)
+    load = pickle.load
+
+    def loading(file):
+        pairs = load(file)
+        theirs.extend(pairs)
+        return pairs
+
+    monkeypatch.setattr(pickle, "load", loading)
+    return searched, theirs
 
 
 @pytest.mark.skipif(not forks_here, reason="the split forks on Linux only")
@@ -953,16 +977,23 @@ def _split_products(ring_list):
 @pytest.mark.parametrize("max_order", [64, 128])
 def test_chain_records_from_the_child_equal_the_serial_ones(chain_split, max_order, monkeypatch):
     ring_list = [e.ring for e in rg.build_catalog(max_order).entries if e.ring.order > 1]
-    searched = []
-    search = autsearch._search_chain
-    monkeypatch.setattr(
-        autsearch, "_search_chain", lambda ring, budget: searched.append(ring) or search(ring, budget)
-    )
-    _stabilizer_chains(ring_list)
+    products = _queued_products(ring_list)
+    index = {id(r): i for i, r in enumerate(products)}
+    searched, theirs = _watch_the_split(monkeypatch)
+    before_meanwhile = []
+    _stabilizer_chains(ring_list, meanwhile=lambda: before_meanwhile.append(len(searched)))
     assert len(chain_split.pids) == 1
-    # this process searched every ring but the child's half of the products
-    nontrivial = [r for r in ring_list if r.characteristic != r.order]
-    assert len(searched) == len(nontrivial) - len(_split_products(ring_list)[::2])
+    # this process searched every ring that is not a product before
+    # `meanwhile`, and products only after it
+    others = [r for r in ring_list if id(r) not in index]
+    assert before_meanwhile == [len(others)]
+    assert [id(r) for r in searched[: len(others)]] == [id(r) for r in others]
+    # the queue gave every product to exactly one process, and each took
+    # its products in queue order
+    mine = [index[id(r)] for r in searched[len(others):]]
+    child = [i for i, *_ in theirs]
+    assert child and sorted(mine + child) == list(range(len(products)))
+    assert mine == sorted(mine) and child == sorted(child)
     for ring in ring_list:
         record = ring._derived.pop("aut_chain")
         serial = _stabilizer_chain(ring)
@@ -975,6 +1006,25 @@ def test_chain_records_from_the_child_equal_the_serial_ones(chain_split, max_ord
         for got, want in pairs:
             assert got.dtype == want.dtype == dtype and not got.flags.writeable
             assert np.array_equal(got, want)
+
+
+@pytest.mark.skipif(not forks_here, reason="the split forks on Linux only")
+@pytest.mark.parametrize("chain_split", [True], ids=["forked"], indirect=True)
+def test_a_queue_that_does_not_fit_its_pipe_is_searched_serially(chain_split, monkeypatch):
+    # a Linux pipe holds 64 KiB by default: 16384 tokens of 4 bytes
+    queue = autsearch._product_queue(16384)
+    try:
+        tokens = [os.read(queue, 4) for _ in range(16385)]
+    finally:
+        os.close(queue)
+    assert [int.from_bytes(t, "little") for t in tokens[:-1]] == list(range(16384))
+    assert tokens[-1] == b""
+    assert autsearch._product_queue(16385) is None
+    # without a queue the rings are searched here, and `meanwhile` is not called
+    monkeypatch.setattr(autsearch, "_product_queue", lambda n: None)
+    ring_list = [e.ring for e in rg.build_catalog(16).entries if e.ring.order > 1]
+    _stabilizer_chains(ring_list, meanwhile=lambda: pytest.fail("meanwhile ran"))
+    assert chain_split.pids == [] and all("aut_chain" in r._derived for r in ring_list)
 
 
 @pytest.mark.skipif(not forks_here, reason="the split forks on Linux only")
@@ -1028,11 +1078,16 @@ def test_automorphisms_certifies_its_listing_once_in_the_group(monkeypatch):
     assert calls == [6]
 
 
-@pytest.mark.parametrize("budget", ["x", 1.5, True, False, np.float64(3)])
+@pytest.mark.parametrize("budget", ["x", 1.5, True, False, np.float64(3), -1, np.int64(-1)])
 def test_a_budget_that_is_not_an_integer_is_refused(budget):
     ring = fresh_copy(rg.make_ring(rg.gf(4)))
-    with pytest.raises(ValueError, match="budget must be an integer"):
+    with pytest.raises(ValueError, match="budget must be an integer >= 0"):
         rg.aut_group_order(ring, budget=budget)
+    # a ring tested against itself needs no search, but its budget is checked
+    with pytest.raises(ValueError, match="budget must be an integer >= 0"):
+        rg.isomorphism(ring, ring, budget=budget)
+    with pytest.raises(ValueError, match="budget must be an integer >= 0"):
+        rg.aut_group_order(rg.make_ring(rg.Zn(2)), budget=budget)
     assert rg.aut_group_order(ring, budget=np.int64(100)) == 2
 
 
@@ -1041,32 +1096,38 @@ def test_a_budget_that_is_not_an_integer_is_refused(budget):
 def test_a_ring_the_child_does_not_finish_is_searched_by_the_sweep(chain_split, monkeypatch):
     catalog = rg.build_catalog(64)
     ring_list = [e.ring for e in catalog.entries if e.ring.order > 1]
-    products = _split_products(ring_list)
-    failing = products[2]  # the second product of the child's half
+    products = _queued_products(ring_list)
+    searched, theirs = _watch_the_split(monkeypatch)
     parent = os.getpid()
     chain = autsearch._stabilizer_chain
+    taken = []  # filled in the child only
 
     def failing_in_the_child(ring, budget=None):
-        if ring is failing and os.getpid() != parent:
-            raise RuntimeError("a search that fails in the child")
+        if os.getpid() != parent:
+            taken.append(ring)
+            if len(taken) == 2:
+                raise RuntimeError("the child's second search fails")
         return chain(ring, budget)
 
     monkeypatch.setattr(autsearch, "_stabilizer_chain", failing_in_the_child)
     _stabilizer_chains(ring_list)
     assert len(chain_split.pids) == 1
-    # the child's first record arrived; its batch ended at the failure
-    assert "aut_chain" in products[0]._derived
-    assert not [r for r in products[2::2] if "aut_chain" in r._derived]
+    # the child's first record arrived, its batch ended at its second
+    # product, and this process took every product after that one
+    assert len(theirs) == 1
+    missing = [r for r in products if "aut_chain" not in r._derived]
+    assert len(missing) == 1 and all(r is not missing[0] for r in searched)
+    failing = missing[0]
     report = classify.verify_trivial_aut_classification(catalog)
     assert all("aut_chain" in r._derived for r in ring_list)
-    # the sweep's own call split the products left over again
-    assert len(chain_split.pids) == 2
+    # one product was left, so the sweep's own call searched it here
+    assert len(chain_split.pids) == 1 and searched[-1] is failing
     # the same report, and the same record, as a serial run on fresh rings
     rings._RINGS.clear()
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     fresh = rg.build_catalog(64)
     assert classify.verify_trivial_aut_classification(fresh) == report
-    assert len(chain_split.pids) == 2
+    assert len(chain_split.pids) == 1
     name = next(e.expr for e in catalog.entries if e.ring is failing)
     got, want = (next(e.ring for e in cat.entries if e.expr == name)._derived["aut_chain"]
                  for cat in (catalog, fresh))

@@ -511,7 +511,7 @@ def test_verify_all_small():
 @pytest.mark.parametrize("chain_split", [True], ids=["forked"], indirect=True)
 def test_verify_all_leaves_no_child_process(chain_split):
     assert all(r.passed for r in rg.verify_all(16))
-    # trivial-aut forked; units-connected found its chains cached
+    # the call of `_run_sweeps` forked; both chain sweeps found their chains cached
     assert len(chain_split.pids) == 1
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)

@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import ringgraph as rg
 from conftest import forks_here
-from ringgraph import rings
+from ringgraph import classify, rings
 from ringgraph.classify import THEOREM_IDS
 from ringgraph.cli import emit_dot, emit_json, main, parse_ring_expr, ring_summary
 
@@ -264,6 +264,15 @@ def _run_cli(argv, timeout):
     )
 
 
+def test_parse_ring_expr_refuses_a_huge_field_at_once():
+    # the cap defaults to DEFAULT_MAX_ORDER, as in make_ring, so q is never factorized
+    start = time.perf_counter()
+    with pytest.raises(rg.OrderLimitExceeded, match="field order 1099511627776 exceeds cap 4096"):
+        parse_ring_expr("GF(1099511627776)")
+    assert time.perf_counter() - start < 1
+    assert parse_ring_expr("GF(8192)", max_order=8192) == rg.gf(8192)
+
+
 def test_huge_field_order_exits_3_quickly():
     start = time.perf_counter()
     proc = _run_cli(["info", "GF(1000000000000000003)"], timeout=10)
@@ -417,8 +426,10 @@ def test_verify_all_json_is_byte_stable(chain_split, capsys):
 
 @pytest.mark.skipif(not forks_here, reason="the split forks on Linux only")
 def test_verify_refused_mid_split_reaps_its_child(monkeypatch, capsys, cold_ring_cache):
-    # at a budget of 50 the catalog builds, and this process's half of the
-    # trivial-aut split meets GF(16), whose chain search takes 60 nodes
+    # at a budget of 50 the catalog builds, and GF(16), whose chain search
+    # takes 60 nodes, is among the rings this process searches before it
+    # takes products: the split that `_run_sweeps` starts ends over the
+    # budget, the trivial-aut sweep's own split does too, and it raises
     argv = ["--search-budget", "50", "verify", "all", "--max-order", "16"]
     forks = []
     fork = os.fork
@@ -430,7 +441,7 @@ def test_verify_refused_mid_split_reaps_its_child(monkeypatch, capsys, cold_ring
         outcomes.append((main(argv), capsys.readouterr().err))
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
-    assert len(forks) == 1
+    assert len(forks) == 2
     assert outcomes[0] == outcomes[1] == (
         3, "resource limit: 60 element images exceed the budget of 50; raise the budget to continue\n"
     )
@@ -448,6 +459,49 @@ def test_verify_refused_in_a_chain_search_is_the_same_split_or_not(chain_split, 
     if forks_here:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.skipif(not forks_here, reason="the split forks on Linux only")
+@pytest.mark.parametrize("error", [None, RuntimeError])
+def test_a_sweep_that_raises_while_the_child_searches_raises_in_order(
+    error, monkeypatch, capsys, cold_ring_cache
+):
+    # at a budget of 50 the catalog builds and the trivial-aut,
+    # units-connected and m-connected sweeps pass; the type-formulas sweep
+    # runs over it, or raises `error`
+    argv = ["--search-budget", "50", "verify", "all", "--max-order", "8"]
+    sweep = classify.verify_type_formulas
+    calls = []
+
+    def type_formulas(budget=None):
+        calls.append(budget)
+        if error is not None:
+            raise error("the type-formulas sweep fails")
+        return sweep(budget=budget)
+
+    monkeypatch.setattr(classify, "verify_type_formulas", type_formulas)
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    outcomes = []
+    for cpus in ({0}, {0, 1}):
+        rings._RINGS.clear()
+        calls.clear()
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+        if error is None:
+            outcomes.append((main(argv), capsys.readouterr(), len(calls)))
+        else:
+            with pytest.raises(error, match="type-formulas sweep fails"):
+                main(argv)
+            outcomes.append((None, capsys.readouterr(), len(calls)))
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+    # with the split the sweep ran, and raised, while the child searched,
+    # and once more in order, where it raised as the serial run does
+    assert len(forks) == 1
+    code, err = (3, "resource limit: 80 element images exceed the budget of 50; "
+                 "raise the budget to continue\n") if error is None else (None, "")
+    assert outcomes == [(code, ("", err), 1), (code, ("", err), 2)]
 
 
 def test_python_m_ringgraph_runs_cleanly():
