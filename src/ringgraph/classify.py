@@ -141,11 +141,12 @@ from .expr import (
     poly_is_primary,
     prime_power,
 )
-from .orbitgraph import aut_orbit_graph, build_graph
+from .orbitgraph import _aut_subset_connected, aut_orbit_graph, build_graph
 from .rings import (
     FiniteRing,
     _fingerprint_keys,
     _local_factors,
+    _unit_indices,
     euler_phi,
     local_structure,
     make_ring,
@@ -184,8 +185,6 @@ SWEEPS = {
     "residue-remark": ("verify_residue_field_remark", True),
 }
 THEOREM_IDS = tuple(SWEEPS)
-# the sweeps that read the stabilizer chains of the catalog's products
-_READ_PRODUCT_CHAINS = ("trivial-aut", "units-connected")
 
 
 @dataclass(frozen=True)
@@ -503,39 +502,78 @@ def _isomorphic_to(ring: FiniteRing, expr: RingExpr, budget) -> bool:
     return isomorphism(ring, make_ring(expr), budget=budget) is not None
 
 
-def _is_product_of_distinct_rigid_locals(entry: CatalogEntry, budget) -> bool:
+def _is_rigid_local(ring: FiniteRing, budget) -> bool:
+    """Whether the local ring is isomorphic to a Z_{p^a} or to Z_2[x]/(x^2)."""
+    if not prime_power(ring.order):
+        return False
+    if _isomorphic_to(ring, Zn(ring.order), budget):
+        return True
+    return ring.order == 4 and ring.characteristic == 2 and _isomorphic_to(
+        ring, PolyQuot(2, (0, 0, 1)), budget
+    )
+
+
+def _is_product_of_distinct_rigid_locals(entry: CatalogEntry, budget=None, memo=None) -> bool:
     """The entry's ring isomorphic to a product of pairwise non-isomorphic factors
-    drawn from the cyclic prime-power rings and the 4-element square-zero ring."""
+    drawn from the cyclic prime-power rings and the 4-element square-zero ring.
+
+    `memo` keeps the answers to the questions asked of the factors, keyed
+    by the factor rings: a ring for "is it rigid", an ordered pair for "are
+    they isomorphic".  A product shares the ring of each local entry it
+    names, so over a catalog the same few questions come again and again,
+    and a sweep that passes one dict asks each once.  A question that
+    raises keeps no answer, so it raises again when asked again.
+    """
+    memo = {} if memo is None else memo
+
+    def ask(key, question):
+        if key not in memo:
+            memo[key] = question()
+        return memo[key]
+
     factors = _local_factors_of(entry.expr, entry.ring)
-    for f in factors:
-        ok = False
-        if prime_power(f.order):
-            ok = _isomorphic_to(f, Zn(f.order), budget)
-            if not ok and f.order == 4 and f.characteristic == 2:
-                ok = _isomorphic_to(f, PolyQuot(2, (0, 0, 1)), budget)
-        if not ok:
-            return False
-    for i in range(len(factors)):
-        for j in range(i + 1, len(factors)):
-            if isomorphism(factors[i], factors[j], budget=budget) is not None:
-                return False
-    return True
+    if not all(ask(f, lambda: _is_rigid_local(f, budget)) for f in factors):
+        return False
+    return not any(
+        ask((f, g), lambda: isomorphism(f, g, budget=budget) is not None)
+        for f, g in itertools.combinations(factors, 2)
+    )
 
 
-def verify_trivial_aut_classification(catalog: Catalog, budget=None) -> VerificationReport:
+def _classified_entries(catalog: Catalog) -> tuple[CatalogEntry, ...]:
+    # the zero ring sits outside the classified universe
+    return tuple(e for e in catalog.entries if e.ring.order > 1)
+
+
+def _trivial_aut_part(catalog: Catalog, budget):
+    """The chain-free part of `verify_trivial_aut_classification`, lazily:
+    whether each entry of order above 1, in catalog order, has the
+    classified shape, each factor question asked once."""
+    memo = {}
+    for entry in _classified_entries(catalog):
+        yield _is_product_of_distinct_rigid_locals(entry, budget, memo)
+
+
+def verify_trivial_aut_classification(
+    catalog: Catalog, budget=None, *, _part=None
+) -> VerificationReport:
     """|Aut R| = 1 exactly for products of pairwise distinct Z_{p^a} and Z_2[x]/(x^2).
 
     Every entry's stabilizer chain is searched first, in one
     `_stabilizer_chains` call, which may share the products with a forked
-    child; the loop then reads the cached chains.
+    child; the loop then reads the cached chains.  Whether an entry has
+    the classified shape reads no chain: the loop takes it from
+    `_trivial_aut_part` after the entry's |Aut R|, so an error comes where
+    the loop meets it, or from `_part`, the list of them that
+    `_run_sweeps` computed while the child searched.
     """
     cex = []
-    # the zero ring sits outside the classified universe
-    entries = tuple(e for e in catalog.entries if e.ring.order > 1)
+    entries = _classified_entries(catalog)
     _stabilizer_chains([e.ring for e in entries], budget)
+    shapes = iter(_trivial_aut_part(catalog, budget) if _part is None else _part)
     for entry in entries:
         rigid = aut_group_order(entry.ring, budget=budget) == 1
-        expected = _is_product_of_distinct_rigid_locals(entry, budget)
+        expected = next(shapes)
         if rigid != expected:
             detail = (
                 "trivial automorphism group but not of the classified shape"
@@ -551,7 +589,53 @@ def verify_trivial_aut_classification(catalog: Catalog, budget=None) -> Verifica
     )
 
 
-def verify_units_connected_classification(catalog: Catalog, budget=None) -> VerificationReport:
+def _non_local_entries(catalog: Catalog) -> tuple[CatalogEntry, ...]:
+    return tuple(
+        e for e in catalog.entries if e.ring.order > 1 and not local_structure(e.ring).is_local
+    )
+
+
+def _units_minus_one_connected(ring: FiniteRing, budget) -> bool:
+    """Whether U(R)-{1} lies in one block of the ring's Aut R orbit graph,
+    read from its chain's labels (`_aut_subset_connected`)."""
+    units = _unit_indices(ring)
+    return _aut_subset_connected(ring, units[units != ring.one], budget)
+
+
+def _units_connected_detail(entry: CatalogEntry, budget) -> str | None:
+    """The counterexample detail of one local entry, or None when its units
+    other than one are connected exactly when it is in the classified list."""
+    ring = entry.ring
+    connected = _units_minus_one_connected(ring, budget)
+    expected = ring.order in (2, 3)
+    if ring.order == 4:
+        expected = _isomorphic_to(ring, Zn(4), budget) or _isomorphic_to(ring, gf(4), budget)
+    pp = prime_power(ring.order)
+    if not expected and pp and pp[0] == 2:
+        expected = _isomorphic_to(ring, SquareZero(Zn(2), pp[1] - 1), budget)
+    if connected == expected:
+        return None
+    if connected:
+        return "units minus one connected but ring not in the classified list"
+    return "ring in the classified list but units minus one disconnected"
+
+
+def _units_connected_part(catalog: Catalog, budget):
+    """The chain-free part of `verify_units_connected_classification`,
+    lazily: the detail of each local entry (`_units_connected_detail`),
+    which reads only that entry's own chain.  It first caches the units of
+    each non-local entry on its ring (`_unit_indices`), for the notes, so
+    that where `_run_sweeps` runs this part beside the child, the notes
+    after the split only read labels."""
+    for entry in _non_local_entries(catalog):
+        _unit_indices(entry.ring)
+    for entry in catalog.local_entries():
+        yield _units_connected_detail(entry, budget)
+
+
+def verify_units_connected_classification(
+    catalog: Catalog, budget=None, *, _part=None
+) -> VerificationReport:
     """U(R)-{1} connected exactly for Z2, Z3, Z4, F4 and SquareZero(Z2, m).
 
     The classified statement covers local rings only; non-local rings with
@@ -559,36 +643,25 @@ def verify_units_connected_classification(catalog: Catalog, budget=None) -> Veri
     The non-local entries' chains are searched first, in one
     `_stabilizer_chains` call; after the trivial-aut sweep on the same
     catalog they are all cached, and that call searches and forks nothing.
+    A note then reads the labels of the entry's chain at its units other
+    than one, one gather, with no `OrbitGraph` built
+    (`_units_minus_one_connected`), as each local entry's check does.
+    Every local entry's check reads no product chain: the loop takes them
+    from `_units_connected_part`, lazily, after the notes, or from
+    `_part`, the list of them that `_run_sweeps` computed while the child
+    searched.
     """
     cex = []
     notes = []
-    non_local = [
-        e for e in catalog.entries if e.ring.order > 1 and not local_structure(e.ring).is_local
-    ]
+    non_local = _non_local_entries(catalog)
     _stabilizer_chains([e.ring for e in non_local], budget)
+    details = _units_connected_part(catalog, budget) if _part is None else _part
     for entry in non_local:
-        ring = entry.ring
-        graph = aut_orbit_graph(ring, budget=budget)
-        if graph.subset_connected(ring.units - {ring.one}):
+        if _units_minus_one_connected(entry.ring, budget):
             notes.append(f"non-local {entry.expr}: units minus one connected")
     entries = catalog.local_entries()
-    for entry in entries:
-        ring = entry.ring
-        graph = aut_orbit_graph(ring, budget=budget)
-        subset = ring.units - {ring.one}
-        connected = graph.subset_connected(subset)
-        expected = ring.order in (2, 3)
-        if ring.order == 4:
-            expected = _isomorphic_to(ring, Zn(4), budget) or _isomorphic_to(ring, gf(4), budget)
-        pp = prime_power(ring.order)
-        if not expected and pp and pp[0] == 2:
-            expected = _isomorphic_to(ring, SquareZero(Zn(2), pp[1] - 1), budget)
-        if connected != expected:
-            detail = (
-                "units minus one connected but ring not in the classified list"
-                if connected
-                else "ring in the classified list but units minus one disconnected"
-            )
+    for entry, detail in zip(entries, details, strict=True):
+        if detail is not None:
             cex.append((entry.expr, detail))
     return _report(
         "units-connected",
@@ -729,7 +802,7 @@ def verify_involution_and_order_bounds(catalog: Catalog, budget=None) -> Verific
         ring = entry.ring
         ls = local_structure(ring)
         graph = aut_orbit_graph(ring, budget=budget)
-        maxdeg = max(graph.degree(x) for x in ls.maximal_ideal)
+        maxdeg = int(graph.sizes[graph.block_of[list(ls.maximal_ideal)]].max()) - 1
         bound = math.factorial(maxdeg + 1)
         if maxdeg <= 1:
             group = automorphisms(ring, budget=budget)
@@ -828,6 +901,14 @@ def verify_residue_field_remark(catalog: Catalog, budget=None) -> VerificationRe
     )
 
 
+# the sweeps that read the stabilizer chains of the catalog's products ->
+# the generator of each one's chain-free part
+_READ_PRODUCT_CHAINS = {
+    "trivial-aut": _trivial_aut_part,
+    "units-connected": _units_connected_part,
+}
+
+
 def _run_sweeps(theorem_ids, max_order: int, budget=None) -> list[VerificationReport]:
     """The reports of the given sweeps, in order; the catalog up to
     `max_order` is built once, and only when one of them reads it.
@@ -836,24 +917,32 @@ def _run_sweeps(theorem_ids, max_order: int, budget=None) -> list[VerificationRe
     product entries, and between them they read the chain of every entry
     of order above 1.  When one of them runs with other sweeps, those
     chains are searched first, in one `_stabilizer_chains` call, whose
-    `meanwhile` computes the other sweeps' reports, in the order given.
-    Where that call forks, this process runs `meanwhile` while the child
-    searches products, and takes products after it; on one CPU
-    `meanwhile` never runs.  `meanwhile` stops at the first exception and
-    drops it.  The pass in the given order then takes each stored report,
-    or runs its sweep, so an error is raised where the serial run raises
-    it, with the same message.
+    `meanwhile` computes the other sweeps' reports, in the order given,
+    and then the chain-free part of each chain sweep given
+    (`_READ_PRODUCT_CHAINS`): the expected shapes of trivial-aut, and
+    the units of units-connected's non-local entries, cached on their
+    rings, and its whole check of the local ones, which reads only the
+    local rings' chains, searched before `meanwhile`.  So after the call the two sweeps only read the
+    products' |Aut R| and orbit labels.  Where that call forks, this
+    process runs `meanwhile` while the child searches products, and takes
+    products after it; on one CPU `meanwhile` never runs.  `meanwhile`
+    stops at the first exception and drops it.  The pass in the given
+    order then takes each stored report, or runs its sweep, handing a
+    chain sweep its stored part when there is one, so an error is raised
+    where the serial run raises it, with the same message.
     """
     catalog = None
     if any(SWEEPS[t][1] for t in theorem_ids):
         catalog = build_catalog(max_order, budget=budget)
 
-    def run(t):
+    def run(t, part=None):
         name, reads_catalog = SWEEPS[t]
         sweep = globals()[name]
+        if part is not None:
+            return sweep(catalog, budget=budget, _part=part)
         return sweep(catalog, budget=budget) if reads_catalog else sweep(budget=budget)
 
-    done = {}
+    done, parts = {}, {}
     rest = [t for t in theorem_ids if t not in _READ_PRODUCT_CHAINS]
     if rest and len(rest) < len(theorem_ids):
 
@@ -861,11 +950,14 @@ def _run_sweeps(theorem_ids, max_order: int, budget=None) -> list[VerificationRe
             try:
                 for t in rest:
                     done[t] = run(t)
+                for t in theorem_ids:
+                    if t in _READ_PRODUCT_CHAINS:
+                        parts[t] = list(_READ_PRODUCT_CHAINS[t](catalog, budget))
             except Exception:  # the pass below runs this sweep again, and raises there
                 pass
 
         _stabilizer_chains([e.ring for e in catalog.entries if e.ring.order > 1], budget, meanwhile)
-    return [done[t] if t in done else run(t) for t in theorem_ids]
+    return [done[t] if t in done else run(t, parts.get(t)) for t in theorem_ids]
 
 
 def verify_all(max_order: int = 64, budget=None) -> list[VerificationReport]:

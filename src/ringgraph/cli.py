@@ -272,7 +272,7 @@ class _Parser:
             raise OrderLimitExceeded(f"field order {q} exceeds cap {self.max_order}")
         if prime_power(q) is None:
             raise SemanticError(f"{q} is not a prime power", column)
-        return self._semantic(lambda: gf(q, modulus), column)
+        return self._semantic(lambda: gf(q, modulus, self.max_order), column)
 
     def _parse_squarezero(self, column: int) -> RingExpr:
         self.expect("(", "'('")

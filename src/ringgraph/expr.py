@@ -13,9 +13,10 @@ import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import InvalidModulus
+from .errors import InvalidModulus, OrderLimitExceeded
 
 __all__ = [
+    "DEFAULT_MAX_ORDER",
     "RingExpr",
     "Zn",
     "GF",
@@ -32,6 +33,20 @@ __all__ = [
     "poly_is_irreducible",
     "poly_is_primary",
 ]
+
+
+# the order cap of `make_ring`, `gf` and the CLI grammar, unless a caller
+# passes another
+DEFAULT_MAX_ORDER = 4096
+
+
+def _check_order(n: int, cap: int | None, what: str = "ring order") -> None:
+    """Raise OrderLimitExceeded when n is above the cap (None: the default)."""
+    cap = DEFAULT_MAX_ORDER if cap is None else cap
+    if n > cap:
+        # str() of an int above 4300 digits raises ValueError
+        shown = n if n.bit_length() <= 64 else f"of {n.bit_length()} bits"
+        raise OrderLimitExceeded(f"{what} {shown} exceeds cap {cap}")
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +153,8 @@ def default_modulus(p: int, e: int) -> tuple[int, ...]:
 
     Picks the polynomial whose non-leading coefficient vector has the
     smallest base-p encoding.  Cached, since `GF.__str__` asks for it on
-    every call.
+    every call.  The search grows with p**e and has no bound of its own:
+    `gf` and `GF.__str__` ask only up to the order cap.
     """
     if e == 1:
         return (0, 1)
@@ -216,8 +232,11 @@ class GF(RingExpr):
             raise InvalidModulus(f"GF modulus coefficients must lie in 0..{self.p - 1}: {list(m)}")
 
     def __str__(self):
+        """GF(q) when the modulus is the default one, else GF(q,[...]).
+        Above `DEFAULT_MAX_ORDER` no default modulus is searched for, and
+        the modulus is always shown."""
         q = self.p**self.e
-        if self.modulus == default_modulus(self.p, self.e):
+        if q <= DEFAULT_MAX_ORDER and self.modulus == default_modulus(self.p, self.e):
             return f"GF({q})"
         return f"GF({q},[{','.join(map(str, self.modulus))}])"
 
@@ -281,8 +300,14 @@ class Prod(RingExpr):
         return " x ".join(parts)
 
 
-def gf(q: int, modulus=None) -> GF:
-    """GF expression for a prime-power order, with the default modulus unless given."""
+def gf(q: int, modulus=None, max_order: int | None = None) -> GF:
+    """GF expression for a prime-power order, with the default modulus unless given.
+
+    `max_order` is the order cap, `DEFAULT_MAX_ORDER` when None, as in
+    `make_ring`: a q above it raises OrderLimitExceeded before q is
+    factorized or a modulus searched for, both of which grow with q.
+    """
+    _check_order(q, max_order, "field order")
     pp = prime_power(q)
     if pp is None:
         raise ValueError(f"{q} is not a prime power")

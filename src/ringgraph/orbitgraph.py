@@ -70,9 +70,19 @@ class OrbitGraph:
 
         In a disjoint union of cliques that means: at most one element,
         or all elements inside a single block.  The empty set counts as
-        connected.
+        connected.  `subset` is any iterable of elements or an index array,
+        read with one gather; an element outside 0..order-1 raises
+        IndexOutOfRange.
         """
-        return len({self.orbit_of(x) for x in subset}) <= 1
+        items = subset if isinstance(subset, np.ndarray) else list(subset)
+        try:
+            idx = np.asarray(items, dtype=np.int64)
+        except OverflowError:  # an element beyond int64, which `_check` refuses
+            idx = np.array([self.ring._check(x) for x in items], dtype=np.int64)
+        outside = idx[(idx < 0) | (idx >= self.ring.order)]
+        if len(outside):
+            self.ring._check(outside[0])  # raises
+        return _one_block(self.block_of[idx])
 
     def cliques(self) -> tuple[tuple[int, ...], ...]:
         """The orbit blocks, ordered by smallest member."""
@@ -97,6 +107,11 @@ class OrbitGraph:
         return f"OrbitGraph({self.ring!r}, block sizes {desc})"
 
 
+def _one_block(ids: np.ndarray) -> bool:
+    """Whether the block ids, or orbit labels, given name at most one block."""
+    return bool(not ids.size or ids.min() == ids.max())
+
+
 def build_graph(ring: FiniteRing, group: AutGroup) -> OrbitGraph:
     """Orbit graph of `ring` under an explicit automorphism group."""
     if group.ring is not ring:
@@ -111,6 +126,13 @@ def aut_orbit_graph(ring: FiniteRing, budget=None) -> OrbitGraph:
     works even when Aut R is too large to list element by element.
     """
     return OrbitGraph(ring, _stabilizer_chain(ring, budget).labels)
+
+
+def _aut_subset_connected(ring: FiniteRing, idx: np.ndarray, budget=None) -> bool:
+    """`aut_orbit_graph(ring, budget).subset_connected(idx)` for an index
+    array of elements of the ring: one gather from the chain's labels, with
+    no graph built."""
+    return _one_block(_stabilizer_chain(ring, budget).labels[idx])
 
 
 def aut_embeds_in_graph_aut(ring: FiniteRing, budget=None) -> bool:

@@ -48,12 +48,14 @@ import numpy as np
 
 from .errors import IndexOutOfRange, InvalidModulus, NotLocal, OrderLimitExceeded
 from .expr import (
+    DEFAULT_MAX_ORDER,
     GF,
     Prod,
     PolyQuot,
     RingExpr,
     SquareZero,
     Zn,
+    _check_order,
     expr_order,
     factorize,
     format_poly,
@@ -76,8 +78,6 @@ __all__ = [
     "generating_set",
     "product_ring",
 ]
-
-DEFAULT_MAX_ORDER = 4096
 
 
 def _table_dtype(n: int):
@@ -344,12 +344,7 @@ def make_ring(expr: RingExpr, max_order: int | None = None) -> FiniteRing:
     it has cached (fingerprints, stabilizer chain, ...).  Once nothing
     holds it, it is freed, and the next call builds it afresh.
     """
-    cap = DEFAULT_MAX_ORDER if max_order is None else max_order
-    n = expr_order(expr)
-    if n > cap:
-        # str() of an int above 4300 digits raises ValueError
-        shown = n if n.bit_length() <= 64 else f"of {n.bit_length()} bits"
-        raise OrderLimitExceeded(f"ring order {shown} exceeds cap {cap}")
+    _check_order(expr_order(expr), max_order)
     return _build_ring(expr)
 
 

@@ -517,6 +517,45 @@ def test_verify_all_leaves_no_child_process(chain_split):
         os.waitpid(-1, os.WNOHANG)
 
 
+def test_chain_free_parts_equal_fresh_checks(catalog64):
+    # the expected shapes, asked with one memo over the catalog, against a
+    # fresh call per entry
+    entries = classify._classified_entries(catalog64)
+    shapes = list(classify._trivial_aut_part(catalog64, None))
+    assert shapes == [classify._is_product_of_distinct_rigid_locals(e) for e in entries]
+    assert 0 < sum(shapes) < len(shapes)
+    # each note, read from the chain's labels at the units array, against
+    # the orbit graph's test on the units as a set
+    notes = rg.verify_units_connected_classification(catalog64).notes
+    connected = [
+        f"non-local {e.expr}: units minus one connected"
+        for e in classify._non_local_entries(catalog64)
+        if rg.aut_orbit_graph(e.ring).subset_connected(e.ring.units - {e.ring.one})
+    ]
+    assert list(notes) == connected and connected
+
+
+@pytest.mark.skipif(not forks_here, reason="the split forks on Linux only")
+def test_verify_all_reports_are_the_same_split_or_not(monkeypatch, cold_ring_cache):
+    handed = []
+    for name in ("verify_trivial_aut_classification", "verify_units_connected_classification"):
+
+        def recording(catalog, budget=None, *, _part=None, _sweep=getattr(classify, name)):
+            handed.append(_part is not None)
+            return _sweep(catalog, budget, _part=_part)
+
+        monkeypatch.setattr(classify, name, recording)
+    reports = []
+    for cpus in ({0}, {0, 1}):
+        rings._RINGS.clear()
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+        reports.append(rg.verify_all(64))
+    assert reports[0] == reports[1] and all(r.passed for r in reports[0])
+    # on one CPU each chain sweep computes its chain-free part itself; with
+    # the split, `meanwhile` computed both while the child searched
+    assert handed == [False, False, True, True]
+
+
 def test_report_that_checked_nothing_does_not_pass():
     rep = rg.verify_residue_field_remark(rg.build_catalog(4))
     assert rep.checked == 0 and not rep.counterexamples and rep.passed is False

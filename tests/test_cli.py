@@ -270,7 +270,7 @@ def test_parse_ring_expr_refuses_a_huge_field_at_once():
     with pytest.raises(rg.OrderLimitExceeded, match="field order 1099511627776 exceeds cap 4096"):
         parse_ring_expr("GF(1099511627776)")
     assert time.perf_counter() - start < 1
-    assert parse_ring_expr("GF(8192)", max_order=8192) == rg.gf(8192)
+    assert parse_ring_expr("GF(8192)", max_order=8192) == rg.gf(8192, max_order=8192)
 
 
 def test_huge_field_order_exits_3_quickly():
@@ -459,6 +459,41 @@ def test_verify_refused_in_a_chain_search_is_the_same_split_or_not(chain_split, 
     if forks_here:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.skipif(not forks_here, reason="the split forks on Linux only")
+@pytest.mark.parametrize("part", ["_is_rigid_local", "_units_connected_detail"])
+def test_a_budget_error_in_a_chain_free_part_is_the_same_split_or_not(
+    part, monkeypatch, capsys, cold_ring_cache
+):
+    # a check in the chain-free part of the trivial-aut or units-connected
+    # sweep, which `meanwhile` computes while the child searches, runs over
+    # the budget at GF(9)
+    check = getattr(classify, part)
+    raised = []
+
+    def over_budget(ring_or_entry, budget):
+        ring = getattr(ring_or_entry, "ring", ring_or_entry)  # the detail takes an entry
+        if ring.order == 9 and ring.is_field:
+            raised.append(part)
+            raise rg.SearchBudgetExceeded("61 element images exceed the budget of 60")
+        return check(ring_or_entry, budget)
+
+    monkeypatch.setattr(classify, part, over_budget)
+    argv = ["verify", "all", "--max-order", "16"]
+    outcomes = []
+    for cpus in ({0}, {0, 1}):
+        rings._RINGS.clear()
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+        outcomes.append((main(argv), capsys.readouterr()))
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][0] == 3 and outcomes[0][1].out == ""
+    assert outcomes[0][1].err == "resource limit: 61 element images exceed the budget of 60\n"
+    # once in the sweep on one CPU; with the split, in `meanwhile`, where it
+    # is dropped, and again in the sweep, which raises it
+    assert len(raised) == 3
 
 
 @pytest.mark.skipif(not forks_here, reason="the split forks on Linux only")

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
 import ringgraph as rg
@@ -96,3 +100,41 @@ def test_canonical_strings():
     assert str(rg.Prod((rg.Zn(4), rg.Zn(3)))) == "Z4 x Z3"
     nested = rg.Prod((rg.Prod((rg.Zn(2), rg.Zn(3))), rg.Zn(5)))
     assert str(nested) == "(Z2 x Z3) x Z5"
+
+
+def test_huge_fields_are_refused_or_printed_at_once():
+    # each call ran past 5 s when `gf` factorized q (trial division) or
+    # searched for a modulus with no bound, and when str() searched for the
+    # default modulus; above the cap they read neither
+    code = """
+import ringgraph as rg
+for q in (2**40, 2**61 - 1):
+    try:
+        rg.gf(q)
+    except rg.OrderLimitExceeded as exc:
+        print(exc)
+print(rg.GF(2, 40, (1, 0, 0, 1, 1, 1) + (0,) * 34 + (1,)))
+"""
+    src = os.path.dirname(os.path.dirname(rg.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=20
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "field order 1099511627776 exceeds cap 4096",
+        "field order 2305843009213693951 exceeds cap 4096",
+        "GF(1099511627776,[1,0,0,1,1,1" + ",0" * 34 + ",1])",
+    ]
+
+
+def test_gf_takes_a_larger_cap():
+    with pytest.raises(rg.OrderLimitExceeded, match="field order 8192 exceeds cap 4096"):
+        rg.gf(8192)
+    field = rg.gf(8192, max_order=8192)
+    assert field.modulus == default_modulus(2, 13)
+    # above the default cap the modulus is always shown, so str() searches nothing
+    assert str(field) == "GF(8192,[" + ",".join(map(str, field.modulus)) + "])"
+    assert str(rg.gf(4096)) == "GF(4096)"
+    with pytest.raises(rg.OrderLimitExceeded, match="field order 9 exceeds cap 8"):
+        rg.gf(9, max_order=8)

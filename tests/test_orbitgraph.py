@@ -95,6 +95,20 @@ def test_subset_connected():
     assert not rg.aut_orbit_graph(z9).subset_connected(m9 - {z9.zero})
 
 
+def test_subset_connected_takes_any_iterable_of_elements():
+    f4 = rg.make_ring(rg.gf(4))
+    g4 = rg.aut_orbit_graph(f4)  # orbits {0}, {1}, {2, 3}
+    for subset in ({2, 3}, frozenset({2, 3}), [3, 2, 3], np.array([2, 3], dtype=np.int8), iter([2])):
+        assert g4.subset_connected(subset) is True
+    for subset in ({1, 2}, frozenset({0, 1}), [2, 1], np.array([0, 3])):
+        assert g4.subset_connected(subset) is False
+    for empty in (set(), [], np.array([], dtype=np.int64)):
+        assert g4.subset_connected(empty) is True
+    for bad in ({-1}, [2, 4], np.array([3, 4]), [2, 3, 2**40], [2, 2**70]):
+        with pytest.raises(rg.IndexOutOfRange, match="outside 0..3"):
+            g4.subset_connected(bad)
+
+
 def test_cliques():
     assert full_graph(rg.Zn(4)).cliques() == ((0,), (1,), (2,), (3,))
     d = full_graph(rg.PolyQuot(5, (0, 0, 1)))
