@@ -97,6 +97,16 @@ Within a family the first hit wins.  This first-offer rule therefore
 picks the representatives that ranking the families Z_n, fields,
 products, quotients, square-zero rings would.
 
+The sweeps decide which side of a classification a ring belongs on from
+exact invariants the ring caches, its order, characteristic, units and
+maximal ideal, and search for no isomorphism with the rings the paper
+names.  Five rules, each proved in a docstring, recognise them: Z_n and
+Z_2[x]/(x^2) at `_is_rigid_local`, a product of pairwise distinct rigid
+local rings at `_is_product_of_distinct_rigid_locals`, and F_q and
+SZ(F_q, m) at `_is_square_zero_over_residue_field`.  The only
+isomorphism searches of the sweeps are those of `verify_type_formulas`,
+which checks that its sampled pairs are not isomorphic.
+
 `make_ring` returns the one ring of an expression only while something
 holds it.  The catalog holds the rings it built in one place,
 `Catalog._rings`: the classified rings that won their class, and the
@@ -137,6 +147,7 @@ from .expr import (
     expr_order,
     factorize,
     gf,
+    is_prime,
     poly_is_irreducible,
     poly_is_primary,
     prime_power,
@@ -497,47 +508,74 @@ def build_catalog(max_order: int = 64, budget=None) -> Catalog:
 # verification sweeps
 
 
-def _isomorphic_to(ring: FiniteRing, expr: RingExpr, budget) -> bool:
-    """Whether `ring` is isomorphic to the ring `expr` names."""
-    return isomorphism(ring, make_ring(expr), budget=budget) is not None
+def _is_rigid_local(ring: FiniteRing) -> bool:
+    """Whether the local ring is isomorphic to a Z_{p^a} or to Z_2[x]/(x^2).
 
+    Rule 1: R is isomorphic to Z_n, n = |R|, exactly when char R = |R|.
+    The multiples of 1 form a subring isomorphic to Z_c, c = char R,
+    since k*1 = 0 exactly when c divides k; when c = |R| that subring is
+    R.  Conversely char Z_n = n.  A local ring has prime-power order, so
+    here Z_n is a Z_{p^a}.
 
-def _is_rigid_local(ring: FiniteRing, budget) -> bool:
-    """Whether the local ring is isomorphic to a Z_{p^a} or to Z_2[x]/(x^2)."""
-    if not prime_power(ring.order):
-        return False
-    if _isomorphic_to(ring, Zn(ring.order), budget):
-        return True
-    return ring.order == 4 and ring.characteristic == 2 and _isomorphic_to(
-        ring, PolyQuot(2, (0, 0, 1)), budget
+    Rule 2: a local R of order 4 is Z_2[x]/(x^2) exactly when char R = 2
+    and R is not a field.  That ring has characteristic 2, and x is a
+    nonzero nilpotent.  Conversely, R not a field means M != 0, and
+    |R/M| >= 2 divides 4, so M = {0, a} with a != 0.  a is nilpotent
+    (a power of a non-unit of a finite local ring reaches 0), and a^2 lies
+    in M, so a^2 = 0: a^2 = a would give a = a^k = 0 for large k.  So
+    x -> a is a homomorphism from Z_2[x]/(x^2), since char R = 2, and it
+    is onto R = {0, 1, a, 1 + a}, so bijective by counting.
+    """
+    return ring.characteristic == ring.order or (
+        ring.order == 4 and ring.characteristic == 2 and not ring.is_field
     )
 
 
-def _is_product_of_distinct_rigid_locals(entry: CatalogEntry, budget=None, memo=None) -> bool:
+def _is_product_of_distinct_rigid_locals(entry: CatalogEntry) -> bool:
     """The entry's ring isomorphic to a product of pairwise non-isomorphic factors
     drawn from the cyclic prime-power rings and the 4-element square-zero ring.
 
-    `memo` keeps the answers to the questions asked of the factors, keyed
-    by the factor rings: a ring for "is it rigid", an ordered pair for "are
-    they isomorphic".  A product shares the ring of each local entry it
-    names, so over a catalog the same few questions come again and again,
-    and a sweep that passes one dict asks each once.  A question that
-    raises keeps no answer, so it raises again when asked again.
+    A ring is the product of its local factors in one way (Atiyah &
+    Macdonald, Thm 8.7), so this asks whether each local factor is rigid
+    (`_is_rigid_local`) and no two are isomorphic.  Rule 3: two rigid
+    local rings are isomorphic exactly when their (order, characteristic)
+    pairs are equal.  Isomorphic rings share both.  Conversely, Z_{p^a}
+    has the pair (p^a, p^a) and Z_2[x]/(x^2) the pair (4, 2), so the pair
+    names the ring.
     """
-    memo = {} if memo is None else memo
-
-    def ask(key, question):
-        if key not in memo:
-            memo[key] = question()
-        return memo[key]
-
     factors = _local_factors_of(entry.expr, entry.ring)
-    if not all(ask(f, lambda: _is_rigid_local(f, budget)) for f in factors):
+    pairs = {(f.order, f.characteristic) for f in factors}
+    return all(map(_is_rigid_local, factors)) and len(pairs) == len(factors)
+
+
+def _is_square_zero_over_residue_field(ring: FiniteRing) -> bool:
+    """Whether the local ring is SZ(F_q, m) for some m, fields included as
+    m = 0.
+
+    Rule 5: a local R is SZ(F_q, m) for some m exactly when char R is
+    prime and M^2 = 0; then q = |R/M|.  SZ(F_q, m) has the prime
+    characteristic of F_q, and its maximal ideal (x_1, .., x_m) squares to
+    0.  Conversely, let char R = p and q = |R/M| = p^e.  The Frobenius map
+    x -> x^q is a ring endomorphism, since p divides every binomial
+    coefficient C(p, i) with 0 < i < p, so its fixed ring K = {x : x^q = x}
+    is a subring.  K meets M only in 0: x in M is nilpotent, and x = x^q
+    gives x = x^(q^k) = 0 for large k.  For y in M, (x + y)^q = x^q + y^q
+    = x^q, as M^2 = 0, so x -> x^q is constant on each coset of M; and x^q
+    lies in x + M, since t^q = t on the field R/M of q elements.  So x^q
+    lies in K and in x + M.  Hence K -> R/M is onto, and one-to-one as K
+    meets M only in 0: K is a field isomorphic to F_q, and R = K + M with
+    K and M meeting in 0.  M is a K-vector space, of dimension m say, and
+    for a K-basis y_1, .., y_m of M, M^2 = 0 makes a + sum b_i x_i ->
+    a + sum b_i y_i, with F_q read as K, an isomorphism from SZ(F_q, m).
+
+    Rule 4, R is isomorphic to F_q exactly when R is a field of order q,
+    is the case M = 0, since a finite field has prime characteristic
+    (Lidl & Niederreiter, *Finite Fields*, Thm 2.5).
+    """
+    if not is_prime(ring.characteristic):
         return False
-    return not any(
-        ask((f, g), lambda: isomorphism(f, g, budget=budget) is not None)
-        for f, g in itertools.combinations(factors, 2)
-    )
+    m = sorted(local_structure(ring).maximal_ideal)
+    return bool((ring.mul_table[np.ix_(m, m)] == ring.zero).all())
 
 
 def _classified_entries(catalog: Catalog) -> tuple[CatalogEntry, ...]:
@@ -545,36 +583,21 @@ def _classified_entries(catalog: Catalog) -> tuple[CatalogEntry, ...]:
     return tuple(e for e in catalog.entries if e.ring.order > 1)
 
 
-def _trivial_aut_part(catalog: Catalog, budget):
-    """The chain-free part of `verify_trivial_aut_classification`, lazily:
-    whether each entry of order above 1, in catalog order, has the
-    classified shape, each factor question asked once."""
-    memo = {}
-    for entry in _classified_entries(catalog):
-        yield _is_product_of_distinct_rigid_locals(entry, budget, memo)
-
-
-def verify_trivial_aut_classification(
-    catalog: Catalog, budget=None, *, _part=None
-) -> VerificationReport:
+def verify_trivial_aut_classification(catalog: Catalog, budget=None) -> VerificationReport:
     """|Aut R| = 1 exactly for products of pairwise distinct Z_{p^a} and Z_2[x]/(x^2).
 
     Every entry's stabilizer chain is searched first, in one
     `_stabilizer_chains` call, which may share the products with a forked
-    child; the loop then reads the cached chains.  Whether an entry has
-    the classified shape reads no chain: the loop takes it from
-    `_trivial_aut_part` after the entry's |Aut R|, so an error comes where
-    the loop meets it, or from `_part`, the list of them that
-    `_run_sweeps` computed while the child searched.
+    child; the loop then reads the cached chains, and decides each
+    entry's expected side from its factors' orders and characteristics
+    (`_is_product_of_distinct_rigid_locals`), with no search.
     """
     cex = []
     entries = _classified_entries(catalog)
     _stabilizer_chains([e.ring for e in entries], budget)
-    shapes = iter(_trivial_aut_part(catalog, budget) if _part is None else _part)
     for entry in entries:
         rigid = aut_group_order(entry.ring, budget=budget) == 1
-        expected = next(shapes)
-        if rigid != expected:
+        if rigid != _is_product_of_distinct_rigid_locals(entry):
             detail = (
                 "trivial automorphism group but not of the classified shape"
                 if rigid
@@ -604,15 +627,22 @@ def _units_minus_one_connected(ring: FiniteRing, budget) -> bool:
 
 def _units_connected_detail(entry: CatalogEntry, budget) -> str | None:
     """The counterexample detail of one local entry, or None when its units
-    other than one are connected exactly when it is in the classified list."""
+    other than one are connected exactly when it is in the classified list.
+
+    The list is decided with no search: Z2 and Z3 are the local rings of
+    those orders, Z4 has characteristic 4 (rule 1, at `_is_rigid_local`),
+    F4 is the field of order 4 (rule 4), and SZ(Z2, m) is the square-zero
+    ring over a residue field of order 2 (rule 5, at
+    `_is_square_zero_over_residue_field`).
+    """
     ring = entry.ring
     connected = _units_minus_one_connected(ring, budget)
-    expected = ring.order in (2, 3)
-    if ring.order == 4:
-        expected = _isomorphic_to(ring, Zn(4), budget) or _isomorphic_to(ring, gf(4), budget)
-    pp = prime_power(ring.order)
-    if not expected and pp and pp[0] == 2:
-        expected = _isomorphic_to(ring, SquareZero(Zn(2), pp[1] - 1), budget)
+    n, q = ring.order, local_structure(ring).residue_field_order
+    expected = (
+        n in (2, 3)
+        or (n == 4 and (ring.characteristic == 4 or ring.is_field))
+        or (q == 2 and _is_square_zero_over_residue_field(ring))
+    )
     if connected == expected:
         return None
     if connected:
@@ -620,22 +650,7 @@ def _units_connected_detail(entry: CatalogEntry, budget) -> str | None:
     return "ring in the classified list but units minus one disconnected"
 
 
-def _units_connected_part(catalog: Catalog, budget):
-    """The chain-free part of `verify_units_connected_classification`,
-    lazily: the detail of each local entry (`_units_connected_detail`),
-    which reads only that entry's own chain.  It first caches the units of
-    each non-local entry on its ring (`_unit_indices`), for the notes, so
-    that where `_run_sweeps` runs this part beside the child, the notes
-    after the split only read labels."""
-    for entry in _non_local_entries(catalog):
-        _unit_indices(entry.ring)
-    for entry in catalog.local_entries():
-        yield _units_connected_detail(entry, budget)
-
-
-def verify_units_connected_classification(
-    catalog: Catalog, budget=None, *, _part=None
-) -> VerificationReport:
+def verify_units_connected_classification(catalog: Catalog, budget=None) -> VerificationReport:
     """U(R)-{1} connected exactly for Z2, Z3, Z4, F4 and SquareZero(Z2, m).
 
     The classified statement covers local rings only; non-local rings with
@@ -645,22 +660,19 @@ def verify_units_connected_classification(
     catalog they are all cached, and that call searches and forks nothing.
     A note then reads the labels of the entry's chain at its units other
     than one, one gather, with no `OrbitGraph` built
-    (`_units_minus_one_connected`), as each local entry's check does.
-    Every local entry's check reads no product chain: the loop takes them
-    from `_units_connected_part`, lazily, after the notes, or from
-    `_part`, the list of them that `_run_sweeps` computed while the child
-    searched.
+    (`_units_minus_one_connected`), as each local entry's check does
+    (`_units_connected_detail`).
     """
     cex = []
     notes = []
     non_local = _non_local_entries(catalog)
     _stabilizer_chains([e.ring for e in non_local], budget)
-    details = _units_connected_part(catalog, budget) if _part is None else _part
     for entry in non_local:
         if _units_minus_one_connected(entry.ring, budget):
             notes.append(f"non-local {entry.expr}: units minus one connected")
     entries = catalog.local_entries()
-    for entry, detail in zip(entries, details, strict=True):
+    for entry in entries:
+        detail = _units_connected_detail(entry, budget)
         if detail is not None:
             cex.append((entry.expr, detail))
     return _report(
@@ -673,26 +685,20 @@ def verify_units_connected_classification(
 
 
 def verify_m_connected_classification(catalog: Catalog, budget=None) -> VerificationReport:
-    """M-{0} connected exactly for Z4 and SquareZero(F_q, m), fields included as m=0."""
+    """M-{0} connected exactly for Z4 and SquareZero(F_q, m), fields included as m=0.
+
+    The expected side reads no search: Z4 is the local ring of order and
+    characteristic 4 (rule 1, at `_is_rigid_local`), and SZ(F_q, m) the
+    local ring of prime characteristic with M^2 = 0 (rule 5, at
+    `_is_square_zero_over_residue_field`).
+    """
     cex = []
     entries = catalog.local_entries()
     for entry in entries:
         ring = entry.ring
-        ls = local_structure(ring)
         graph = aut_orbit_graph(ring, budget=budget)
-        subset = ls.maximal_ideal - {ring.zero}
-        connected = graph.subset_connected(subset)
-        expected = ring.order == 4 and _isomorphic_to(ring, Zn(4), budget)
-        if not expected:
-            q = ls.residue_field_order
-            m = 0
-            size = q
-            while size < ring.order:
-                size *= q
-                m += 1
-            if size == ring.order:
-                base = Zn(q) if prime_power(q)[1] == 1 else gf(q)
-                expected = _isomorphic_to(ring, SquareZero(base, m), budget)
+        connected = graph.subset_connected(local_structure(ring).maximal_ideal - {ring.zero})
+        expected = ring.order == ring.characteristic == 4 or _is_square_zero_over_residue_field(ring)
         if connected != expected:
             detail = (
                 "maximal ideal minus zero connected but ring not classified"
@@ -901,12 +907,8 @@ def verify_residue_field_remark(catalog: Catalog, budget=None) -> VerificationRe
     )
 
 
-# the sweeps that read the stabilizer chains of the catalog's products ->
-# the generator of each one's chain-free part
-_READ_PRODUCT_CHAINS = {
-    "trivial-aut": _trivial_aut_part,
-    "units-connected": _units_connected_part,
-}
+# the sweeps that read the stabilizer chains of the catalog's products
+_READ_PRODUCT_CHAINS = ("trivial-aut", "units-connected")
 
 
 def _run_sweeps(theorem_ids, max_order: int, budget=None) -> list[VerificationReport]:
@@ -918,46 +920,44 @@ def _run_sweeps(theorem_ids, max_order: int, budget=None) -> list[VerificationRe
     of order above 1.  When one of them runs with other sweeps, those
     chains are searched first, in one `_stabilizer_chains` call, whose
     `meanwhile` computes the other sweeps' reports, in the order given,
-    and then the chain-free part of each chain sweep given
-    (`_READ_PRODUCT_CHAINS`): the expected shapes of trivial-aut, and
-    the units of units-connected's non-local entries, cached on their
-    rings, and its whole check of the local ones, which reads only the
-    local rings' chains, searched before `meanwhile`.  So after the call the two sweeps only read the
-    products' |Aut R| and orbit labels.  Where that call forks, this
-    process runs `meanwhile` while the child searches products, and takes
-    products after it; on one CPU `meanwhile` never runs.  `meanwhile`
-    stops at the first exception and drops it.  The pass in the given
-    order then takes each stored report, or runs its sweep, handing a
-    chain sweep its stored part when there is one, so an error is raised
-    where the serial run raises it, with the same message.
+    and then reads on every entry of order above 1 what the two chain
+    sweeps read besides its chain, each cached on its ring: its local
+    factors, its `local_structure` and its units.  So after the call the
+    two sweeps read little more than the products' |Aut R| and orbit
+    labels.  Where that call forks, this process runs `meanwhile` while
+    the child searches products, and takes products after it; on one CPU
+    `meanwhile` never runs.  `meanwhile` stops at the first exception and
+    drops it.  The pass in the given order then takes each stored report,
+    or runs its sweep, so an error is raised where the serial run raises
+    it, with the same message.
     """
     catalog = None
     if any(SWEEPS[t][1] for t in theorem_ids):
         catalog = build_catalog(max_order, budget=budget)
 
-    def run(t, part=None):
+    def run(t):
         name, reads_catalog = SWEEPS[t]
         sweep = globals()[name]
-        if part is not None:
-            return sweep(catalog, budget=budget, _part=part)
         return sweep(catalog, budget=budget) if reads_catalog else sweep(budget=budget)
 
-    done, parts = {}, {}
+    done = {}
     rest = [t for t in theorem_ids if t not in _READ_PRODUCT_CHAINS]
     if rest and len(rest) < len(theorem_ids):
+        classified = _classified_entries(catalog)
 
         def meanwhile():
             try:
                 for t in rest:
                     done[t] = run(t)
-                for t in theorem_ids:
-                    if t in _READ_PRODUCT_CHAINS:
-                        parts[t] = list(_READ_PRODUCT_CHAINS[t](catalog, budget))
+                for e in classified:
+                    _local_factors_of(e.expr, e.ring)
+                    local_structure(e.ring)
+                    _unit_indices(e.ring)
             except Exception:  # the pass below runs this sweep again, and raises there
                 pass
 
-        _stabilizer_chains([e.ring for e in catalog.entries if e.ring.order > 1], budget, meanwhile)
-    return [done[t] if t in done else run(t, parts.get(t)) for t in theorem_ids]
+        _stabilizer_chains([e.ring for e in classified], budget, meanwhile)
+    return [done[t] if t in done else run(t) for t in theorem_ids]
 
 
 def verify_all(max_order: int = 64, budget=None) -> list[VerificationReport]:

@@ -68,8 +68,37 @@ def factorize(n: int) -> dict[int, int]:
     return out
 
 
+# the first 13 primes, as Miller-Rabin bases, and the least odd composite
+# that passes all of them (Sorenson & Webster, Math. Comp. 86 (2017))
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_EXACT_BELOW = 3317044064679887385961981
+
+
 def is_prime(n: int) -> bool:
-    return n >= 2 and factorize(n) == {n: 1}
+    """Whether n is prime, by the deterministic Miller-Rabin test on
+    `_MR_BASES`, which is exact below `_MR_EXACT_BELOW` (about 3.3 * 10^24);
+    above it, ValueError."""
+    if n < 2:
+        return False
+    if n >= _MR_EXACT_BELOW:
+        raise ValueError(f"is_prime is exact only below {_MR_EXACT_BELOW}: n has {n.bit_length()} bits")
+    for a in _MR_BASES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def prime_power(n: int):
@@ -220,6 +249,9 @@ class GF(RingExpr):
     modulus: tuple[int, ...]
 
     def __post_init__(self):
+        # no table of an order above 2^64 can exist, so no such GF is ever built
+        if self.p > 2**64:
+            raise ValueError(f"GF characteristic of {self.p.bit_length()} bits exceeds 2^64")
         if not is_prime(self.p):
             raise ValueError(f"GF characteristic {self.p} is not prime")
         if self.e < 1:

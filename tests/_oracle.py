@@ -10,6 +10,10 @@ full homomorphism-plus-bijectivity check at the end.  That table check,
 `table_homomorphism`, is also the reference the engine's certificate is
 tested against.  `all_family_candidates` is the unpruned universe of
 constructor-family candidates, with none of the catalog's skip rules.
+The `reference_*` predicates decide the expected side of the
+classification sweeps by isomorphism searches with the rings the paper
+names, the way the sweeps did before they read invariants; they are the
+reference the invariant rules are tested against.
 """
 
 from itertools import product
@@ -341,3 +345,77 @@ def reference_ring(expr):
             lambda x: "(" + ",".join(f.names[a] for f, a in zip(fs, x)) + ")",
         )
     raise TypeError(f"no reference construction for {expr!r}")
+
+
+def shuffled_copy(ring, rng):
+    """Relabel the carrier by a random permutation; an isomorphic ring."""
+    import ringgraph as rg
+
+    n = ring.order
+    perm = rng.permutation(n)
+    inv = np.empty(n, dtype=np.int64)
+    inv[perm] = np.arange(n)
+    add = perm[np.asarray(ring.add_table, dtype=np.int64)[np.ix_(inv, inv)]]
+    mul = perm[np.asarray(ring.mul_table, dtype=np.int64)[np.ix_(inv, inv)]]
+    names = [ring.element_names[int(inv[i])] for i in range(n)]
+    return rg.FiniteRing(
+        add.astype(ring.add_table.dtype),
+        mul.astype(ring.mul_table.dtype),
+        int(perm[ring.zero]),
+        int(perm[ring.one]),
+        None,
+        names,
+    ), perm
+
+
+def is_isomorphic_to(ring, expr):
+    """Whether `ring` is isomorphic to the ring `expr` names, by search."""
+    import ringgraph as rg
+
+    return rg.isomorphism(ring, rg.make_ring(expr)) is not None
+
+
+def reference_rigid_local(ring):
+    """Whether the local ring is isomorphic to a Z_{p^a} or to Z_2[x]/(x^2)."""
+    from ringgraph import PolyQuot, Zn
+    from ringgraph.expr import prime_power
+
+    if not prime_power(ring.order):
+        return False
+    if is_isomorphic_to(ring, Zn(ring.order)):
+        return True
+    return ring.order == 4 and ring.characteristic == 2 and is_isomorphic_to(
+        ring, PolyQuot(2, (0, 0, 1))
+    )
+
+
+def reference_trivial_aut_shape(entry):
+    """Whether the entry's ring is a product of pairwise non-isomorphic
+    rigid local factors, each question asked by isomorphism search."""
+    import ringgraph as rg
+    from ringgraph.classify import _local_factors_of
+
+    factors = _local_factors_of(entry.expr, entry.ring)
+    if not all(reference_rigid_local(f) for f in factors):
+        return False
+    return all(
+        rg.isomorphism(f, g) is None
+        for i, f in enumerate(factors)
+        for g in factors[i + 1 :]
+    )
+
+
+def reference_square_zero(ring):
+    """Whether the local ring is isomorphic to SZ(F_q, m), q its residue
+    field order, for the m with q^(m+1) = |R|, if there is one."""
+    import ringgraph as rg
+    from ringgraph.expr import prime_power
+
+    q = rg.local_structure(ring).residue_field_order
+    m, size = 0, q
+    while size < ring.order:
+        size, m = size * q, m + 1
+    if size != ring.order:
+        return False
+    base = rg.Zn(q) if prime_power(q)[1] == 1 else rg.gf(q)
+    return is_isomorphic_to(ring, rg.SquareZero(base, m))

@@ -15,6 +15,7 @@ from _oracle import (
     naive_generating_set,
     oracle_automorphism_images,
     reference_orbits,
+    shuffled_copy,
     table_homomorphism,
 )
 from conftest import forks_here
@@ -518,25 +519,6 @@ def test_oracle_equivalence_sample():
         ring = rg.make_ring(expr)
         mine = {tuple(map(int, s.image)) for s in rg.automorphisms(ring)}
         assert mine == oracle_automorphism_images(ring), str(expr)
-
-
-def shuffled_copy(ring, rng):
-    """Relabel the carrier by a random permutation; an isomorphic ring."""
-    n = ring.order
-    perm = rng.permutation(n)
-    inv = np.empty(n, dtype=np.int64)
-    inv[perm] = np.arange(n)
-    add = perm[np.asarray(ring.add_table, dtype=np.int64)[np.ix_(inv, inv)]]
-    mul = perm[np.asarray(ring.mul_table, dtype=np.int64)[np.ix_(inv, inv)]]
-    names = [ring.element_names[int(inv[i])] for i in range(n)]
-    return rg.FiniteRing(
-        add.astype(ring.add_table.dtype),
-        mul.astype(ring.mul_table.dtype),
-        int(perm[ring.zero]),
-        int(perm[ring.one]),
-        None,
-        names,
-    ), perm
 
 
 def test_isomorphism_found_under_relabeling(entries32):

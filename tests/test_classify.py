@@ -8,7 +8,15 @@ import numpy as np
 import pytest
 
 import ringgraph as rg
-from _oracle import all_family_candidates, table_homomorphism
+from _oracle import (
+    all_family_candidates,
+    is_isomorphic_to,
+    reference_rigid_local,
+    reference_square_zero,
+    reference_trivial_aut_shape,
+    shuffled_copy,
+    table_homomorphism,
+)
 from conftest import forks_here
 from ringgraph import classify, cli, rings
 from ringgraph.expr import expr_order, is_prime, poly_is_irreducible, poly_is_primary, prime_power
@@ -517,13 +525,43 @@ def test_verify_all_leaves_no_child_process(chain_split):
         os.waitpid(-1, os.WNOHANG)
 
 
-def test_chain_free_parts_equal_fresh_checks(catalog64):
-    # the expected shapes, asked with one memo over the catalog, against a
-    # fresh call per entry
-    entries = classify._classified_entries(catalog64)
-    shapes = list(classify._trivial_aut_part(catalog64, None))
-    assert shapes == [classify._is_product_of_distinct_rigid_locals(e) for e in entries]
-    assert 0 < sum(shapes) < len(shapes)
+def test_named_rings_are_recognised_as_isomorphism_searches_recognise_them():
+    # the invariant rules against the isomorphism searches they replace:
+    # the trivial-aut shape (rules 1-3) on every entry, and on every local
+    # entry and a relabelled copy of each up to order 64, Z4 (rule 1), F4
+    # (rule 4), the rigid local rings (rules 1-2) and SZ(F_q, m), fields
+    # included (rule 5); rule 3 alone is tested below
+    catalog = rg.build_catalog(256)
+    entries = classify._classified_entries(catalog)
+    shapes = [classify._is_product_of_distinct_rigid_locals(e) for e in entries]
+    assert len(entries) == 2046 and 0 < sum(shapes) < len(shapes)
+    assert shapes == [reference_trivial_aut_shape(e) for e in entries]
+    local = [e.ring for e in catalog.local_entries()]
+    rng = np.random.default_rng(29)
+    relabelled = [shuffled_copy(r, rng)[0] for r in local if r.order <= 64]
+    assert len(local) == 148
+    for ring in local + relabelled:
+        where = (str(ring.presentation), ring.order)
+        assert (ring.order == ring.characteristic == 4) == is_isomorphic_to(ring, rg.Zn(4)), where
+        assert (ring.order == 4 and ring.is_field) == is_isomorphic_to(ring, rg.gf(4)), where
+        assert classify._is_rigid_local(ring) == reference_rigid_local(ring), where
+        assert classify._is_square_zero_over_residue_field(ring) == reference_square_zero(ring), where
+
+
+def test_rigid_local_rings_are_isomorphic_exactly_when_order_and_characteristic_agree():
+    # rule 3, on the rigid local entries and a relabelled copy of each
+    catalog = rg.build_catalog(256)
+    rigid = [e.ring for e in catalog.local_entries() if classify._is_rigid_local(e.ring)]
+    rng = np.random.default_rng(3)
+    rigid += [shuffled_copy(r, rng)[0] for r in rigid if r.order <= 64]
+    assert {(r.order, r.characteristic) for r in rigid} >= {(4, 2), (4, 4), (256, 256)}
+    for i, f in enumerate(rigid):
+        for g in rigid[i:]:
+            same = (f.order, f.characteristic) == (g.order, g.characteristic)
+            assert same == (rg.isomorphism(f, g) is not None), (f, g)
+
+
+def test_units_connected_notes_equal_orbit_graph_checks(catalog64):
     # each note, read from the chain's labels at the units array, against
     # the orbit graph's test on the units as a set
     notes = rg.verify_units_connected_classification(catalog64).notes
@@ -535,25 +573,28 @@ def test_chain_free_parts_equal_fresh_checks(catalog64):
     assert list(notes) == connected and connected
 
 
+def test_sweeps_make_no_isomorphism_search_but_the_sampled_pairs(monkeypatch):
+    # the catalog's dedup aside, only the type-formulas sweep's twelve
+    # sampled pairs are searched; the chain split is off, so every call is
+    # made in this process
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    catalog = rg.build_catalog(64)
+    calls = []
+    search = classify.isomorphism
+    monkeypatch.setattr(classify, "isomorphism", lambda *a, **k: calls.append(a) or search(*a, **k))
+    monkeypatch.setattr(classify, "build_catalog", lambda max_order, budget=None: catalog)
+    assert all(r.passed for r in rg.verify_all(64))
+    assert len(calls) == len(classify._LOCAL_PAIRS) == 12
+
+
 @pytest.mark.skipif(not forks_here, reason="the split forks on Linux only")
 def test_verify_all_reports_are_the_same_split_or_not(monkeypatch, cold_ring_cache):
-    handed = []
-    for name in ("verify_trivial_aut_classification", "verify_units_connected_classification"):
-
-        def recording(catalog, budget=None, *, _part=None, _sweep=getattr(classify, name)):
-            handed.append(_part is not None)
-            return _sweep(catalog, budget, _part=_part)
-
-        monkeypatch.setattr(classify, name, recording)
     reports = []
     for cpus in ({0}, {0, 1}):
         rings._RINGS.clear()
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
         reports.append(rg.verify_all(64))
     assert reports[0] == reports[1] and all(r.passed for r in reports[0])
-    # on one CPU each chain sweep computes its chain-free part itself; with
-    # the split, `meanwhile` computed both while the child searched
-    assert handed == [False, False, True, True]
 
 
 def test_report_that_checked_nothing_does_not_pass():

@@ -462,24 +462,21 @@ def test_verify_refused_in_a_chain_search_is_the_same_split_or_not(chain_split, 
 
 
 @pytest.mark.skipif(not forks_here, reason="the split forks on Linux only")
-@pytest.mark.parametrize("part", ["_is_rigid_local", "_units_connected_detail"])
-def test_a_budget_error_in_a_chain_free_part_is_the_same_split_or_not(
-    part, monkeypatch, capsys, cold_ring_cache
+def test_a_budget_error_in_a_local_units_check_is_the_same_split_or_not(
+    monkeypatch, capsys, cold_ring_cache
 ):
-    # a check in the chain-free part of the trivial-aut or units-connected
-    # sweep, which `meanwhile` computes while the child searches, runs over
-    # the budget at GF(9)
-    check = getattr(classify, part)
+    # the units-connected sweep's check of a local entry, which reads no
+    # product chain, runs over the budget at GF(9)
+    check = classify._units_connected_detail
     raised = []
 
-    def over_budget(ring_or_entry, budget):
-        ring = getattr(ring_or_entry, "ring", ring_or_entry)  # the detail takes an entry
-        if ring.order == 9 and ring.is_field:
-            raised.append(part)
+    def over_budget(entry, budget):
+        if entry.ring.order == 9 and entry.ring.is_field:
+            raised.append(entry)
             raise rg.SearchBudgetExceeded("61 element images exceed the budget of 60")
-        return check(ring_or_entry, budget)
+        return check(entry, budget)
 
-    monkeypatch.setattr(classify, part, over_budget)
+    monkeypatch.setattr(classify, "_units_connected_detail", over_budget)
     argv = ["verify", "all", "--max-order", "16"]
     outcomes = []
     for cpus in ({0}, {0, 1}):
@@ -491,9 +488,8 @@ def test_a_budget_error_in_a_chain_free_part_is_the_same_split_or_not(
     assert outcomes[0] == outcomes[1]
     assert outcomes[0][0] == 3 and outcomes[0][1].out == ""
     assert outcomes[0][1].err == "resource limit: 61 element images exceed the budget of 60\n"
-    # once in the sweep on one CPU; with the split, in `meanwhile`, where it
-    # is dropped, and again in the sweep, which raises it
-    assert len(raised) == 3
+    # once per run, in the sweep: `meanwhile` runs no units-connected check
+    assert len(raised) == 2
 
 
 @pytest.mark.skipif(not forks_here, reason="the split forks on Linux only")

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -126,6 +127,40 @@ print(rg.GF(2, 40, (1, 0, 0, 1, 1, 1) + (0,) * 34 + (1,)))
         "field order 2305843009213693951 exceeds cap 4096",
         "GF(1099511627776,[1,0,0,1,1,1" + ",0" * 34 + ",1])",
     ]
+
+
+def test_is_prime_is_trial_division_and_rejects_strong_pseudoprimes():
+    trial = [n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1)) for n in range(10**5)]
+    assert [is_prime(n) for n in range(10**5)] == trial
+    # strong pseudoprimes to the bases 2, 3, 5, 7; to 2 .. 23; and to
+    # 2 .. 37, the least one (Sorenson & Webster 2017)
+    for n in (3215031751, 3825123056546413051, 318665857834031151167461):
+        assert not is_prime(n), n
+    assert is_prime(2**61 - 1) and is_prime(2**64 - 59) and not is_prime(2**64 + 1)
+    with pytest.raises(ValueError, match="exact only below"):
+        is_prime(2**89 - 1)
+
+
+def test_gf_checks_a_huge_characteristic_at_once():
+    # the constructor tested primality by trial division up to sqrt(p), so
+    # this call ran past 5 s; no table of an order above 2^64 can exist
+    code = """
+import time, ringgraph as rg
+t = time.perf_counter()
+rg.GF(2**61 - 1, 1, (0, 1))
+print(time.perf_counter() - t < 1)
+try:
+    rg.GF(2**64 + 13, 1, (0, 1))
+except ValueError as exc:
+    print(exc)
+"""
+    src = os.path.dirname(os.path.dirname(rg.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=20
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["True", "GF characteristic of 65 bits exceeds 2^64"]
 
 
 def test_gf_takes_a_larger_cap():
