@@ -24,11 +24,11 @@ Each operation builds the closure plan and certificate it reads with
 `_Chain` record of its search, read-only in its table dtype
 (`rings._frozen`); `automorphisms` lists the group from it on each call
 and keeps no listing.  `_stabilizer_chains` fills the records of many
-rings at once.  On a host with two CPUs it forks a child, and the two
-processes take the products from one queue, a pipe of product indices,
-while this process also searches the other rings and runs the caller's
-other work; the child writes its finished records to a second pipe once
-the queue is empty.
+rings at once, in one schedule on every host: the rings that are not
+products, then the caller's other work, then the products, largest
+first.  On a host with two CPUs it forks a child, and the two processes
+take the products from one queue, a pipe of product indices; the child
+writes its finished records to a second pipe once the queue is empty.
 """
 
 from __future__ import annotations
@@ -568,47 +568,48 @@ def _search_chain(ring: FiniteRing, budget) -> _Chain:
 def _stabilizer_chains(ring_list, budget=None, meanwhile=None) -> None:
     """Fill the `_stabilizer_chain` cache of every ring given, in one call.
 
-    The rings' searches are independent, so on Linux, when the process may
-    run on two or more CPUs, no other Python thread runs and at least two
-    uncached products remain, one child is forked to share the products
-    with this process.  A product here is a ring whose tables are still
-    deferred and that is not its own prime subring; in the catalog that is
-    exactly the product entries.  Its search runs on a `_working_ring`
-    copy, so it leaves nothing on the ring but its `_Chain`, and that
-    record is all the child sends back: orbits, strong generators, labels
-    and nodes.
-
-    The products are shared through a queue (`_product_queue`): a pipe
-    that holds each product's index, largest product first, as one 4-byte
-    token, and whose write end is closed before the fork.  Each process
-    takes the next product with `os.read(queue, 4)`.  Linux reads a pipe
-    under the pipe's lock, so two reads never take bytes of one token;
-    every token is in the pipe before either process reads, and every
-    read asks for 4 bytes, so the bytes left are always whole tokens, and
-    a read returns one token, or b"" (EOF) once the queue is empty.  So
-    each product is taken exactly once.  The child takes products until
-    the queue ends, then pickles the (index, record) pairs it finished
-    into a second pipe, once.  This process first searches every ring
+    Every host runs one schedule.  This process first searches every ring
     that is not a product, local rings included, whose searches leave
     fingerprints, units and the prime subring on the ring for later
-    sweeps; then it calls `meanwhile()`, work that needs none of the
-    child's records; then it takes products until the queue ends; last,
-    it loads the child's pairs and installs each record through `_Chain`,
-    narrowed and read-only as its own are.  In every other case the rings
-    are searched here one by one, and `meanwhile` is not called.
+    sweeps; then it calls `meanwhile()`, if given, work that needs no
+    product's record; then it takes the products, largest first
+    (`_taken`).  A product here is a ring whose tables are still deferred
+    and that is not its own prime subring; in the catalog that is exactly
+    the product entries.  Its search runs on a `_working_ring` copy, so it
+    leaves nothing on the ring but its `_Chain`.
+
+    On Linux, when the process may run on two or more CPUs, no other
+    Python thread runs and at least two uncached products remain, one
+    child is forked to share the products with this process.  They are
+    shared through a queue (`_product_queue`): a pipe that holds each
+    product's index, largest product first, as one 4-byte token, and
+    whose write end is closed before the fork.  Each process takes the
+    next product with `os.read(queue, 4)`.  Linux reads a pipe under the
+    pipe's lock, so two reads never take bytes of one token; every token
+    is in the pipe before either process reads, and every read asks for 4
+    bytes, so the bytes left are always whole tokens, and a read returns
+    one token, or b"" (EOF) once the queue is empty.  So each product is
+    taken exactly once.  The child takes products until the queue ends,
+    then pickles the (index, record) pairs it finished, orbits, strong
+    generators, labels and nodes, into a second pipe, once.  This process,
+    once the queue is empty, loads them and installs each record through
+    `_Chain`, narrowed and read-only as its own are.  Without a child this
+    process takes every product itself, in the same order.
 
     The child writes only when it takes no more products, so it can wait
     on a full pipe only while this process finishes its own work, which
     it does before it reads.
 
-    Every answer, node count and error is the serial one.  A search that
-    runs over the budget ends the batch and leaves its ring and the rest
-    uncached, and a product the child does not finish (any exception ends
-    the child's batch: it takes no more products, and it still writes the
-    records it finished) gets no record.  The callers then search every
-    ring they passed with the same budget, so the first of them to raise
-    does, at the same point and with the same message as without this
-    call.
+    Every answer and node count is the same with a child and without one.
+    A search that runs over the budget ends the batch and leaves its ring
+    and the rest uncached, and a product the child does not finish (any
+    exception ends the child's batch: it takes no more products, and it
+    still writes the records it finished) gets no record.  The callers
+    then search every ring they passed with the same budget, so the first
+    of them to raise does.  Any other exception, from a search here or
+    from `meanwhile`, propagates from its step.  The steps and their
+    order are the same on every host, so every host raises the same first
+    error, with the same message.
 
     The child leaves only through `os._exit`, so it never returns into the
     caller.  This process kills the child with SIGKILL and reaps it before
@@ -620,14 +621,13 @@ def _stabilizer_chains(ring_list, budget=None, meanwhile=None) -> None:
     todo = [r for r in ring_list if "aut_chain" not in r._derived]
     products = [r for r in todo if r._build_tables is not None and r.characteristic != r.order]
     products.sort(key=lambda r: r.order, reverse=True)
+    queued = {id(r) for r in products}
     queue = _product_queue(len(products)) if len(products) >= 2 and _may_fork() else None
     forked = _fork_with_pipe() if queue is not None else None
-    if forked is None:
-        if queue is not None:
-            os.close(queue)
-        _search_each(todo, budget)
-        return
-    pid, read, write = forked
+    if queue is not None and forked is None:
+        os.close(queue)
+        queue = None
+    pid, read, write = forked or (None, None, None)
     if pid == 0:
         try:
             # a collection would copy the pages of every object it visits,
@@ -636,37 +636,48 @@ def _stabilizer_chains(ring_list, budget=None, meanwhile=None) -> None:
             os.close(read)
             chains = []
             try:
-                while token := os.read(queue, 4):
-                    i = int.from_bytes(token, "little")
+                for i in _taken(queue, len(products)):
                     chains.append((i, _stabilizer_chain(products[i], budget)))
             finally:
                 with os.fdopen(write, "wb") as out:
                     pickle.dump([(i, c.orbits, c.strong, c.labels, c.nodes) for i, c in chains], out)
         finally:
             os._exit(0)
-    import signal  # here, so that a process that never forks skips its import
+    if pid is not None:
+        import signal  # here, so that a process that never forks skips its import
 
-    os.close(write)
-    queued = {id(r) for r in products}
+        os.close(write)
     try:
-        with os.fdopen(read, "rb") as records:
-            if not _search_each([r for r in todo if id(r) not in queued], budget):
-                return
-            if meanwhile is not None:
-                meanwhile()
-            while token := os.read(queue, 4):
-                if not _search_each([products[int.from_bytes(token, "little")]], budget):
-                    return
+        if not _search_each([r for r in todo if id(r) not in queued], budget):
+            return
+        if meanwhile is not None:
+            meanwhile()
+        mine = (products[i] for i in _taken(queue, len(products)))
+        if not _search_each(mine, budget) or pid is None:
+            return
+        with os.fdopen(read, "rb", closefd=False) as records:
             try:
                 theirs = pickle.load(records)
             except (EOFError, pickle.UnpicklingError):  # the child wrote nothing whole
                 theirs = []
-            for i, *fields in theirs:
-                products[i]._derived.setdefault("aut_chain", _Chain(*fields))
+        for i, *fields in theirs:
+            products[i]._derived.setdefault("aut_chain", _Chain(*fields))
     finally:
-        os.close(queue)
-        os.kill(pid, signal.SIGKILL)
-        os.waitpid(pid, 0)
+        if pid is not None:
+            os.close(read)
+            os.close(queue)
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _taken(queue, n: int):
+    """An iterator over the indices of the products this process takes, in
+    order: the queue's tokens, each read when the next is asked for, until
+    it is empty; or 0..n-1 when there is no queue, because no child shares
+    the products."""
+    if queue is None:
+        return iter(range(n))
+    return (int.from_bytes(token, "little") for token in iter(lambda: os.read(queue, 4), b""))
 
 
 def _search_each(ring_list, budget) -> bool:
@@ -689,7 +700,8 @@ def _product_queue(n: int):
     the kernel hands a user over its pipe quota a pipe of one or two pages.
     The write is non-blocking, so tokens that do not fit come back as a
     short write, and None is returned, as it is when the system has no
-    pipe to spare: the rings are then searched one by one.
+    pipe to spare: no child is forked, and this process takes every
+    product.
     """
     try:
         read, write = os.pipe()

@@ -24,9 +24,8 @@ Fields*, Thm 2.5), and a field is never isomorphic to a non-field, so the
 class of a Z_n or a field is fixed by its order and characteristic
 (`_LocalRegistry.fixed_class`).  GF(q), q = p^e, is filed under (q, p).
 Z_n with n = q_1 .. q_k, the q_j = p_j^a_j pairwise coprime prime powers,
-is Z_{q_1} x .. x Z_{q_k} (CRT; the proof is at `_local_factors_of`), so
-its key is the sorted ids of the (q_j, q_j), one id when n is a prime
-power.
+is Z_{q_1} x .. x Z_{q_k} (CRT; the proof is at `build_catalog`), so its
+key is the sorted ids of the (q_j, q_j), one id when n is a prime power.
 
 Candidates that cannot change the catalog are never generated
 (`_family_candidates`), so none of them is built.  A quotient
@@ -321,27 +320,6 @@ def _family_candidates(max_order: int):
                 m += 1
 
 
-def _local_factors_of(expr: RingExpr, ring: FiniteRing) -> list[FiniteRing]:
-    """The local factors of `ring`, the ring `expr` names, up to isomorphism.
-
-    Zn(n) with n = q_1 .. q_k, k >= 2 pairwise coprime prime powers
-    q_j = p_j^a_j, gives Z_{q_1} .. Z_{q_k} in ascending order: x -> (x mod
-    q_j)_j is a unital homomorphism into their product, injective since
-    its kernel is (lcm q_j) = (n), and onto by counting (Chinese remainder
-    theorem).  Z_{q_j} is local, its non-units being the ideal (p_j), and
-    local factors are unique up to isomorphism (Atiyah & Macdonald,
-    Thm 8.7), so these are the factors of `rings.decompose_local`, in its
-    order, as distinct prime powers sort by order.  Z_1 and Z_{p^a} are
-    their own factor, and any other ring gets `rings._local_factors`.
-    """
-    if isinstance(expr, Zn):
-        parts = sorted(p**a for p, a in factorize(expr.n).items())
-        if len(parts) >= 2:
-            return [make_ring(Zn(q)) for q in parts]
-        return [ring]
-    return _local_factors(ring)
-
-
 class _LocalRegistry:
     """Isomorphism classes of the local rings met during catalog construction.
 
@@ -448,6 +426,14 @@ def build_catalog(max_order: int = 64, budget=None) -> Catalog:
     local and neither a Z_n nor a field, so its key is one id, which no
     product key (two or more ids) meets; a product meets only the key of
     a composite Z_n, which came first, or of another product.
+
+    Z_n, n = q_1 .. q_k with the q_j = p_j^a_j pairwise coprime prime
+    powers, is filed as Z_{q_1} x .. x Z_{q_k}: x -> (x mod q_j)_j is a
+    unital homomorphism into their product, injective since its kernel is
+    (lcm q_j) = (n), and onto by counting (Chinese remainder theorem).
+    Z_{q_j} is local, its non-units being the ideal (p_j), and local
+    factors are unique up to isomorphism (Atiyah & Macdonald, Thm 8.7), so
+    these are the local factors of Z_n.
     """
     if max_order > MAX_CATALOG_ORDER:
         raise OrderLimitExceeded(f"catalog max_order capped at {MAX_CATALOG_ORDER}")
@@ -542,8 +528,18 @@ def _is_product_of_distinct_rigid_locals(entry: CatalogEntry) -> bool:
     pairs are equal.  Isomorphic rings share both.  Conversely, Z_{p^a}
     has the pair (p^a, p^a) and Z_2[x]/(x^2) the pair (4, 2), so the pair
     names the ring.
+
+    A ring with char R = |R| is such a product, and its local factors are
+    not read.  Rule 1 makes it Z_n, which is Z_{q_1} x .. x Z_{q_k} for
+    the prime powers q_j of n (CRT, at `build_catalog`); each Z_{q_j} is
+    rigid, and their orders are pairwise distinct, so no two are
+    isomorphic (rule 3).  Any other ring's factors are those of
+    `rings._local_factors`, which the ring caches.
     """
-    factors = _local_factors_of(entry.expr, entry.ring)
+    ring = entry.ring
+    if ring.characteristic == ring.order:
+        return True
+    factors = _local_factors(ring)
     pairs = {(f.order, f.characteristic) for f in factors}
     return all(map(_is_rigid_local, factors)) and len(pairs) == len(factors)
 
@@ -921,15 +917,13 @@ def _run_sweeps(theorem_ids, max_order: int, budget=None) -> list[VerificationRe
     chains are searched first, in one `_stabilizer_chains` call, whose
     `meanwhile` computes the other sweeps' reports, in the order given,
     and then reads on every entry of order above 1 what the two chain
-    sweeps read besides its chain, each cached on its ring: its local
-    factors, its `local_structure` and its units.  So after the call the
-    two sweeps read little more than the products' |Aut R| and orbit
-    labels.  Where that call forks, this process runs `meanwhile` while
-    the child searches products, and takes products after it; on one CPU
-    `meanwhile` never runs.  `meanwhile` stops at the first exception and
-    drops it.  The pass in the given order then takes each stored report,
-    or runs its sweep, so an error is raised where the serial run raises
-    it, with the same message.
+    sweeps read besides its chain, each cached on its ring: its trivial-aut
+    shape (the local factors it reads), its `local_structure` and its
+    units.  So after the call the two sweeps read little more than the
+    products' |Aut R| and orbit labels.  `_stabilizer_chains` runs
+    `meanwhile` at one point of one schedule on every host, after the
+    rings that are not products and before the products, so an error in
+    it is raised there, once, with the same message on every host.
     """
     catalog = None
     if any(SWEEPS[t][1] for t in theorem_ids):
@@ -946,15 +940,12 @@ def _run_sweeps(theorem_ids, max_order: int, budget=None) -> list[VerificationRe
         classified = _classified_entries(catalog)
 
         def meanwhile():
-            try:
-                for t in rest:
-                    done[t] = run(t)
-                for e in classified:
-                    _local_factors_of(e.expr, e.ring)
-                    local_structure(e.ring)
-                    _unit_indices(e.ring)
-            except Exception:  # the pass below runs this sweep again, and raises there
-                pass
+            for t in rest:
+                done[t] = run(t)
+            for e in classified:
+                _is_product_of_distinct_rigid_locals(e)
+                local_structure(e.ring)
+                _unit_indices(e.ring)
 
         _stabilizer_chains([e.ring for e in classified], budget, meanwhile)
     return [done[t] if t in done else run(t) for t in theorem_ids]

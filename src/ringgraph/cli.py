@@ -266,8 +266,8 @@ class _Parser:
                 modulus.append(self.expect_int("coefficient"))
             self.expect("]", "']'")
         self.expect(")", "')'")
-        # factorizing q and searching for a modulus both grow with q, so a
-        # field above the cap is refused before either runs
+        # searching for a modulus grows with q, so a field above the cap is
+        # refused before q is tested or a modulus searched for
         if q > self.max_order:
             raise OrderLimitExceeded(f"field order {q} exceeds cap {self.max_order}")
         if prime_power(q) is None:
@@ -291,7 +291,7 @@ def parse_ring_expr(text: str, max_order: int | None = None) -> RingExpr:
 
     `max_order` is the order cap, `DEFAULT_MAX_ORDER` when None, as in
     `make_ring`: a GF(q) with q above it raises OrderLimitExceeded before q
-    is factorized, and so does a quotient or square-zero ring of order
+    is tested, and so does a quotient or square-zero ring of order
     n**k with 2**k above it, before a power or a list of size k is built.
     """
     return _Parser(text, DEFAULT_MAX_ORDER if max_order is None else max_order).parse()

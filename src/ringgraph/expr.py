@@ -53,7 +53,9 @@ def _check_order(n: int, cap: int | None, what: str = "ring order") -> None:
 # small number-theory helpers
 
 def factorize(n: int) -> dict[int, int]:
-    """Prime factorization of n >= 1 as {prime: exponent}."""
+    """Prime factorization of n >= 1 as {prime: exponent}, by trial
+    division: up to about sqrt(n) / 2 divisions when n has a large prime
+    factor, so a caller bounds n first."""
     if n < 1:
         raise ValueError(f"cannot factorize {n}")
     out: dict[int, int] = {}
@@ -85,6 +87,8 @@ def is_prime(n: int) -> bool:
     for a in _MR_BASES:
         if n % a == 0:
             return n == a
+    if n < _MR_BASES[-1] ** 2:  # a composite n has a prime factor below sqrt(n)
+        return True
     d, s = n - 1, 0
     while d % 2 == 0:
         d, s = d // 2, s + 1
@@ -101,15 +105,34 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def _integer_root(n: int, e: int) -> int:
+    """The largest r with r**e <= n, for n >= 1 and e >= 1, by Newton's
+    method on integers from 2**ceil(bits / e), which is above the root:
+    the steps fall while above it and never below its floor."""
+    r = 1 << -(-n.bit_length() // e)
+    while True:
+        s = ((e - 1) * r + n // r ** (e - 1)) // e
+        if s >= r:
+            return r
+        r = s
+
+
 def prime_power(n: int):
-    """Return (p, e) with n = p**e, or None if n is not a prime power."""
+    """Return (p, e) with n = p**e, or None if n is not a prime power.
+
+    Take the largest e for which n has an exact integer e-th root r.  If
+    n = p**k with p prime, every r with r**e = n is a power of p, so the
+    largest e is k and r = p; conversely n = r**e is a prime power when r
+    is prime.  So n is a prime power exactly when that r is prime.  That
+    is one integer root for each e below the bit length of n, and one
+    `is_prime` call, which raises ValueError where `is_prime` does.
+    """
     if n < 2:
         return None
-    f = factorize(n)
-    if len(f) != 1:
-        return None
-    [(p, e)] = f.items()
-    return p, e
+    for e in range(n.bit_length() - 1, 0, -1):
+        r = _integer_root(n, e)
+        if r**e == n:
+            return (r, e) if is_prime(r) else None
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +360,7 @@ def gf(q: int, modulus=None, max_order: int | None = None) -> GF:
 
     `max_order` is the order cap, `DEFAULT_MAX_ORDER` when None, as in
     `make_ring`: a q above it raises OrderLimitExceeded before q is
-    factorized or a modulus searched for, both of which grow with q.
+    tested as a prime power or a modulus searched for, which grows with q.
     """
     _check_order(q, max_order, "field order")
     pp = prime_power(q)

@@ -393,9 +393,8 @@ def reference_trivial_aut_shape(entry):
     """Whether the entry's ring is a product of pairwise non-isomorphic
     rigid local factors, each question asked by isomorphism search."""
     import ringgraph as rg
-    from ringgraph.classify import _local_factors_of
 
-    factors = _local_factors_of(entry.expr, entry.ring)
+    factors = rg.decompose_local(entry.ring)[0]
     if not all(reference_rigid_local(f) for f in factors):
         return False
     return all(

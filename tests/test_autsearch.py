@@ -955,7 +955,7 @@ def _watch_the_split(monkeypatch):
 
 
 @pytest.mark.skipif(not forks_here, reason="the split forks on Linux only")
-@pytest.mark.parametrize("chain_split", [True], ids=["forked"], indirect=True)
+@pytest.mark.parametrize("chain_split", [False, True], ids=["serial", "forked"], indirect=True)
 @pytest.mark.parametrize("max_order", [64, 128])
 def test_chain_records_from_the_child_equal_the_serial_ones(chain_split, max_order, monkeypatch):
     ring_list = [e.ring for e in rg.build_catalog(max_order).entries if e.ring.order > 1]
@@ -964,17 +964,17 @@ def test_chain_records_from_the_child_equal_the_serial_ones(chain_split, max_ord
     searched, theirs = _watch_the_split(monkeypatch)
     before_meanwhile = []
     _stabilizer_chains(ring_list, meanwhile=lambda: before_meanwhile.append(len(searched)))
-    assert len(chain_split.pids) == 1
-    # this process searched every ring that is not a product before
-    # `meanwhile`, and products only after it
+    assert len(chain_split.pids) == chain_split.forked
+    # on either host this process searched every ring that is not a
+    # product, then called `meanwhile` once, and took products after it
     others = [r for r in ring_list if id(r) not in index]
     assert before_meanwhile == [len(others)]
     assert [id(r) for r in searched[: len(others)]] == [id(r) for r in others]
     # the queue gave every product to exactly one process, and each took
-    # its products in queue order
+    # its products in queue order; without a child this process took them all
     mine = [index[id(r)] for r in searched[len(others):]]
     child = [i for i, *_ in theirs]
-    assert child and sorted(mine + child) == list(range(len(products)))
+    assert bool(child) == chain_split.forked and sorted(mine + child) == list(range(len(products)))
     assert mine == sorted(mine) and child == sorted(child)
     for ring in ring_list:
         record = ring._derived.pop("aut_chain")
@@ -1002,10 +1002,13 @@ def test_a_queue_that_does_not_fit_its_pipe_is_searched_serially(chain_split, mo
     assert [int.from_bytes(t, "little") for t in tokens[:-1]] == list(range(16384))
     assert tokens[-1] == b""
     assert autsearch._product_queue(16385) is None
-    # without a queue the rings are searched here, and `meanwhile` is not called
+    # without a queue the rings are searched here, and `meanwhile` is
+    # called once, as it is with a child
     monkeypatch.setattr(autsearch, "_product_queue", lambda n: None)
     ring_list = [e.ring for e in rg.build_catalog(16).entries if e.ring.order > 1]
-    _stabilizer_chains(ring_list, meanwhile=lambda: pytest.fail("meanwhile ran"))
+    calls = []
+    _stabilizer_chains(ring_list, meanwhile=lambda: calls.append(1))
+    assert calls == [1]
     assert chain_split.pids == [] and all("aut_chain" in r._derived for r in ring_list)
 
 

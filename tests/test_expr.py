@@ -30,6 +30,30 @@ def test_prime_power():
     assert is_prime(2) and is_prime(61) and not is_prime(57)
 
 
+def test_prime_power_of_a_large_n_returns_at_once():
+    # `prime_power(2**61 - 1)` ran past 5 s when it factorized n by trial
+    # division; in a subprocess, so a hang fails on the timeout
+    code = """
+from ringgraph.expr import factorize, prime_power
+for n in (2**61 - 1, 3**40, (2**31 - 1)**2, 2**61 + 1):
+    print(prime_power(n))
+for n in range(2, 5001):
+    f = factorize(n)
+    assert prime_power(n) == (next(iter(f.items())) if len(f) == 1 else None), n
+"""
+    src = os.path.dirname(os.path.dirname(rg.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=20
+    )
+    assert proc.returncode == 0, proc.stderr
+    want = ["(2305843009213693951, 1)", "(3, 40)", "(2147483647, 2)", "None"]
+    assert proc.stdout.splitlines() == want
+    # above the exact range of `is_prime` the root is refused as it is there
+    with pytest.raises(ValueError, match="exact only below"):
+        prime_power(2**89 - 1)
+
+
 def test_bundled_moduli_match_search_rule():
     # the moduli that named fields of these orders have always had: the
     # smallest-encoding search must keep returning them
