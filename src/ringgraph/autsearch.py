@@ -1,15 +1,19 @@
 """Automorphism enumeration and ring isomorphism testing.
 
 A map is fixed by the images of the prime subring and of a greedy
-generating set.  The source ring's closure plan derives every element of
-S_i = <prime subring, g_1..g_i> from earlier ones, so the images on S_i are
-computed by replaying that recipe, for all candidate images of g_i at once:
-each recipe round is one gather on a matrix holding one candidate per row.
-Rows whose new images change an element's fingerprint are dropped after
-every round.  Only complete maps, at the last level, must pass `_certify`,
-which checks sums along an additive coset tree of the ring and products of
-its additive generators: a row that is not a homomorphism on S_i has no
-extension that is one, so checking it earlier would only prune sooner.
+generating set.  The source ring's plan (`rings._build_plan`) is one
+additive coset tree that derives every element of
+S_i = <prime subring, g_1..g_i> once from earlier ones, so the images on
+S_i are computed by replaying its steps, for all candidate images of g_i
+at once: each step is one gather on a matrix holding one candidate per
+row.  Rows whose new images change an element's fingerprint are dropped
+after every step.  The same tree is the certificate: the rows it builds
+satisfy every tree sum by construction, so a complete map must pass only
+`_certify`'s few checks, its wrap edges and the products of its additive
+generators with the generators.  A row that is not a homomorphism on S_i
+has no extension that is one, so checking it earlier would only prune
+sooner.  A map from anywhere else passes `_certify_replayed`, which first
+requires it to be the tree's replay of its own generator images.
 A group is held as a stabilizer chain: the orbit of each g_i under the
 automorphisms fixing S_{i-1}, and a strong generating set.  That keeps
 huge symmetric-type groups countable without enumerating them.  The chain
@@ -19,7 +23,7 @@ images they do not reach yet (Sims 1970; Holt, Eick & O'Brien 2005,
 ch. 4).  Coset representatives are traced from the strong generators only
 when `automorphisms` lists the group.
 
-Each operation builds the closure plan and certificate it reads with
+Each operation builds the plan and certificate it reads with
 `rings._build_plan` and drops them when it returns.  A ring caches the
 `_Chain` record of its search, read-only in its table dtype
 (`rings._frozen`); `automorphisms` lists the group from it on each call
@@ -95,8 +99,7 @@ class RingMorphism:
     @property
     def is_homomorphism(self) -> bool:
         if self._hom is None:
-            cert = rings._build_plan(self.source)[1]
-            ok = _certify(self.source, self.target, self.image, cert, injective=False)
+            ok = _certify_replayed(self.source, self.target, self.image, injective=False)
             self._hom = bool(ok[0])
         return self._hom
 
@@ -133,37 +136,49 @@ def identity_automorphism(ring: FiniteRing) -> RingMorphism:
 
 
 def is_homomorphism(morphism: RingMorphism) -> bool:
-    """Whether the map preserves 0, 1, sums and products (see `_certify`)."""
+    """Whether the map preserves 0, 1, sums and products (see `_certify_replayed`)."""
     return morphism.is_homomorphism
 
 
 def _certify(source: FiniteRing, target: FiniteRing, rows, cert, injective=True) -> np.ndarray:
-    """Which complete image rows are injective unital ring homomorphisms.
+    """Which recipe rows are injective unital ring homomorphisms.
 
-    A row f passes when f(0) = 0, f(1) = 1, exactly one x has f(x) = 0, and
-    f(c) = f(a) op f(b) for every triple (c, a, b) of the source's
-    `_Certificate`: c = a + b on the additive coset tree of an additive
-    generating set A = (a_1..a_K) and on one wrap edge per a_k, and
-    c = a * b for a <= b in A.  With injective=False the zero count is
-    skipped.  A row costs O(|R| + |A|^2) lookups, not O(|R|^2).
+    A recipe row is one that the steps of the source's plan built from its
+    images of the generators, with c*1 -> c*1 on the prime subring:
+    `_Engine.expand` builds every row it passes here (the stabilizer chain
+    starts from the identity on S_{i-1}, the recipe row of the generators'
+    own images), and `_certify_replayed` checks that any other row is one.
+    Such a row f passes when f(0) = 0, f(1) = 1, exactly one x has
+    f(x) = 0, and f(c) = f(a) op f(b) for every triple (c, a, b) of the source's
+    `_Certificate`: the wrap edge m*y = (m-1)*y + y of each additive
+    generator y, and x*g_j for every additive generator x and generator
+    g_j.  With injective=False the zero count is skipped.  A row costs
+    K + K*k lookups for K additive and k ring generators, K <= log2 |R|,
+    and one pass for the zero count.
 
-    Soundness.  Let span_k be the additive span of a_1..a_k and m_k the
-    least m > 0 with m a_k in span_{k-1}; every x in span_k is z + c a_k
-    for exactly one z in span_{k-1} and 0 <= c < m_k.  By induction on k,
-    f is additive on span_k.  span_0 = {0} and f(0) = 0.  The tree edges
-    z + c a_k = (z + (c-1) a_k) + a_k give f(z + c a_k) = f(z) + c f(a_k),
-    by induction on c.  The wrap edge m_k a_k = (m_k - 1) a_k + a_k then
-    gives f(m_k a_k) = m_k f(a_k).  For x = z + c a_k and x' = z' + c' a_k,
-    x + x' = (z + z') + (c + c') a_k; if c + c' >= m_k, it is
-    (z + z' + m_k a_k) + (c + c' - m_k) a_k with the first term in
-    span_{k-1}.  Either way, additivity on span_{k-1} and the two
+    Soundness.  Let y_1 = 1, y_2, .., y_K be the additive generators in the
+    order the tree took them, span_j the additive span of y_1..y_j and m_j
+    the least m > 0 with m y_j in span_{j-1}; every x in span_j is
+    z + c y_j for exactly one z in span_{j-1} and 0 <= c < m_j.  The recipe
+    makes f(z + c y_j) = f(z) + c f(y_j) true by construction: it sets
+    f(c*1) = c*1 for the prime subring, and for j > 1 derives
+    f(c y_j) = f(y_j) f(c*1) = c f(y_j) and f(z + c y_j) = f(z) + f(c y_j).
+    By induction on j, f is additive on span_j.  span_0 = {0} and
+    f(0) = 0.  The wrap edge gives f(m_j y_j) = f((m_j - 1) y_j) + f(y_j)
+    = m_j f(y_j).  For x = z + c y_j and x' = z' + c' y_j,
+    x + x' = (z + z') + (c + c') y_j; if c + c' >= m_j, it is
+    (z + z' + m_j y_j) + (c + c' - m_j) y_j with the first term in
+    span_{j-1}.  Either way, additivity on span_{j-1} and the two
     identities give f(x + x') = f(x) + f(x').  span_K is the whole ring,
-    so f is additive.  Every x is a sum of elements of A, and products
-    distribute, so f(x y) = sum f(a b) over the summands a of x and b of
-    y; both rings are commutative, so the pairs a <= b cover every a b,
-    and f(x y) = sum f(a) f(b) = f(x) f(y).  So f is a unital ring
-    homomorphism, and one zero means its kernel is trivial, so it is
-    injective.  This is the consistency check of a polycyclic
+    so f is additive.  Every u is a sum of multiples of the y_j, so by
+    additivity the product triples give f(u g_j) = f(u) f(g_j) for every u
+    and j.  The v with f(u v) = f(u) f(v) for every u then form a subring:
+    they hold 1, are closed under sums by additivity and distributivity,
+    and under products, as f(u v w) = f(u v) f(w) = f(u) f(v) f(w) =
+    f(u) f(v w).  It holds every g_j, and the g_j generate the ring over
+    its prime subring, so it is the ring and f is multiplicative.  So f is
+    a unital ring homomorphism, and one zero means its kernel is trivial,
+    so it is injective.  This is the consistency check of a polycyclic
     presentation (Holt, Eick & O'Brien 2005, ch. 8).  The order-1 ring has
     no triples, and its one row passes on f(0) = 0 = f(1) alone.
 
@@ -172,18 +187,38 @@ def _certify(source: FiniteRing, target: FiniteRing, rows, cert, injective=True)
     """
     rows = np.atleast_2d(rows)
     ok = (rows[:, source.zero] == target.zero) & (rows[:, source.one] == target.one)
-    checks = ((cert.sums, target.add_table), (cert.products, target.mul_table))
-    # at most 2*10^6 entries per chunk in the gather of the sum triples (the
-    # product triples are fewer) and in the zero count
-    step = max(1, 2_000_000 // (3 * cert.sums.shape[1] + rows.shape[1]))
-    for lo in range(0, len(rows), step):
-        chunk = rows[lo : lo + step]
-        if injective:
-            ok[lo : lo + step] &= (chunk == target.zero).sum(axis=1) == 1
-        for triples, table in checks:
-            c, a, b = chunk[:, triples].transpose(1, 0, 2)
-            ok[lo : lo + step] &= (table[a, b] == c).all(axis=1)
+    if injective:
+        ok &= np.count_nonzero(rows == target.zero, axis=1) == 1
+    for triples, table in ((cert.wraps, target.add_table), (cert.products, target.mul_table)):
+        c, a, b = rows[:, triples].transpose(1, 0, 2)
+        ok &= (table[a, b] == c).all(axis=1)
     return ok
+
+
+def _certify_replayed(source: FiniteRing, target: FiniteRing, rows, built=None, injective=True):
+    """Which rows, built anywhere, are (injective) unital ring homomorphisms.
+
+    The one check for rows that the search did not build.  A row passes
+    when it is the recipe row of its own images of the generators, and
+    `_certify` passes it.  The recipe sets c*1 -> c*1, read in the
+    target's prime subring, and derives each other element by one step
+    from elements before it, so a row equals the row the recipe rebuilds
+    from its generator images exactly when it maps c*1 to c*1 and every
+    step holds on its own values.  That is checked on a copy of the rows in
+    the target's table dtype, which holds target elements, so each step's
+    gathers take a quarter of the memory of int64 or less.  A homomorphism
+    passes the steps, as every step is a sum or product.  `built` is
+    `rings._build_plan(source)` when the caller has it.
+    """
+    plan, cert = rings._build_plan(source) if built is None else built
+    rows = np.atleast_2d(rows).astype(rings._table_dtype(target.order))
+    prime, image = (np.array(r.prime_subring) for r in (source, target))
+    ok = (rows[:, prime] == image[np.arange(len(prime)) % len(image)]).all(axis=1)
+    tables = {"add": target.add_table, "mul": target.mul_table}
+    for level in plan:
+        for op, c, a, b in level.steps:
+            ok &= (tables[op][rows[:, a], rows[:, b]] == rows[:, c]).all(axis=1)
+    return ok & _certify(source, target, rows, cert, injective)
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +235,7 @@ class _Engine:
     `nodes` to scope the budget; `peak` is the largest count any scope
     reached.
 
-    The engine builds the source's closure plan and certificate with
+    The engine builds the source's plan and certificate with
     `rings._build_plan`, and they are dropped with it.
     """
 
@@ -208,6 +243,7 @@ class _Engine:
         self.source = source
         self.target = target
         self.plan, self.cert = rings._build_plan(source)
+        self.tables = {"add": target.add_table, "mul": target.mul_table}
         self.budget = budget
         self.nodes = self.peak = 0
         # both rings have one order, so equal keys mean equal fingerprints
@@ -217,16 +253,19 @@ class _Engine:
     def expand(self, row: np.ndarray, i: int) -> np.ndarray:
         """The extensions to S_i of a row on S_{i-1} that keep their fingerprints.
 
-        Rows come out in ascending order of the image of g_i.  At the last
-        level they are complete maps, and only those that pass `_certify`
-        are returned; earlier levels return every row that keeps its
-        fingerprints.  That loses no exactness: the recipe fixes the images
-        on S_i, so two homomorphisms that agree on S_{i-1} and g_i agree on
-        S_i, and a row that is not a homomorphism on S_i has no extension
-        that is one.  Every completion of such a row fails the final
-        certificate, so `first` returns None for it, as if the row had
-        been rejected at its own level, and marking its orbit dead in the
-        stabilizer chain stays sound.
+        Each candidate image of g_i gets one row, and the level's steps
+        derive the other images of S_i on every row at once, one gather
+        per step; rows whose new images change an element's fingerprint are
+        dropped after each step.  Rows come out in ascending order of the
+        image of g_i.  At the last level they are complete recipe rows, and
+        only those that pass `_certify` are returned; earlier levels return
+        every row that keeps its fingerprints.  That loses no exactness: the
+        recipe fixes the images on S_i, so two homomorphisms that agree on
+        S_{i-1} and g_i agree on S_i, and a row that is not a homomorphism
+        on S_i has no extension that is one.  Every completion of such a
+        row fails the final certificate, so `first` returns None for it, as
+        if the row had been rejected at its own level, and marking its
+        orbit dead in the stabilizer chain stays sound.
         """
         level = self.plan[i]
         cands = np.flatnonzero(self.tfp == self.sfp[level.gen])
@@ -239,12 +278,12 @@ class _Engine:
         rows = np.repeat(row[None, :], len(cands), axis=0)
         rows[:, level.gen] = cands
         nodes = len(rows)
-        for rnd in level.rounds:
-            for (c, a, b), table in zip(rnd, (self.target.add_table, self.target.mul_table)):
-                rows[:, c] = table[rows[:, a], rows[:, b]]
-            new = np.concatenate([rnd[0][0], rnd[1][0]])
-            rows = rows[(self.tfp[rows[:, new]] == self.sfp[new]).all(axis=1)]
-            nodes += len(rows) * len(new)
+        for op, c, a, b in level.steps:
+            rows[:, c] = self.tables[op][rows[:, a], rows[:, b]]
+            keep = (self.tfp[rows[:, c]] == self.sfp[c]).all(axis=1)
+            if not keep.all():  # a copy only when a row goes
+                rows = rows[keep]
+            nodes += len(rows) * len(c)
         self.nodes += nodes
         self.peak = max(self.peak, self.nodes)
         _check_budget(self.nodes, self.budget)
@@ -289,10 +328,11 @@ class AutGroup:
     Element 0 is the identity; elements are sorted lexicographically by
     image tuple, so group listings are reproducible.  `images` must be
     integer rows on the carrier, hold the identity and no row twice, and
-    every row must pass one `_certify` call, or ValueError is raised: a
-    self-map that passes is injective, so it is an automorphism.  A group
-    of the identity alone needs no certificate; `_cert`, one that a caller
-    built with `rings._build_plan(ring)`, spares building a second.  The
+    every row must pass one `_certify_replayed` call, or ValueError is
+    raised: a self-map that passes is injective, so it is an automorphism.
+    A group of the identity alone needs no plan; `_built`, the plan and
+    certificate a caller built with `rings._build_plan(ring)`, spares
+    building a second.  The
     set is not checked for closure: a composition or inverse outside it
     raises NotAutomorphism when met.
     Queries name an element by its index or as a morphism: an index
@@ -305,21 +345,20 @@ class AutGroup:
     read.
     """
 
-    def __init__(self, ring: FiniteRing, images: np.ndarray, generators=None, *, _cert=None):
+    def __init__(self, ring: FiniteRing, images: np.ndarray, generators=None, *, _built=None):
         images = _carrier_array(images, ring.order, "group images")
         order = np.lexsort(images.T[::-1])
         images = np.ascontiguousarray(images[order], dtype=np.int64)  # keys are int64 bytes
         images.setflags(write=False)
-        self._index = {images[i].tobytes(): i for i in range(len(images))}
-        if len(self._index) != len(images):
-            raise ValueError("duplicate group elements")
         # the identity is the least permutation, so it sorts first
         if not len(images) or not np.array_equal(images[0], np.arange(ring.order)):
             raise ValueError("group images must include the identity")
         if len(images) > 1:
-            cert = rings._build_plan(ring)[1] if _cert is None else _cert
-            if not _certify(ring, ring, images, cert).all():
+            if not _certify_replayed(ring, ring, images, _built).all():
                 raise ValueError("group images must be automorphisms of the ring")
+        self._index = {images[i].tobytes(): i for i in range(len(images))}
+        if len(self._index) != len(images):
+            raise ValueError("duplicate group elements")
         self.ring = ring
         self._images = images
         self.elements = tuple(RingMorphism(ring, ring, images[i]) for i in range(len(images)))
@@ -502,7 +541,7 @@ def _stabilizer_chain(ring: FiniteRing, budget=None) -> _Chain:
     found at levels k..i do, and any other that fixes S_{i-1} lies in it.
     Every strong generator is a complete map that `expand` certified.
 
-    The search's `_Engine` builds the closure plan, which is dropped with
+    The search's `_Engine` builds the plan, which is dropped with
     it: the ring keeps only the `_Chain` record in `_derived`.  A ring
     whose tables are still deferred, a product, is searched on the
     `rings._working_ring` copy, which folds them and is dropped with the
@@ -791,7 +830,8 @@ def automorphisms(ring: FiniteRing, budget=None) -> AutGroup:
     chain = _stabilizer_chain(ring, budget)
     # the listing writes |R| element images per automorphism
     _check_budget(math.prod(len(orbit) for orbit in chain.orbits) * ring.order, budget)
-    plan, cert = rings._build_plan(ring)
+    built = rings._build_plan(ring)
+    plan = built[0]
     images = [np.arange(ring.order, dtype=np.int64)]
     for i, orbit in enumerate(chain.orbits, start=1):
         fixed = plan[i - 1].elements
@@ -800,7 +840,7 @@ def automorphisms(ring: FiniteRing, budget=None) -> AutGroup:
         if sorted(level) != orbit.tolist():  # pragma: no cover - the chain's invariant
             raise RuntimeError("internal error: transversal does not cover the chain orbit")
         images = [acc[rep] for acc in images for rep in level.values()]
-    return AutGroup(ring, np.stack(images), chain.strong, _cert=cert)
+    return AutGroup(ring, np.stack(images), chain.strong, _built=built)
 
 
 def aut_orbits(ring: FiniteRing, budget=None) -> tuple[tuple[int, ...], ...]:
@@ -867,15 +907,15 @@ def inverse(f: RingMorphism) -> RingMorphism:
 
 def subgroup_closure(ring: FiniteRing, gens) -> AutGroup:
     """Smallest automorphism group of `ring` containing the given maps, checked
-    with one certificate: a self-map that `_certify` passes is injective.
+    with one plan: a self-map that `_certify_replayed` passes is injective.
     The generators are checked before the closure, which they bound, and the
-    group is handed the same certificate."""
+    group is handed the same plan."""
     gens = list(gens)
     gen_arrays = [g.image for g in gens]
-    cert = rings._build_plan(ring)[1] if gens else None
+    built = rings._build_plan(ring) if gens else None
     if gens and not (
         all(g.source is ring and g.target is ring for g in gens)
-        and _certify(ring, ring, np.stack(gen_arrays), cert).all()
+        and _certify_replayed(ring, ring, np.stack(gen_arrays), built).all()
     ):
         raise NotAutomorphism("subgroup_closure generators must be automorphisms of the ring")
     ident = np.arange(ring.order, dtype=np.int64)
@@ -891,4 +931,4 @@ def subgroup_closure(ring: FiniteRing, gens) -> AutGroup:
                     seen[key] = c
                     nxt.append(c)
         frontier = nxt
-    return AutGroup(ring, np.stack(list(seen.values())), gen_arrays, _cert=cert)
+    return AutGroup(ring, np.stack(list(seen.values())), gen_arrays, _built=built)

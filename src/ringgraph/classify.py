@@ -131,6 +131,7 @@ import numpy as np
 
 from .autsearch import (
     AutGroup,
+    _stabilizer_chain,
     _stabilizer_chains,
     aut_group_order,
     automorphisms,
@@ -158,6 +159,7 @@ from .rings import (
     _local_factors,
     _unit_indices,
     euler_phi,
+    generating_set,
     local_structure,
     make_ring,
     residue_degree,
@@ -788,13 +790,42 @@ def _lcm_up_to(k: int) -> int:
     return math.lcm(*range(1, k + 1)) if k >= 1 else 1
 
 
+def _order_exponent(ring: FiniteRing, graph) -> int:
+    """lcm(1..L), L the largest Aut R orbit of a generator in
+    `generating_set(ring)`, 1 when there is none; `graph` is the ring's
+    orbit graph.  The order of every automorphism divides it.
+
+    Proof.  An automorphism sigma fixes the prime subring, which with the
+    generators generates the ring, so sigma^m = id exactly when sigma^m
+    fixes every generator g.  That holds exactly when the length of the
+    cycle of sigma through g divides m, for every g; the cycle lies in the
+    orbit O(g) of g under Aut R, so its length is at most |O(g)| <= L.  So
+    the order of sigma is the lcm of these lengths, which divides
+    lcm(1..L).
+    """
+    gens = list(generating_set(ring))
+    longest = int(graph.sizes[graph.block_of[gens]].max()) if gens else 1
+    return _lcm_up_to(longest)
+
+
+def _strong_generators_commute(ring: FiniteRing, budget) -> bool:
+    """Whether Aut R is abelian: a group is abelian exactly when a set that
+    generates it commutes pairwise, and the strong generators of the
+    ring's stabilizer chain generate Aut R."""
+    strong = _stabilizer_chain(ring, budget).strong
+    return all(np.array_equal(g[h], h[g]) for i, g in enumerate(strong) for h in strong[i + 1 :])
+
+
 def verify_involution_and_order_bounds(catalog: Catalog, budget=None) -> VerificationReport:
     """Abelian 2-group when ideal degrees stay <= 1; factorial bound on element orders.
 
-    The factorial bound is certified arithmetically whenever lcm(1..T+1)
-    divides (n+1)! for graph type T, since every automorphism order
-    divides the lcm of its orbit cycle lengths; otherwise the group is
-    enumerated and checked element by element.
+    Neither check lists the group where a closed form decides it.  With
+    ideal degrees <= 1, Aut R is abelian when its strong generators
+    commute pairwise (`_strong_generators_commute`), and |Aut R| comes
+    from the stabilizer chain.  The factorial bound (n+1)! on element
+    orders is certified arithmetically whenever `_order_exponent`, a
+    multiple of every automorphism's order, divides (n+1)!; otherwise the
+    group is listed and checked element by element.
     """
     cex = []
     entries = tuple(
@@ -807,20 +838,14 @@ def verify_involution_and_order_bounds(catalog: Catalog, budget=None) -> Verific
         maxdeg = int(graph.sizes[graph.block_of[list(ls.maximal_ideal)]].max()) - 1
         bound = math.factorial(maxdeg + 1)
         if maxdeg <= 1:
-            group = automorphisms(ring, budget=budget)
-            if not group.is_abelian():
+            if not _strong_generators_commute(ring, budget):
                 cex.append((entry.expr, "ideal degrees <= 1 but group not abelian"))
                 continue
-            if group.order & (group.order - 1):
-                cex.append(
-                    (entry.expr, f"ideal degrees <= 1 but |Aut| = {group.order} not a 2-power")
-                )
+            order = aut_group_order(ring, budget=budget)
+            if order & (order - 1):
+                cex.append((entry.expr, f"ideal degrees <= 1 but |Aut| = {order} not a 2-power"))
                 continue
-        # every automorphism order divides lcm(1..T+1), T the graph type,
-        # because cycles live inside orbits; when that lcm divides the
-        # factorial bound the bound holds without touching the group
-        certified = bound % _lcm_up_to(graph.graph_type() + 1) == 0
-        if not certified:
+        if bound % _order_exponent(ring, graph):
             group = automorphisms(ring, budget=budget)
             worst = max(group.element_order(s) for s in group)
             if worst > bound:

@@ -52,19 +52,33 @@ def _check_order(n: int, cap: int | None, what: str = "ring order") -> None:
 # ---------------------------------------------------------------------------
 # small number-theory helpers
 
+# the largest trial divisor of `factorize`; every n below its square factors
+_TRIAL_DIVISION_BOUND = 2**20
+
+
 def factorize(n: int) -> dict[int, int]:
-    """Prime factorization of n >= 1 as {prime: exponent}, by trial
-    division: up to about sqrt(n) / 2 divisions when n has a large prime
-    factor, so a caller bounds n first."""
+    """Prime factorization of n >= 1 as {prime: exponent}.
+
+    Trial division by 2, 3, 5, 7, .. up to `_TRIAL_DIVISION_BOUND`, so at
+    most about 5 * 10^5 divisions.  What is left then has no factor up to
+    the bound: it is 1, a prime when it is below the bound's square, or
+    else a prime by `is_prime`.  A cofactor that is composite there, or too
+    large for `is_prime`, raises ValueError.
+    """
     if n < 1:
         raise ValueError(f"cannot factorize {n}")
     out: dict[int, int] = {}
     d = 2
-    while d * d <= n:
+    while d * d <= n and d <= _TRIAL_DIVISION_BOUND:
         while n % d == 0:
             out[d] = out.get(d, 0) + 1
             n //= d
         d += 1 if d == 2 else 2
+    if d * d <= n and not is_prime(n):
+        raise ValueError(
+            f"cannot factorize: a cofactor of {n.bit_length()} bits has no prime factor "
+            f"up to {_TRIAL_DIVISION_BOUND} and is not prime"
+        )
     if n > 1:
         out[n] = out.get(n, 0) + 1
     return out

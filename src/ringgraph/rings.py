@@ -14,8 +14,12 @@ chain search and `decompose_local` read a product's tables through
 `_working_ring`, which folds them for that call only.
 
 A ring caches what it derives in one dict, `_derived`, filled through
-`FiniteRing._get`.  The closure plan and certificate of `_build_plan` are
-not cached: each operation that reads them builds them and drops them.
+`FiniteRing._get`.  `_build_plan` gives the plan that `autsearch` searches
+and certifies with: the greedy generators and one additive coset tree,
+which derives each element of each subring level once from earlier ones
+and so serves as both the search recipe and the homomorphism
+certificate.  It is not cached: each operation that reads it builds it
+and drops it.
 
 Construction works on whole tables.  An additive group B^d, and any
 direct product, is a mixed-radix fold of the factors' tables.  Z_n[x]/(f),
@@ -848,65 +852,35 @@ def element_fingerprint(ring: FiniteRing, x: int) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class _ClosureLevel:
-    """One step S_i = <S_{i-1}, gen> of the greedy closure over the prime subring.
+    """One level S_i = <S_{i-1}, gen> of the plan: a stretch of the additive
+    coset tree of `_build_plan`, which is both the search recipe and the
+    certificate.
 
-    Each of the `rounds` derives elements new at this level from known ones:
-    a pair of (c, a, b) index triples, c = a + b then c = a * b.  `elements`
-    is S_i.
+    Each of the `steps` is (op, c, a, b), op "add" or "mul" and c, a, b
+    int64 index arrays: it derives the elements c = a op b, new at this
+    level, from known ones, a or b of length 1 standing for every entry of
+    the other.  Every element of S_i outside S_{i-1} but `gen` is derived by
+    exactly one step.  `elements` is S_i, ascending.
     """
 
     gen: int | None
-    rounds: tuple
+    steps: tuple
     elements: np.ndarray
 
 
 @dataclass(frozen=True)
 class _Certificate:
-    """The checks of `autsearch._certify`, as (3, m) index arrays of (c, a, b).
+    """The checks of `autsearch._certify` that the recipe does not make
+    true by construction, as (3, m) index arrays of (c, a, b).
 
-    `sums` holds c = a + b for the additive coset tree of an additive
-    generating set A = (a_1..a_K) of the ring, built as span_k = span_{k-1}
-    + {0, a_k, .., (m_k - 1) a_k}: a tree edge joins each element of span_k
-    outside span_{k-1} to its parent, one a_k lower, and one wrap edge per
-    a_k joins m_k a_k, the first multiple back in span_{k-1}, to
-    (m_k - 1) a_k.  So there are |R| - 1 + K sum triples, kept in the
-    order of k.  `products` holds c = a * b for every pair a <= b of A.
+    `wraps` holds c = a + b for one wrap edge per additive generator y of
+    the coset tree: m*y = (m-1)*y + y, m the least m > 0 with m*y in the
+    span of the generators before y.  `products` holds c = a * b for every
+    additive generator a and every ring generator b.
     """
 
-    sums: np.ndarray
+    wraps: np.ndarray
     products: np.ndarray
-
-
-def _close(ring: FiniteRing, known: np.ndarray, frontier: np.ndarray) -> tuple:
-    """Close `known` (updated in place) under + and *, starting from `frontier`.
-
-    Each round pairs only the last round's new elements with all known ones;
-    the tables are commutative, so every other pair was formed before.  It
-    stops when nothing new appears or every element is known.
-    """
-    rounds = []
-    while frontier.size:
-        have = known.nonzero()[0]
-        rnd = []
-        for table in (ring.add_table, ring.mul_table):
-            c = table[frontier[:, None], have].ravel()
-            pos = (~known[c]).nonzero()[0]
-            if pos.size > 1:
-                # the first pair giving each new element, elements ascending
-                pos = pos[np.argsort(c[pos], kind="stable")]
-                first = np.ones(len(pos), dtype=bool)
-                np.not_equal(c[pos[1:]], c[pos[:-1]], out=first[1:])
-                pos = pos[first]
-            c = c[pos].astype(np.int64)
-            known[c] = True
-            i, j = np.divmod(pos, have.size)
-            rnd.append((c, frontier[i], have[j]))
-        frontier = np.concatenate([rnd[0][0], rnd[1][0]])
-        if frontier.size:
-            rounds.append(tuple(rnd))
-        if have.size + frontier.size == ring.order:
-            break
-    return tuple(rounds)
 
 
 def _working_ring(ring: FiniteRing) -> FiniteRing:
@@ -928,69 +902,71 @@ def _working_ring(ring: FiniteRing) -> FiniteRing:
 
 
 def _build_plan(ring: FiniteRing) -> tuple[tuple[_ClosureLevel, ...], _Certificate]:
-    """The closure plan of the ring and its `_Certificate`, in one pass.
+    """The plan of the ring and its `_Certificate`, in one pass over one
+    additive coset tree.
 
-    The plan is the greedy generator chain with a recipe for each level.
-    Level 0 is the prime subring, which is closed; level i adds the
-    lowest-index element outside S_{i-1} and closes.  Replaying the rounds
-    of levels 1..i on images of the prime subring and the generators gives
-    the image of every element of S_i.  Nothing caches either: each
-    operation that reads them builds them and drops them when it returns.
+    The tree grows a list of additive generators, 1 first; each new one y
+    extends the span V to V + {0, y, .., (m-1)*y}, m the least m > 0 with
+    m*y in V, and its elements z + c*y (z in V, 0 <= c < m) are new.
+    Level 0 is the prime subring, the span of 1.  Level i adds g_i, the
+    lowest-index element outside S_{i-1}, and walks the additive
+    generators, including those it appends on the way: for each x, if
+    y = x*g_i lies outside the span, y is derived by one `mul` step (none
+    when y = g_i, which the search sets), its multiples c*y = y*(c*1),
+    1 < c < m, by one `mul` step, each coset c*y + V by one `add` step,
+    and y is appended.  The span is then closed under multiplication by
+    g_i, since each of its generators x has x*g_i in it; it contains
+    S_{i-1} and g_i and lies in S_i, so it is the subring S_i.  Replaying
+    the steps of levels 1..i on images of the prime subring and of the
+    generators gives the image of every element of S_i.  Nothing caches
+    either: each operation that reads them builds them and drops them when
+    it returns.
     """
     add, mul = ring.add_table, ring.mul_table
-    known = np.zeros(ring.order, dtype=bool)
-    span = known.copy()  # additive span of the generators taken so far
-    span[ring.zero] = True
-    tree = []
-    levels = []
-    gen, rounds = None, ()
     prime = np.array(ring.prime_subring, dtype=np.int64)
-    new = prime
-    known[new] = True
-    while True:
-        # each element taken at least doubles the span, a subgroup, so at
-        # most log2 |R| are taken
-        for x in new.tolist():
-            if span[x]:
-                continue
-            mults = mul[x, prime]  # c*x = x*(c*1) for c < char R
-            hit = span[mults]
-            hit[0] = False
-            # the least m > 0 with m*x in the span, at most char R
-            m = int(hit.argmax()) or len(prime)
-            cosets = add[mults[:m, None], span.nonzero()[0]]  # row c: c*x + span
-            span[cosets] = True
-            tree.append((cosets, int(mults[m % len(prime)]), int(mults[m - 1]), x))
-        elements = known.nonzero()[0]
-        levels.append(_ClosureLevel(gen, rounds, elements))
-        if len(elements) == ring.order:
-            break
-        gen = int(known.argmin())
-        known[gen] = True
-        rounds = _close(ring, known, np.array([gen]))
-        new = np.concatenate([[gen]] + [c for rnd in rounds for c, _, _ in rnd])
-    # the sum triples: coset c*x is coset (c-1)*x plus x, and the wrap edge
-    # m*x = (m-1)*x + x
-    sums = np.zeros((3, sum(cosets[1:].size + 1 for cosets, *_ in tree)), dtype=np.int64)
-    lo = 0
-    for cosets, wrap, prev, x in tree:
-        hi = lo + cosets[1:].size
-        sums[0, lo:hi] = cosets[1:].ravel()
-        sums[1, lo:hi] = cosets[:-1].ravel()
-        sums[2, lo:hi] = x
-        sums[:, hi] = wrap, prev, x
-        lo = hi + 1
-    gens = [x for *_, x in tree]
-    pairs = [(a, b) for i, a in enumerate(gens) for b in gens[i:]]
-    a, b = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
-    products = np.stack([mul[a, b], a, b]).astype(np.int64)
-    return tuple(levels), _Certificate(sums, products)
+    span = np.zeros(ring.order, dtype=bool)
+    span[ring.zero] = True
+    basis, wraps = [], []
+
+    def extend(y: int) -> list:
+        """Append y to the additive generators; the steps deriving the new span."""
+        mults = mul[y, prime].astype(np.int64)  # c*y = y*(c*1) for c < char R
+        hit = span[mults]
+        hit[0] = False
+        m = int(hit.argmax()) or len(prime)  # char R * y = 0 is in the span
+        old = np.flatnonzero(span)
+        cosets = add[mults[1:m, None], old].astype(np.int64)  # row c-1: c*y + old
+        span[cosets] = True
+        basis.append(y)
+        wraps.append((mults[m % len(prime)], mults[m - 1], y))
+        steps = [("mul", mults[2:m], np.array([y]), prime[2:m])] if m > 2 else []
+        z = old != ring.zero  # z = 0 gives c*y itself
+        steps += [("add", row[z], old[z], mults[c : c + 1]) for c, row in enumerate(cosets, 1)]
+        return steps
+
+    if ring.order > 1:
+        extend(ring.one)  # the prime subring, set by every row, so no steps
+    levels = [_ClosureLevel(None, (), np.flatnonzero(span))]
+    while not span.all():
+        gen = int(span.argmin())
+        steps = []
+        for x in basis:  # a list iterator also reaches the items appended to it
+            y = int(mul[x, gen])
+            if not span[y]:
+                if y != gen:
+                    steps.append(("mul", np.array([y]), np.array([x]), np.array([gen])))
+                steps += extend(y)
+        levels.append(_ClosureLevel(gen, tuple(steps), np.flatnonzero(span)))
+    a = np.array(basis, dtype=np.int64)[:, None]
+    b = np.array([level.gen for level in levels[1:]], dtype=np.int64)
+    products = np.stack(np.broadcast_arrays(mul[a, b], a, b)).reshape(3, -1).astype(np.int64)
+    return tuple(levels), _Certificate(np.array(wraps, dtype=np.int64).reshape(-1, 3).T, products)
 
 
 def generating_set(ring: FiniteRing) -> tuple[int, ...]:
     """Greedy-minimal ring generators over the prime subring.
 
-    Each generator is the lowest-index element outside the closure so far;
+    Each generator is the lowest-index element outside the subring so far;
     the empty tuple means the ring equals its prime subring.
     """
     return tuple(level.gen for level in _build_plan(ring)[0][1:])

@@ -23,6 +23,7 @@ from ringgraph import autsearch, classify, rings
 from ringgraph.autsearch import (
     _blocks,
     _certify,
+    _certify_replayed,
     _orbit_labels,
     _stabilizer_chain,
     _stabilizer_chains,
@@ -475,6 +476,9 @@ def test_operations_build_their_own_plan_and_keep_none(catalog64, monkeypatch, c
         and rg.aut_group_order(e.ring) * e.ring.order <= 10**6
     ]
     assert sum(e.provenance == "product" for e in sample) >= 20
+    # the filter above built the sampled rings into the registry; empty it,
+    # so that make_ring builds each one afresh however the tests run
+    rings._RINGS.clear()
     rng = np.random.default_rng(19)
     plans = _count_plans(monkeypatch)
 
@@ -728,9 +732,8 @@ def test_certificate_agrees_with_full_table_check():
         rows = np.stack(maps + perturbed)
         expected = table_homomorphism(ring, ring, rows)
         assert expected[: len(maps)].all(), str(entry.expr)
-        cert = rings._build_plan(ring)[1]
-        assert np.array_equal(_certify(ring, ring, rows, cert), expected), str(entry.expr)
-        assert np.array_equal(_certify(ring, ring, rows, cert, injective=False), expected)
+        assert np.array_equal(_certify_replayed(ring, ring, rows), expected), str(entry.expr)
+        assert np.array_equal(_certify_replayed(ring, ring, rows, injective=False), expected)
         assert rg.RingMorphism(ring, ring, rows[-1]).is_homomorphism == expected[-1]
 
 
@@ -743,52 +746,53 @@ def test_order_one_ring_certifies():
     assert rg.automorphisms(ring).order == 1
 
 
-def _tree_rows(ring):
-    """Maps extended along the certificate's additive coset tree.
+def _recipe_rows(ring, rng, count=48):
+    """Rows replayed along the ring's plan from generator images: those of
+    the identity and of the strong generators, then `count` random ones.
 
-    Each row is the identity on the additive generators but for one, which
-    goes to any element; the other images follow the tree edges.  Returns
-    the rows that fix 1 and, per row, the failing sum triples and product
-    triples.
+    Each row maps c*1 -> c*1 and its generators to their images; every
+    other image follows the plan's steps.  Returns the rows and, per row,
+    the failing wrap triples and product triples of the certificate.
     """
-    cert = rings._build_plan(ring)[1]
-    gens = list(dict.fromkeys(cert.sums[2].tolist()))
+    plan, cert = rings._build_plan(ring)
+    gens = [level.gen for level in plan[1:]]
     n = ring.order
-    rows = np.tile(np.arange(n), (len(gens) * n, 1))
-    for k, g in enumerate(gens):
-        rows[k * n : (k + 1) * n, g] = np.arange(n)
-    assigned = {ring.zero, *gens}
-    for c, a, b in cert.sums.T.tolist():
-        if c not in assigned:
-            rows[:, c] = ring.add_table[rows[:, a], rows[:, b]]
-            assigned.add(c)
-    assert len(assigned) == n
-    rows = rows[rows[:, ring.one] == ring.one]
+    real = np.stack([np.arange(n), *_stabilizer_chain(ring).strong])[:, gens]
+    rows = np.full((len(real) + count, n), -1, dtype=np.int64)
+    rows[:, list(ring.prime_subring)] = ring.prime_subring
+    rows[:, gens] = np.concatenate([real, rng.integers(n, size=(count, len(gens)))])
+    tables = {"add": ring.add_table, "mul": ring.mul_table}
+    for level in plan:
+        for op, c, a, b in level.steps:
+            rows[:, c] = tables[op][rows[:, a], rows[:, b]]
+    assert (rows >= 0).all()  # the plan derives every element
     fails = [
         rows[:, c] != table[rows[:, a], rows[:, b]]
-        for (c, a, b), table in ((cert.sums, ring.add_table), (cert.products, ring.mul_table))
+        for (c, a, b), table in ((cert.wraps, ring.add_table), (cert.products, ring.mul_table))
     ]
-    return rows, fails
+    return rows, cert, fails
 
 
-def test_certificate_rejects_a_single_broken_wrap_edge_or_product(entries32):
-    # rows that follow the tree can break only wrap edges and products; each
-    # failing triple is a sum or product f does not preserve, so the rows
-    # are not homomorphisms, and the rows that pass must be
+def test_certificate_rejects_a_single_broken_wrap_edge_or_product(catalog64):
+    # recipe rows satisfy every tree sum, so they can break only wrap edges
+    # and products; each failing triple is a sum or product f does not
+    # preserve, so the rows are not homomorphisms, and the rows that pass
+    # must be
+    rng = np.random.default_rng(23)
     single_wrap = single_product = 0
-    for entry in entries32:
-        ring = entry.ring
-        rows, (sum_fails, product_fails) = _tree_rows(ring)
+    for entry in catalog64.entries:
+        ring = rings._working_ring(entry.ring)
+        rows, cert, (wrap_fails, product_fails) = _recipe_rows(ring, rng)
         expected = table_homomorphism(ring, ring, rows)
-        cert = rings._build_plan(ring)[1]
+        assert expected[: 1 + len(_stabilizer_chain(entry.ring).strong)].all(), str(entry.expr)
         loose = _certify(ring, ring, rows, cert, injective=False)
         assert np.array_equal(loose, expected), str(entry.expr)
         injective = (rows == ring.zero).sum(axis=1) == 1
         both = _certify(ring, ring, rows, cert)
         assert np.array_equal(both, expected & injective), str(entry.expr)
-        n_sum, n_product = sum_fails.sum(axis=1), product_fails.sum(axis=1)
-        single_wrap += int(((n_sum == 1) & (n_product == 0)).sum())
-        single_product += int(((n_sum == 0) & (n_product == 1)).sum())
+        n_wrap, n_product = wrap_fails.sum(axis=1), product_fails.sum(axis=1)
+        single_wrap += int(((n_wrap == 1) & (n_product == 0)).sum())
+        single_product += int(((n_wrap == 0) & (n_product == 1)).sum())
     assert single_wrap > 0 and single_product > 0
 
 

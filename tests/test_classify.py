@@ -465,6 +465,30 @@ def test_involution_spot_cases():
     assert sorted(g5.element_order(s) for s in g5) == [1, 2, 4, 4]
 
 
+def test_involution_closed_forms_agree_with_listings():
+    # the involution sweep decides from the chain what it once read off a
+    # listing; check both closed forms against the listing wherever one fits
+    # the default budget
+    listed, abelian = 0, set()
+    for entry in rg.build_catalog(128).local_entries():
+        ring = entry.ring
+        if ring.is_field or ring.order == 1:
+            continue
+        try:
+            group = rg.automorphisms(ring)
+        except rg.SearchBudgetExceeded:
+            continue
+        listed += 1
+        exponent = classify._order_exponent(ring, rg.aut_orbit_graph(ring))
+        orders = {group.element_order(s) for s in range(len(group))}
+        assert all(exponent % k == 0 for k in orders), (str(entry.expr), exponent, orders)
+        if group.order <= 48:
+            every = rg.AutGroup(ring, group._images)  # no generators: all pairs
+            abelian.add(every.is_abelian())
+            assert classify._strong_generators_commute(ring, None) == every.is_abelian()
+    assert listed >= 50 and abelian == {True, False}
+
+
 def test_field_extension_examples(monkeypatch):
     monkeypatch.setattr(classify, "_EXT_Q", 3)
     rep = rg.verify_field_extension_connectivity()

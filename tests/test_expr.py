@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -20,6 +21,33 @@ def test_factorize():
     assert factorize(12) == {2: 2, 3: 1}
     assert factorize(97) == {97: 1}
     assert factorize(360) == {2: 3, 3: 2, 5: 1}
+
+
+def _timed(call, *args):
+    """The value of call(*args), or the ValueError it raises, and its wall time."""
+    start = time.perf_counter()
+    try:
+        value = call(*args)
+    except ValueError as exc:
+        value = exc
+    return value, time.perf_counter() - start
+
+
+def test_factorize_and_euler_phi_of_a_large_n_end_at_once():
+    # both ran past 5 s on 2**61 - 1, factorizing it by trial division alone
+    p = 2**61 - 1
+    value, seconds = _timed(factorize, 12 * p)
+    assert value == {2: 2, 3: 1, p: 1} and seconds < 1
+    value, seconds = _timed(rg.euler_phi, p)
+    assert value == p - 1 and seconds < 1
+    # two prime factors beyond the trial divisors: an answer or a refusal
+    value, seconds = _timed(factorize, (2**31 - 1) * p)
+    assert value == {2**31 - 1: 1, p: 1} or isinstance(value, ValueError)
+    assert seconds < 1
+    # below the square of the last trial divisor every n factors exactly
+    for n in (1048573 * 1048583, 2**40 - 87, 2**20 * 3**12):
+        assert math.prod(q**e for q, e in factorize(n).items()) == n
+        assert all(is_prime(q) for q in factorize(n))
 
 
 def test_prime_power():
