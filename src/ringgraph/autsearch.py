@@ -7,13 +7,16 @@ S_i = <prime subring, g_1..g_i> once from earlier ones, so the images on
 S_i are computed by replaying its steps, for all candidate images of g_i
 at once: each step is one gather on a matrix holding one candidate per
 row.  Rows whose new images change an element's fingerprint are dropped
-after every step.  The same tree is the certificate: the rows it builds
-satisfy every tree sum by construction, so a complete map must pass only
-`_certify`'s few checks, its wrap edges and the products of its additive
-generators with the generators.  A row that is not a homomorphism on S_i
-has no extension that is one, so checking it earlier would only prune
-sooner.  A map from anywhere else passes `_certify_replayed`, which first
-requires it to be the tree's replay of its own generator images.
+after every step.  Each level of the plan also carries its checks, the
+few equations its steps do not make true: the wrap edges of its new
+additive generators, and the products of all additive generators so far
+with its generator.  A row that holds them, on top of the levels before,
+is an injective unital homomorphism on S_i; a row that fails them is
+dropped at that level, since no extension of it is one.  Steps and
+checks have one format, (op, c, a, b), and `_holds` tests them on rows,
+for the search and for `_certify`, the one check of a map built anywhere
+else, which tests every level's steps and checks at once.
+
 A group is held as a stabilizer chain: the orbit of each g_i under the
 automorphisms fixing S_{i-1}, and a strong generating set.  That keeps
 huge symmetric-type groups countable without enumerating them.  The chain
@@ -23,14 +26,13 @@ images they do not reach yet (Sims 1970; Holt, Eick & O'Brien 2005,
 ch. 4).  Coset representatives are traced from the strong generators only
 when `automorphisms` lists the group.
 
-Each operation builds the plan and certificate it reads with
-`rings._build_plan` and drops them when it returns.  A ring caches the
-`_Chain` record of its search, read-only in its table dtype
-(`rings._frozen`); `automorphisms` lists the group from it on each call
-and keeps no listing.  `_stabilizer_chains` fills the records of many
-rings at once, in one schedule on every host: the rings that are not
-products, then the caller's other work, then the products, largest
-first.  On a host with two CPUs it forks a child, and the two processes
+Each operation builds the plan it reads with `rings._build_plan` and
+drops it when it returns.  A ring caches the `_Chain` record of its
+search, read-only in its table dtype (`rings._frozen`); `automorphisms`
+lists the group from it on each call and keeps no listing.
+`_stabilizer_chains` fills the records of many rings at once, in one
+schedule on every host: the rings that are not products, then the
+caller's other work, then the products, largest first.  On a host with two CPUs it forks a child, and the two processes
 take the products from one queue, a pipe of product indices; the child
 writes its finished records to a second pipe once the queue is empty.
 """
@@ -99,7 +101,7 @@ class RingMorphism:
     @property
     def is_homomorphism(self) -> bool:
         if self._hom is None:
-            ok = _certify_replayed(self.source, self.target, self.image, injective=False)
+            ok = _certify(self.source, self.target, self.image, injective=False)
             self._hom = bool(ok[0])
         return self._hom
 
@@ -136,89 +138,85 @@ def identity_automorphism(ring: FiniteRing) -> RingMorphism:
 
 
 def is_homomorphism(morphism: RingMorphism) -> bool:
-    """Whether the map preserves 0, 1, sums and products (see `_certify_replayed`)."""
+    """Whether the map preserves 0, 1, sums and products (see `_certify`)."""
     return morphism.is_homomorphism
 
 
-def _certify(source: FiniteRing, target: FiniteRing, rows, cert, injective=True) -> np.ndarray:
-    """Which recipe rows are injective unital ring homomorphisms.
-
-    A recipe row is one that the steps of the source's plan built from its
-    images of the generators, with c*1 -> c*1 on the prime subring:
-    `_Engine.expand` builds every row it passes here (the stabilizer chain
-    starts from the identity on S_{i-1}, the recipe row of the generators'
-    own images), and `_certify_replayed` checks that any other row is one.
-    Such a row f passes when f(0) = 0, f(1) = 1, exactly one x has
-    f(x) = 0, and f(c) = f(a) op f(b) for every triple (c, a, b) of the source's
-    `_Certificate`: the wrap edge m*y = (m-1)*y + y of each additive
-    generator y, and x*g_j for every additive generator x and generator
-    g_j.  With injective=False the zero count is skipped.  A row costs
-    K + K*k lookups for K additive and k ring generators, K <= log2 |R|,
-    and one pass for the zero count.
-
-    Soundness.  Let y_1 = 1, y_2, .., y_K be the additive generators in the
-    order the tree took them, span_j the additive span of y_1..y_j and m_j
-    the least m > 0 with m y_j in span_{j-1}; every x in span_j is
-    z + c y_j for exactly one z in span_{j-1} and 0 <= c < m_j.  The recipe
-    makes f(z + c y_j) = f(z) + c f(y_j) true by construction: it sets
-    f(c*1) = c*1 for the prime subring, and for j > 1 derives
-    f(c y_j) = f(y_j) f(c*1) = c f(y_j) and f(z + c y_j) = f(z) + f(c y_j).
-    By induction on j, f is additive on span_j.  span_0 = {0} and
-    f(0) = 0.  The wrap edge gives f(m_j y_j) = f((m_j - 1) y_j) + f(y_j)
-    = m_j f(y_j).  For x = z + c y_j and x' = z' + c' y_j,
-    x + x' = (z + z') + (c + c') y_j; if c + c' >= m_j, it is
-    (z + z' + m_j y_j) + (c + c' - m_j) y_j with the first term in
-    span_{j-1}.  Either way, additivity on span_{j-1} and the two
-    identities give f(x + x') = f(x) + f(x').  span_K is the whole ring,
-    so f is additive.  Every u is a sum of multiples of the y_j, so by
-    additivity the product triples give f(u g_j) = f(u) f(g_j) for every u
-    and j.  The v with f(u v) = f(u) f(v) for every u then form a subring:
-    they hold 1, are closed under sums by additivity and distributivity,
-    and under products, as f(u v w) = f(u v) f(w) = f(u) f(v) f(w) =
-    f(u) f(v w).  It holds every g_j, and the g_j generate the ring over
-    its prime subring, so it is the ring and f is multiplicative.  So f is
-    a unital ring homomorphism, and one zero means its kernel is trivial,
-    so it is injective.  This is the consistency check of a polycyclic
-    presentation (Holt, Eick & O'Brien 2005, ch. 8).  The order-1 ring has
-    no triples, and its one row passes on f(0) = 0 = f(1) alone.
-
-    `cert` is that certificate, which the caller built with
-    `rings._build_plan(source)`.
-    """
-    rows = np.atleast_2d(rows)
-    ok = (rows[:, source.zero] == target.zero) & (rows[:, source.one] == target.one)
-    if injective:
-        ok &= np.count_nonzero(rows == target.zero, axis=1) == 1
-    for triples, table in ((cert.wraps, target.add_table), (cert.products, target.mul_table)):
-        c, a, b = rows[:, triples].transpose(1, 0, 2)
-        ok &= (table[a, b] == c).all(axis=1)
+def _holds(tables: dict, rows: np.ndarray, equations) -> np.ndarray:
+    """Which rows f hold every equation (op, c, a, b) given, in the format of
+    a plan level's steps and checks: f(c) = f(a) op f(b) for each entry,
+    read in `tables`, the target's tables by op.  One gather per equation."""
+    ok = np.ones(len(rows), dtype=bool)
+    for op, c, a, b in equations:
+        ok &= (tables[op][rows[:, a], rows[:, b]] == rows[:, c]).all(axis=1)
     return ok
 
 
-def _certify_replayed(source: FiniteRing, target: FiniteRing, rows, built=None, injective=True):
+def _certify(source: FiniteRing, target: FiniteRing, rows, plan=None, injective=True):
     """Which rows, built anywhere, are (injective) unital ring homomorphisms.
 
-    The one check for rows that the search did not build.  A row passes
-    when it is the recipe row of its own images of the generators, and
-    `_certify` passes it.  The recipe sets c*1 -> c*1, read in the
-    target's prime subring, and derives each other element by one step
-    from elements before it, so a row equals the row the recipe rebuilds
-    from its generator images exactly when it maps c*1 to c*1 and every
-    step holds on its own values.  That is checked on a copy of the rows in
-    the target's table dtype, which holds target elements, so each step's
-    gathers take a quarter of the memory of int64 or less.  A homomorphism
-    passes the steps, as every step is a sum or product.  `built` is
+    A row f passes when it maps c*1 to c*1, read in the target's prime
+    subring, exactly one x has f(x) = 0 (skipped with injective=False),
+    and it holds the steps and checks of every level of the source's plan
+    (`_holds`).  The recipe sets c*1 -> c*1 and derives each other element
+    by one step from elements before it, so holding the steps makes f the
+    recipe row of its own images of the generators, and what is left to
+    show is that the checks make a recipe row a homomorphism.  A
+    homomorphism holds every step and check, as each is a sum or product.
+    The steps and checks are tested on a copy of the rows in the target's
+    table dtype, which holds target elements, so each gather takes a
+    quarter of the memory of int64 or less.  `plan` is
     `rings._build_plan(source)` when the caller has it.
+
+    Soundness, level by level.  Let f be a recipe row on S_i that holds
+    the checks of levels 0..i.  `_Engine.expand` returns such rows only,
+    given a row that holds levels 0..i-1.
+
+    - f is additive on S_i.  Let y_1 = 1, y_2, .., y_K be the additive
+      generators of levels 0..i in the order the tree took them, span_j
+      the additive span of y_1..y_j and m_j the least m > 0 with m y_j in
+      span_{j-1}; span_K = S_i, and every x in span_j is z + c y_j for
+      exactly one z in span_{j-1} and 0 <= c < m_j.  The recipe makes
+      f(z + c y_j) = f(z) + c f(y_j) true: it sets f(c*1) = c*1, and for
+      j > 1 derives f(c y_j) = f(y_j) f(c*1) = c f(y_j) and
+      f(z + c y_j) = f(z) + f(c y_j).  The wrap edge of y_j, a check of
+      the level that appended it, gives f(m_j y_j) = f((m_j - 1) y_j) +
+      f(y_j) = m_j f(y_j).  By induction on j, f is additive on span_j:
+      span_0 = {0} and f(0) = 0; for x = z + c y_j and x' = z' + c' y_j,
+      x + x' = (z + z') + (c + c') y_j, and if c + c' >= m_j it is
+      (z + z' + m_j y_j) + (c + c' - m_j) y_j with the first term in
+      span_{j-1}; either way additivity on span_{j-1} and the two
+      identities give f(x + x') = f(x) + f(x').
+    - f is multiplicative on S_i, by induction on i.  On S_0 it is, as
+      f(c*1) = c*1 and f is additive there.  Level i's products give
+      f(y_t g_i) = f(y_t) f(g_i) for every t <= K; every u in S_i is a sum
+      of multiples of the y_t, and each y_t g_i lies in the subring S_i,
+      so by additivity f(u g_i) = f(u) f(g_i), and f(s g_i^k) =
+      f(s) f(g_i)^k for s in S_{i-1}.  S_{i-1} and g_i generate S_i, so
+      every element of S_i is a sum of terms s g_i^k with s in S_{i-1},
+      and for two such terms f(s g_i^k s' g_i^l) = f(s s') f(g_i)^(k+l) =
+      f(s g_i^k) f(s' g_i^l), as f is multiplicative on S_{i-1};
+      additivity extends this to all of S_i.  So no level needs the
+      products of its new additive generators with g_j, j < i.
+    - f is injective on S_i when no nonzero element of S_i goes to 0, as
+      it is additive there.  Here a complete row counts its zeros.
+      `expand` needs no count: it keeps only rows that keep the
+      fingerprint of every element of S_i, whose first component is the
+      additive order, 1 for 0 alone.
+
+    S_k = R, so a complete row that holds every level is an injective
+    unital homomorphism.  This is the consistency check of a polycyclic
+    presentation (Holt, Eick & O'Brien 2005, ch. 8).  The order-1 ring
+    has no equations, and its one row passes on f(0) = 0 = f(1) alone.
     """
-    plan, cert = rings._build_plan(source) if built is None else built
+    plan = rings._build_plan(source) if plan is None else plan
     rows = np.atleast_2d(rows).astype(rings._table_dtype(target.order))
     prime, image = (np.array(r.prime_subring) for r in (source, target))
     ok = (rows[:, prime] == image[np.arange(len(prime)) % len(image)]).all(axis=1)
+    if injective:
+        ok &= np.count_nonzero(rows == target.zero, axis=1) == 1
     tables = {"add": target.add_table, "mul": target.mul_table}
-    for level in plan:
-        for op, c, a, b in level.steps:
-            ok &= (tables[op][rows[:, a], rows[:, b]] == rows[:, c]).all(axis=1)
-    return ok & _certify(source, target, rows, cert, injective)
+    return ok & _holds(tables, rows, [eq for lv in plan for eq in (*lv.steps, *lv.checks)])
 
 
 # ---------------------------------------------------------------------------
@@ -235,14 +233,13 @@ class _Engine:
     `nodes` to scope the budget; `peak` is the largest count any scope
     reached.
 
-    The engine builds the source's plan and certificate with
-    `rings._build_plan`, and they are dropped with it.
+    The engine builds the source's plan with `rings._build_plan`, and it
+    is dropped with the engine.
     """
 
     def __init__(self, source: FiniteRing, target: FiniteRing, budget=None):
-        self.source = source
         self.target = target
-        self.plan, self.cert = rings._build_plan(source)
+        self.plan = rings._build_plan(source)
         self.tables = {"add": target.add_table, "mul": target.mul_table}
         self.budget = budget
         self.nodes = self.peak = 0
@@ -251,21 +248,19 @@ class _Engine:
         self.tfp = _fingerprint_keys(target)
 
     def expand(self, row: np.ndarray, i: int) -> np.ndarray:
-        """The extensions to S_i of a row on S_{i-1} that keep their fingerprints.
+        """The extensions to S_i of a row on S_{i-1} that keep their
+        fingerprints and hold level i's checks.
 
         Each candidate image of g_i gets one row, and the level's steps
         derive the other images of S_i on every row at once, one gather
         per step; rows whose new images change an element's fingerprint are
-        dropped after each step.  Rows come out in ascending order of the
-        image of g_i.  At the last level they are complete recipe rows, and
-        only those that pass `_certify` are returned; earlier levels return
-        every row that keeps its fingerprints.  That loses no exactness: the
-        recipe fixes the images on S_i, so two homomorphisms that agree on
-        S_{i-1} and g_i agree on S_i, and a row that is not a homomorphism
-        on S_i has no extension that is one.  Every completion of such a
-        row fails the final certificate, so `first` returns None for it, as
-        if the row had been rejected at its own level, and marking its
-        orbit dead in the stabilizer chain stays sound.
+        dropped after each step, and rows that fail one of the level's
+        `checks` at the end (`_holds`).  Rows come out in ascending order
+        of the image of g_i.  Given a row that holds levels 0..i-1, every
+        row returned is an injective unital homomorphism on S_i
+        (`_certify`), and on the last level a complete map.  A row dropped
+        has no extension that is a homomorphism, which holds every step and
+        check, so the search loses nothing by dropping it here.
         """
         level = self.plan[i]
         cands = np.flatnonzero(self.tfp == self.sfp[level.gen])
@@ -287,14 +282,15 @@ class _Engine:
         self.nodes += nodes
         self.peak = max(self.peak, self.nodes)
         _check_budget(self.nodes, self.budget)
-        if i + 1 < len(self.plan):
-            return rows
-        return rows[_certify(self.source, self.target, rows, self.cert)]
+        keep = _holds(self.tables, rows, level.checks)
+        return rows if keep.all() else rows[keep]
 
     def first(self, row: np.ndarray, i: int) -> np.ndarray | None:
-        """The first certified full map, depth first, extending a row on S_i.
+        """The first full map, depth first, extending a row on S_i that
+        holds levels 0..i: one `expand` returned, or S_0's k*1 -> k*1.
 
-        A row on the last level must come from `expand`, which certified it.
+        Every level below the row's is checked by `expand` on the way down,
+        so a full map returned is an injective unital homomorphism.
         """
         if i + 1 == len(self.plan):
             return row
@@ -328,13 +324,12 @@ class AutGroup:
     Element 0 is the identity; elements are sorted lexicographically by
     image tuple, so group listings are reproducible.  `images` must be
     integer rows on the carrier, hold the identity and no row twice, and
-    every row must pass one `_certify_replayed` call, or ValueError is
-    raised: a self-map that passes is injective, so it is an automorphism.
-    A group of the identity alone needs no plan; `_built`, the plan and
-    certificate a caller built with `rings._build_plan(ring)`, spares
-    building a second.  The
-    set is not checked for closure: a composition or inverse outside it
-    raises NotAutomorphism when met.
+    every row must pass one `_certify` call, or ValueError is raised: a
+    self-map that passes is injective, so it is an automorphism.  A group
+    of the identity alone needs no plan; `_plan`, the plan a caller built
+    with `rings._build_plan(ring)`, spares building a second.  The set is
+    not checked for closure: a composition or inverse outside it raises
+    NotAutomorphism when met.
     Queries name an element by its index or as a morphism: an index
     outside 0..order-1 raises IndexError, and a morphism that is not an
     element, a map of another ring included, raises NotAutomorphism.
@@ -345,7 +340,7 @@ class AutGroup:
     read.
     """
 
-    def __init__(self, ring: FiniteRing, images: np.ndarray, generators=None, *, _built=None):
+    def __init__(self, ring: FiniteRing, images: np.ndarray, generators=None, *, _plan=None):
         images = _carrier_array(images, ring.order, "group images")
         order = np.lexsort(images.T[::-1])
         images = np.ascontiguousarray(images[order], dtype=np.int64)  # keys are int64 bytes
@@ -354,7 +349,7 @@ class AutGroup:
         if not len(images) or not np.array_equal(images[0], np.arange(ring.order)):
             raise ValueError("group images must include the identity")
         if len(images) > 1:
-            if not _certify_replayed(ring, ring, images, _built).all():
+            if not _certify(ring, ring, images, _plan).all():
                 raise ValueError("group images must be automorphisms of the ring")
         self._index = {images[i].tobytes(): i for i in range(len(images))}
         if len(self._index) != len(images):
@@ -516,19 +511,19 @@ def _stabilizer_chain(ring: FiniteRing, budget=None) -> _Chain:
     H is the group they generate together with the maps found at level i,
     and `label` gives each point the least element of its H-orbit, so y
     lies in the orbit H·g_i exactly when label[y] == label[g_i].  The
-    candidates of `_Engine.expand` for g_i, rows on S_i that keep their
-    fingerprints (certified when i = k), are walked in ascending y:
+    candidates of `_Engine.expand` for g_i, rows on S_i that are
+    injective homomorphisms there, are walked in ascending y:
 
     - y in the orbit is skipped: an element of H sends g_i there;
     - y marked unreachable is skipped;
-    - otherwise `_Engine.first` completes the candidate row to a certified
-      map or proves that nothing does.  An element of G_{i-1} sending g_i
-      to y equals the row on S_i, where the recipe fixes it, so it would
-      be found.  A map found joins the strong generators and the labels
-      are recomputed.  If none exists, no element of G_{i-1} sends g_i to
-      y, and the whole H-orbit of y is marked unreachable: if sigma in
-      G_{i-1} sent g_i to h(y), h in H, then h^-1 sigma would lie in
-      G_{i-1} (H does) and send g_i to y.
+    - otherwise `_Engine.first` completes the candidate row to an
+      automorphism or proves that nothing does.  An element of G_{i-1}
+      sending g_i to y equals the row on S_i, where the recipe fixes it,
+      so it would be found.  A map found joins the strong generators and
+      the labels are recomputed.  If none exists, no element of G_{i-1}
+      sends g_i to y, and the whole H-orbit of y is marked unreachable: if
+      sigma in G_{i-1} sent g_i to h(y), h in H, then h^-1 sigma would lie
+      in G_{i-1} (H does) and send g_i to y.
 
     Soundness: every element of G_{i-1}·g_i is the generator image of a row
     that `expand` returns, so it is walked, and it is never marked
@@ -539,7 +534,8 @@ def _stabilizer_chain(ring: FiniteRing, budget=None) -> _Chain:
     H lies in G_{i-1}, H = G_{i-1}, which carries the invariant to level
     i-1.  So the strong generators that fix S_{i-1} generate G_{i-1}: those
     found at levels k..i do, and any other that fixes S_{i-1} lies in it.
-    Every strong generator is a complete map that `expand` certified.
+    Every strong generator is a complete map that held every level's
+    checks in `expand`.
 
     The search's `_Engine` builds the plan, which is dropped with
     it: the ring keeps only the `_Chain` record in `_derived`.  A ring
@@ -576,7 +572,17 @@ def _stabilizer_chain(ring: FiniteRing, budget=None) -> _Chain:
 
 def _search_chain(ring: FiniteRing, budget) -> _Chain:
     """The `_stabilizer_chain` record, searched on the ring's tables; the
-    ring is not its own prime subring."""
+    ring is not its own prime subring.
+
+    Level i's walk starts from the identity on S_{i-1}, which holds the
+    checks of levels 0..i-1, as `expand` requires.  A y whose row fails
+    level i's checks is not walked, and neither is any point h(y) of its
+    H-orbit: the row sending g_i to h(y) is h after the row of y, since h
+    fixes S_{i-1}, and it holds an equation exactly when the row of y does,
+    h being an automorphism.  No element of G_{i-1} sends g_i into that
+    orbit, so the walk reaches the orbits, strong generators and labels it
+    would reach by searching y, without the search.
+    """
     engine = _Engine(ring, ring, budget)
     plan = engine.plan
     strong: list[np.ndarray] = []
@@ -830,17 +836,17 @@ def automorphisms(ring: FiniteRing, budget=None) -> AutGroup:
     chain = _stabilizer_chain(ring, budget)
     # the listing writes |R| element images per automorphism
     _check_budget(math.prod(len(orbit) for orbit in chain.orbits) * ring.order, budget)
-    built = rings._build_plan(ring)
-    plan = built[0]
-    images = [np.arange(ring.order, dtype=np.int64)]
+    plan = rings._build_plan(ring)
+    images = np.arange(ring.order, dtype=np.int64)[None, :]
     for i, orbit in enumerate(chain.orbits, start=1):
         fixed = plan[i - 1].elements
         gens = [g for g in chain.strong if np.array_equal(g[fixed], fixed)]
         level = _transversal(ring.order, plan[i].gen, gens)
         if sorted(level) != orbit.tolist():  # pragma: no cover - the chain's invariant
             raise RuntimeError("internal error: transversal does not cover the chain orbit")
-        images = [acc[rep] for acc in images for rep in level.values()]
-    return AutGroup(ring, np.stack(images), chain.strong, _built=built)
+        # row a*L + b is images[a] after representative b, one gather per level
+        images = images[:, np.stack(list(level.values()))].reshape(-1, ring.order)
+    return AutGroup(ring, images, chain.strong, _plan=plan)
 
 
 def aut_orbits(ring: FiniteRing, budget=None) -> tuple[tuple[int, ...], ...]:
@@ -870,8 +876,14 @@ def isomorphism(source: FiniteRing, target: FiniteRing, budget=None) -> RingMorp
     S_{i-1}, since g_i is the least index outside it, so under the
     identity on S_{i-1} each of them is a used image, and g_i is the first
     candidate image of g_i; the identity on S_i keeps every fingerprint,
-    and the complete identity passes the certificate.  The budget is
-    checked first, so a bad one raises ValueError even then.
+    and the identity holds every level's checks.  The budget is checked
+    first, so a bad one raises ValueError even then.
+
+    Otherwise the search starts from k*1 -> k*1 on S_0, which holds level
+    0's checks, as the characteristics agree: its wrap edge is
+    (char-1)*1 + 1 = 0, and it has no products.  A map the search returns
+    held every level's checks on the way down, so it is an injective
+    homomorphism (`_certify`) between rings of one order: an isomorphism.
     """
     _check_budget(0, budget)
     if source is target:
@@ -907,15 +919,15 @@ def inverse(f: RingMorphism) -> RingMorphism:
 
 def subgroup_closure(ring: FiniteRing, gens) -> AutGroup:
     """Smallest automorphism group of `ring` containing the given maps, checked
-    with one plan: a self-map that `_certify_replayed` passes is injective.
+    with one plan: a self-map that `_certify` passes is injective.
     The generators are checked before the closure, which they bound, and the
     group is handed the same plan."""
     gens = list(gens)
     gen_arrays = [g.image for g in gens]
-    built = rings._build_plan(ring) if gens else None
+    plan = rings._build_plan(ring) if gens else None
     if gens and not (
         all(g.source is ring and g.target is ring for g in gens)
-        and _certify_replayed(ring, ring, np.stack(gen_arrays), built).all()
+        and _certify(ring, ring, np.stack(gen_arrays), plan).all()
     ):
         raise NotAutomorphism("subgroup_closure generators must be automorphisms of the ring")
     ident = np.arange(ring.order, dtype=np.int64)
@@ -931,4 +943,4 @@ def subgroup_closure(ring: FiniteRing, gens) -> AutGroup:
                     seen[key] = c
                     nxt.append(c)
         frontier = nxt
-    return AutGroup(ring, np.stack(list(seen.values())), gen_arrays, _built=built)
+    return AutGroup(ring, np.stack(list(seen.values())), gen_arrays, _plan=plan)

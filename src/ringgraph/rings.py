@@ -16,10 +16,11 @@ chain search and `decompose_local` read a product's tables through
 A ring caches what it derives in one dict, `_derived`, filled through
 `FiniteRing._get`.  `_build_plan` gives the plan that `autsearch` searches
 and certifies with: the greedy generators and one additive coset tree,
-which derives each element of each subring level once from earlier ones
-and so serves as both the search recipe and the homomorphism
-certificate.  It is not cached: each operation that reads it builds it
-and drops it.
+which derives each element of each subring level once from earlier ones,
+and for each level the few equations, wrap edges and products, that make
+a map replayed along the tree a homomorphism on that level.  The tree is
+the search recipe, and its levels with their checks are the certificate.
+It is not cached: each operation that reads it builds it and drops it.
 
 Construction works on whole tables.  An additive group B^d, and any
 direct product, is a mixed-radix fold of the factors' tables.  Z_n[x]/(f),
@@ -36,9 +37,11 @@ and digit rows stay in [0, n).  Z_n's tables are built in [-n, n) and add
 or subtract n itself, so Z_128 needs int16 although its entries fit int8.
 The same rule holds for every array of elements a ring caches, through
 `_frozen`: its units (an ascending index array, `_unit_indices`), its
-negation map, and, in `autsearch`, its stabilizer chain record and a
-listed automorphism group.  All of them are read-only, so no caller can
-change a cached answer.
+negation map, and, in `autsearch`, its stabilizer chain record.  All of
+them are read-only, so no caller can change a cached answer.  A ring
+keeps no listing of its automorphism group: `autsearch.automorphisms`
+traces one on each call and hands it, in int64, to the `AutGroup` it
+returns.
 """
 
 from __future__ import annotations
@@ -853,34 +856,24 @@ def element_fingerprint(ring: FiniteRing, x: int) -> tuple[int, ...]:
 @dataclass(frozen=True)
 class _ClosureLevel:
     """One level S_i = <S_{i-1}, gen> of the plan: a stretch of the additive
-    coset tree of `_build_plan`, which is both the search recipe and the
-    certificate.
+    coset tree of `_build_plan`, the search recipe, with the checks that
+    make it the certificate of S_i.
 
-    Each of the `steps` is (op, c, a, b), op "add" or "mul" and c, a, b
-    int64 index arrays: it derives the elements c = a op b, new at this
-    level, from known ones, a or b of length 1 standing for every entry of
-    the other.  Every element of S_i outside S_{i-1} but `gen` is derived by
-    exactly one step.  `elements` is S_i, ascending.
+    `steps` and `checks` are equations (op, c, a, b), op "add" or "mul" and
+    c, a, b int64 index arrays, each entry saying c = a op b, a or b of
+    length 1 standing for every entry of the other.  The steps derive the
+    elements of S_i outside S_{i-1} but `gen`, each exactly once, from known
+    ones.  The two checks are the equations the steps do not make true for
+    a map: the "add" one holds the wrap edges of the additive generators
+    appended at this level, the "mul" one the products x*gen of every
+    additive generator x of S_i, none on level 0 (`autsearch._certify`
+    says why these suffice).  `elements` is S_i, ascending.
     """
 
     gen: int | None
     steps: tuple
+    checks: tuple
     elements: np.ndarray
-
-
-@dataclass(frozen=True)
-class _Certificate:
-    """The checks of `autsearch._certify` that the recipe does not make
-    true by construction, as (3, m) index arrays of (c, a, b).
-
-    `wraps` holds c = a + b for one wrap edge per additive generator y of
-    the coset tree: m*y = (m-1)*y + y, m the least m > 0 with m*y in the
-    span of the generators before y.  `products` holds c = a * b for every
-    additive generator a and every ring generator b.
-    """
-
-    wraps: np.ndarray
-    products: np.ndarray
 
 
 def _working_ring(ring: FiniteRing) -> FiniteRing:
@@ -901,9 +894,9 @@ def _working_ring(ring: FiniteRing) -> FiniteRing:
     return work
 
 
-def _build_plan(ring: FiniteRing) -> tuple[tuple[_ClosureLevel, ...], _Certificate]:
-    """The plan of the ring and its `_Certificate`, in one pass over one
-    additive coset tree.
+def _build_plan(ring: FiniteRing) -> tuple[_ClosureLevel, ...]:
+    """The plan of the ring: its levels, each with its steps and checks, in
+    one pass over one additive coset tree.
 
     The tree grows a list of additive generators, 1 first; each new one y
     extends the span V to V + {0, y, .., (m-1)*y}, m the least m > 0 with
@@ -918,9 +911,13 @@ def _build_plan(ring: FiniteRing) -> tuple[tuple[_ClosureLevel, ...], _Certifica
     g_i, since each of its generators x has x*g_i in it; it contains
     S_{i-1} and g_i and lies in S_i, so it is the subring S_i.  Replaying
     the steps of levels 1..i on images of the prime subring and of the
-    generators gives the image of every element of S_i.  Nothing caches
-    either: each operation that reads them builds them and drops them when
-    it returns.
+    generators gives the image of every element of S_i.
+
+    Each level's checks hold the wrap edge m*y = (m-1)*y + y of every
+    additive generator y it appended (level 0: that of 1), and the
+    products x*g_i of every additive generator x of S_i with g_i.  Nothing
+    caches the plan: each operation that reads it builds it and drops it
+    when it returns.
     """
     add, mul = ring.add_table, ring.mul_table
     prime = np.array(ring.prime_subring, dtype=np.int64)
@@ -944,23 +941,30 @@ def _build_plan(ring: FiniteRing) -> tuple[tuple[_ClosureLevel, ...], _Certifica
         steps += [("add", row[z], old[z], mults[c : c + 1]) for c, row in enumerate(cosets, 1)]
         return steps
 
+    def level(gen, steps, start: int) -> _ClosureLevel:
+        """The span as a level, checking the wrap edges of the additive
+        generators from basis[start] on and the products of all of them
+        with gen; level 0 has no gen and no products."""
+        a = np.array(basis if gen is not None else [], dtype=np.int64)
+        b = np.array([gen or 0], dtype=np.int64)  # length 1: gen is every second factor
+        wrap = np.array(wraps[start:], dtype=np.int64).reshape(-1, 3).T
+        checks = (("add", *wrap), ("mul", mul[a, b].astype(np.int64), a, b))
+        return _ClosureLevel(gen, tuple(steps), checks, np.flatnonzero(span))
+
     if ring.order > 1:
         extend(ring.one)  # the prime subring, set by every row, so no steps
-    levels = [_ClosureLevel(None, (), np.flatnonzero(span))]
+    levels = [level(None, (), 0)]
     while not span.all():
         gen = int(span.argmin())
-        steps = []
+        start, steps = len(basis), []
         for x in basis:  # a list iterator also reaches the items appended to it
             y = int(mul[x, gen])
             if not span[y]:
                 if y != gen:
                     steps.append(("mul", np.array([y]), np.array([x]), np.array([gen])))
                 steps += extend(y)
-        levels.append(_ClosureLevel(gen, tuple(steps), np.flatnonzero(span)))
-    a = np.array(basis, dtype=np.int64)[:, None]
-    b = np.array([level.gen for level in levels[1:]], dtype=np.int64)
-    products = np.stack(np.broadcast_arrays(mul[a, b], a, b)).reshape(3, -1).astype(np.int64)
-    return tuple(levels), _Certificate(np.array(wraps, dtype=np.int64).reshape(-1, 3).T, products)
+        levels.append(level(gen, steps, start))
+    return tuple(levels)
 
 
 def generating_set(ring: FiniteRing) -> tuple[int, ...]:
@@ -969,7 +973,7 @@ def generating_set(ring: FiniteRing) -> tuple[int, ...]:
     Each generator is the lowest-index element outside the subring so far;
     the empty tuple means the ring equals its prime subring.
     """
-    return tuple(level.gen for level in _build_plan(ring)[0][1:])
+    return tuple(level.gen for level in _build_plan(ring)[1:])
 
 
 def decompose_local(ring: FiniteRing):

@@ -187,19 +187,24 @@ def reference_orbits(n, images):
     return tuple(tuple(blocks[r]) for r in sorted(blocks))
 
 
-def table_homomorphism(source, target, images):
+def table_homomorphism(source, target, images, elements=None):
     """Full O(n^2) check of each image row: f(1) = 1 and f(a op b) = f(a) op f(b)
-    for every pair (a, b) and both operations.  Returns one bool per row."""
+    for every pair (a, b) and both operations.  Returns one bool per row.
+
+    `elements`, the indices of a subring of the source, restricts the pairs
+    to it, so only the images of its elements are read."""
     imgs = np.atleast_2d(np.asarray(images, dtype=np.int64))
-    n = source.order
+    sub = np.arange(source.order) if elements is None else np.asarray(elements)
+    n = len(sub)
     ok = imgs[:, source.one] == target.one
     step = max(1, 2_000_000 // max(n * n, 1))
     for lo in range(0, len(imgs), step):
         hi = min(len(imgs), lo + step)
         chunk = imgs[lo:hi]
         for s_tab, t_tab in ((source.add_table, target.add_table), (source.mul_table, target.mul_table)):
-            lhs = chunk[:, s_tab]
-            rhs = np.asarray(t_tab, dtype=np.int64)[chunk[:, :, None], chunk[:, None, :]]
+            lhs = chunk[:, np.asarray(s_tab)[np.ix_(sub, sub)]]
+            part = chunk[:, sub]
+            rhs = np.asarray(t_tab, dtype=np.int64)[part[:, :, None], part[:, None, :]]
             ok[lo:hi] &= (lhs == rhs).all(axis=(1, 2))
     return ok
 

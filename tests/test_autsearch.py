@@ -23,7 +23,6 @@ from ringgraph import autsearch, classify, rings
 from ringgraph.autsearch import (
     _blocks,
     _certify,
-    _certify_replayed,
     _orbit_labels,
     _stabilizer_chain,
     _stabilizer_chains,
@@ -40,9 +39,9 @@ def _count_plans(monkeypatch):
 
 
 def _holds_plan(value):
-    """Whether a closure plan level or certificate is in `value`, searched
-    through containers and records."""
-    if isinstance(value, (rings._ClosureLevel, rings._Certificate)):
+    """Whether a closure plan level is in `value`, searched through
+    containers and records."""
+    if isinstance(value, rings._ClosureLevel):
         return True
     if isinstance(value, dict):
         return any(_holds_plan(v) for v in value.values())
@@ -601,6 +600,14 @@ def test_deep_square_zero_chain_is_gl_8_2():
     assert rg.aut_group_order(ring) == math.prod(2**8 - 2**i for i in range(8))
 
 
+def test_square_zero_over_gf8_answers_under_the_default_budget():
+    # a level-1 image of x must be a root of x's minimal polynomial; the
+    # other three elements of its fingerprint class fail level 1's checks
+    ring = fresh_copy(rg.make_ring(rg.SquareZero(rg.gf(8), 3)))
+    # |GL(3,8)| times the Frobenius of GF(8)
+    assert rg.aut_group_order(ring) == math.prod(8**3 - 8**i for i in range(3)) * 3 == 346139136
+
+
 def test_strong_generators_generate_the_group(entries32):
     for entry in entries32:
         ring = entry.ring
@@ -610,7 +617,7 @@ def test_strong_generators_generate_the_group(entries32):
 
 def _traced_levels(ring):
     """Per chain level: the transversal traced over the strong generators fixing S_{i-1}."""
-    plan, strong = rings._build_plan(ring)[0], _stabilizer_chain(ring).strong
+    plan, strong = rings._build_plan(ring), _stabilizer_chain(ring).strong
     levels = []
     for i in range(1, len(plan)):
         fixed = plan[i - 1].elements
@@ -652,7 +659,7 @@ def test_chain_levels_are_transversals(catalog64):
     # the groups too large to list: |Aut SZ(Z2,m)| = |GL(m,2)|
     unlisted = {id(sz25): gl_order(5, 2), id(sz26): gl_order(6, 2)}
     for ring in [entry.ring for entry in catalog64.entries] + extra:
-        plan = rings._build_plan(ring)[0]
+        plan = rings._build_plan(ring)
         chain = _stabilizer_chain(ring).orbits
         assert len(chain) == len(plan) - 1
         images = _listed_images(ring)
@@ -732,15 +739,15 @@ def test_certificate_agrees_with_full_table_check():
         rows = np.stack(maps + perturbed)
         expected = table_homomorphism(ring, ring, rows)
         assert expected[: len(maps)].all(), str(entry.expr)
-        assert np.array_equal(_certify_replayed(ring, ring, rows), expected), str(entry.expr)
-        assert np.array_equal(_certify_replayed(ring, ring, rows, injective=False), expected)
+        assert np.array_equal(_certify(ring, ring, rows), expected), str(entry.expr)
+        assert np.array_equal(_certify(ring, ring, rows, injective=False), expected)
         assert rg.RingMorphism(ring, ring, rows[-1]).is_homomorphism == expected[-1]
 
 
 def test_order_one_ring_certifies():
     ring = fresh_copy(rg.make_ring(rg.Zn(1)))
     assert rg.identity_automorphism(ring).is_homomorphism
-    assert _certify(ring, ring, np.zeros((2, 1), dtype=np.int64), rings._build_plan(ring)[1]).all()
+    assert _certify(ring, ring, np.zeros((2, 1), dtype=np.int64)).all()
     assert rg.aut_group_order(ring) == 1
     assert rg.aut_orbits(ring) == ((0,),)
     assert rg.automorphisms(ring).order == 1
@@ -751,10 +758,11 @@ def _recipe_rows(ring, rng, count=48):
     the identity and of the strong generators, then `count` random ones.
 
     Each row maps c*1 -> c*1 and its generators to their images; every
-    other image follows the plan's steps.  Returns the rows and, per row,
-    the failing wrap triples and product triples of the certificate.
+    other image follows the plan's steps.  Returns the plan, the rows and,
+    per level, the failing entries of its "add" check (wrap edges) and of
+    its "mul" check (products), one row of flags per row.
     """
-    plan, cert = rings._build_plan(ring)
+    plan = rings._build_plan(ring)
     gens = [level.gen for level in plan[1:]]
     n = ring.order
     real = np.stack([np.arange(n), *_stabilizer_chain(ring).strong])[:, gens]
@@ -767,33 +775,63 @@ def _recipe_rows(ring, rng, count=48):
             rows[:, c] = tables[op][rows[:, a], rows[:, b]]
     assert (rows >= 0).all()  # the plan derives every element
     fails = [
-        rows[:, c] != table[rows[:, a], rows[:, b]]
-        for (c, a, b), table in ((cert.wraps, ring.add_table), (cert.products, ring.mul_table))
+        [rows[:, c] != tables[op][rows[:, a], rows[:, b]] for op, c, a, b in level.checks]
+        for level in plan
     ]
-    return rows, cert, fails
+    assert all([op for op, *_ in level.checks] == ["add", "mul"] for level in plan)
+    return plan, rows, fails
 
 
 def test_certificate_rejects_a_single_broken_wrap_edge_or_product(catalog64):
-    # recipe rows satisfy every tree sum, so they can break only wrap edges
-    # and products; each failing triple is a sum or product f does not
-    # preserve, so the rows are not homomorphisms, and the rows that pass
-    # must be
+    # recipe rows satisfy every tree sum, so they can break only the levels'
+    # checks, wrap edges and products; each failing entry is a sum or
+    # product f does not preserve, so the rows are not homomorphisms, and
+    # the rows that pass must be
     rng = np.random.default_rng(23)
     single_wrap = single_product = 0
     for entry in catalog64.entries:
         ring = rings._working_ring(entry.ring)
-        rows, cert, (wrap_fails, product_fails) = _recipe_rows(ring, rng)
+        plan, rows, fails = _recipe_rows(ring, rng)
         expected = table_homomorphism(ring, ring, rows)
         assert expected[: 1 + len(_stabilizer_chain(entry.ring).strong)].all(), str(entry.expr)
-        loose = _certify(ring, ring, rows, cert, injective=False)
+        loose = _certify(ring, ring, rows, plan, injective=False)
         assert np.array_equal(loose, expected), str(entry.expr)
         injective = (rows == ring.zero).sum(axis=1) == 1
-        both = _certify(ring, ring, rows, cert)
+        both = _certify(ring, ring, rows, plan)
         assert np.array_equal(both, expected & injective), str(entry.expr)
-        n_wrap, n_product = wrap_fails.sum(axis=1), product_fails.sum(axis=1)
+        n_wrap, n_product = (sum(f[k].sum(axis=1) for f in fails) for k in (0, 1))
         single_wrap += int(((n_wrap == 1) & (n_product == 0)).sum())
         single_product += int(((n_wrap == 0) & (n_product == 1)).sum())
     assert single_wrap > 0 and single_product > 0
+
+
+def test_each_level_checks_the_homomorphisms_on_its_subring(catalog64):
+    # a recipe row holds the checks of levels 0..i exactly when the full
+    # table check restricted to S_i passes, and the search's own rows on
+    # S_i pass it and are injective there
+    rng = np.random.default_rng(29)
+    partial = 0  # rows that hold some level below the last and fail a later one
+    for entry in catalog64.entries:
+        ring = rings._working_ring(entry.ring)
+        plan, rows, _ = _recipe_rows(ring, rng)
+        tables = {"add": ring.add_table, "mul": ring.mul_table}
+        engine = autsearch._Engine(ring, ring)
+        complete = table_homomorphism(ring, ring, rows)
+        held = np.ones(len(rows), dtype=bool)
+        for i, level in enumerate(plan):
+            held &= autsearch._holds(tables, rows, level.checks)
+            expected = table_homomorphism(ring, ring, rows, level.elements)
+            assert np.array_equal(held, expected), (str(entry.expr), i)
+            partial += int((held & ~complete).sum())
+            if i:
+                start = np.full(ring.order, -1, dtype=np.int64)
+                start[plan[i - 1].elements] = plan[i - 1].elements
+                found = engine.expand(start, i)
+                assert table_homomorphism(ring, ring, found, level.elements).all(), (str(entry.expr), i)
+                for row in found:
+                    assert len(np.unique(row[level.elements])) == len(level.elements)
+        assert held[: 1 + len(_stabilizer_chain(entry.ring).strong)].all(), str(entry.expr)
+    assert partial > 0
 
 
 def test_isomorphism_onto_relabelled_copy_is_a_table_homomorphism(catalog64):
