@@ -39,8 +39,10 @@ writes its finished records to a second pipe once the queue is empty.
 
 from __future__ import annotations
 
+import functools
 import gc
 import math
+import operator
 import os
 import pickle
 import sys
@@ -163,9 +165,9 @@ def _certify(source: FiniteRing, target: FiniteRing, rows, plan=None, injective=
     recipe row of its own images of the generators, and what is left to
     show is that the checks make a recipe row a homomorphism.  A
     homomorphism holds every step and check, as each is a sum or product.
-    The steps and checks are tested on a copy of the rows in the target's
-    table dtype, which holds target elements, so each gather takes a
-    quarter of the memory of int64 or less.  `plan` is
+    The steps and checks are tested on the rows in the target's table
+    dtype (a copy unless they are in it), which holds target elements, so
+    each gather takes a quarter of the memory of int64 or less.  `plan` is
     `rings._build_plan(source)` when the caller has it.
 
     Soundness, level by level.  Let f be a recipe row on S_i that holds
@@ -210,7 +212,7 @@ def _certify(source: FiniteRing, target: FiniteRing, rows, plan=None, injective=
     has no equations, and its one row passes on f(0) = 0 = f(1) alone.
     """
     plan = rings._build_plan(source) if plan is None else plan
-    rows = np.atleast_2d(rows).astype(rings._table_dtype(target.order))
+    rows = np.atleast_2d(rows).astype(rings._table_dtype(target.order), copy=False)
     prime, image = (np.array(r.prime_subring) for r in (source, target))
     ok = (rows[:, prime] == image[np.arange(len(prime)) % len(image)]).all(axis=1)
     if injective:
@@ -319,20 +321,30 @@ def _check_budget(nodes: int, budget) -> None:
 
 
 class AutGroup:
-    """Composition-closed set of automorphisms of one ring.
+    """Composition-closed set of automorphisms of one ring, held as one
+    read-only array, `_images`, a row per element in the ring's table dtype.
 
-    Element 0 is the identity; elements are sorted lexicographically by
-    image tuple, so group listings are reproducible.  `images` must be
-    integer rows on the carrier, hold the identity and no row twice, and
-    every row must pass one `_certify` call, or ValueError is raised: a
-    self-map that passes is injective, so it is an automorphism.  A group
-    of the identity alone needs no plan; `_plan`, the plan a caller built
-    with `rings._build_plan(ring)`, spares building a second.  The set is
-    not checked for closure: a composition or inverse outside it raises
-    NotAutomorphism when met.
-    Queries name an element by its index or as a morphism: an index
-    outside 0..order-1 raises IndexError, and a morphism that is not an
-    element, a map of another ring included, raises NotAutomorphism.
+    Element 0 is the identity; rows are sorted lexicographically, so group
+    listings are reproducible.  `images` must be integer rows on the
+    carrier, hold the identity and no row twice, and every row must pass
+    one `_certify` call, or ValueError is raised: a self-map that passes
+    is injective, so it is an automorphism.  A group of the identity alone
+    needs no plan; `_plan`, the plan a caller built with
+    `rings._build_plan(ring)`, spares building a second.  The set is not
+    checked for closure: a composition or inverse outside it raises
+    NotAutomorphism when met.  Queries name an element by an integer index
+    (`operator.index`; IndexError outside 0..order-1) or as a morphism
+    (NotAutomorphism unless an element).  `elements`, one `RingMorphism`
+    per row, is built on first read.
+
+    `_index` maps a row's images of the plan's generators, `_gens`, to its
+    row number; `_keys` holds them row by row in intp, which numpy gathers
+    by without a cast.  Each row passes `_certify`, so it is the recipe row
+    of its generator images: equal keys mean equal rows, and a duplicate
+    shows as a short dict.  A composite of two rows is an automorphism
+    too, so `compose_indices` looks it up by its key alone; `_row` confirms
+    any other hit with one full-row comparison, so a map that agrees with
+    an element on the generators only is refused.
 
     `generators`, image arrays of elements that generate the group, let
     `is_abelian` and `orbits` read those elements only; a generator that
@@ -342,63 +354,76 @@ class AutGroup:
 
     def __init__(self, ring: FiniteRing, images: np.ndarray, generators=None, *, _plan=None):
         images = _carrier_array(images, ring.order, "group images")
-        order = np.lexsort(images.T[::-1])
-        images = np.ascontiguousarray(images[order], dtype=np.int64)  # keys are int64 bytes
-        images.setflags(write=False)
+        images = _frozen(images[np.lexsort(images.T[::-1])], ring.order)
         # the identity is the least permutation, so it sorts first
         if not len(images) or not np.array_equal(images[0], np.arange(ring.order)):
             raise ValueError("group images must include the identity")
+        plan = ()
         if len(images) > 1:
-            if not _certify(ring, ring, images, _plan).all():
+            plan = rings._build_plan(ring) if _plan is None else _plan
+            if not _certify(ring, ring, images, plan).all():
                 raise ValueError("group images must be automorphisms of the ring")
-        self._index = {images[i].tobytes(): i for i in range(len(images))}
+        self._gens = np.array([lv.gen for lv in plan[1:]], dtype=np.intp)
+        self._keys = images[:, self._gens].astype(np.intp)
+        self._index = dict(zip(map(tuple, self._keys.tolist()), range(len(images))))
         if len(self._index) != len(images):
             raise ValueError("duplicate group elements")
         self.ring = ring
         self._images = images
-        self.elements = tuple(RingMorphism(ring, ring, images[i]) for i in range(len(images)))
         self._gen_rows = range(len(images))
         if generators is not None:
-            rows = [_carrier_array(g, ring.order, "a generator") for g in generators]
-            keys = {row.astype(np.int64).tobytes() for row in rows}
-            if not keys <= self._index.keys():
-                raise ValueError("a generator is not an element of the group")
-            self._gen_rows = sorted(self._index[k] for k in keys)
+            rows = [_carrier_array(g, ring.order, "a generator").astype(images.dtype) for g in generators]
+            try:
+                self._gen_rows = sorted({self._row(r.reshape(ring.order), "") for r in rows})
+            except (NotAutomorphism, ValueError):  # ValueError: a row of another size
+                raise ValueError("a generator is not an element of the group") from None
+
+    @functools.cached_property
+    def elements(self) -> tuple[RingMorphism, ...]:
+        return tuple(RingMorphism(self.ring, self.ring, row) for row in self._images)
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return len(self._images)
 
     def __len__(self):
-        return len(self.elements)
+        return len(self._images)
 
     def __iter__(self):
         return iter(self.elements)
 
     def _row(self, image: np.ndarray, what: str) -> int:
-        row = self._index.get(image.tobytes())
-        if row is None:
+        """The index of the element whose image array, in the table dtype,
+        is `image`."""
+        row = self._index.get(tuple(image[self._gens].tolist()))
+        if row is None or self._images[row].tobytes() != image.tobytes():
             raise NotAutomorphism(f"{what} is not an element of this group")
         return row
 
-    def _element(self, i: int) -> np.ndarray:
-        """The image array of elements[i]; i must lie in 0..order-1."""
+    def _checked(self, i) -> int:
+        """i as an element index: an integer in 0..order-1."""
+        i = operator.index(i)
         if not 0 <= i < len(self._images):
             raise IndexError(f"element index {i} outside 0..{len(self._images) - 1}")
-        return self._images[i]
+        return i
 
     def index_of(self, morphism: RingMorphism) -> int:
         if morphism.source is not self.ring or morphism.target is not self.ring:
             raise NotAutomorphism("morphism is not a self-map of this group's ring")
-        return self._row(morphism.image, "morphism")
+        return self._row(morphism.image.astype(self._images.dtype), "morphism")
 
     def compose_indices(self, i: int, j: int) -> int:
-        """Index of elements[i] after elements[j] (j applied first)."""
-        composed = self._element(i)[self._element(j)]
-        return self._row(composed, f"elements[{i}] after elements[{j}]")
+        """Index of elements[i] after elements[j] (j applied first): the
+        row keyed by elements[i] read at the generator images of elements[j]."""
+        i, j = self._checked(i), self._checked(j)
+        row = self._index.get(tuple(self._images[i][self._keys[j]].tolist()))
+        if row is None:
+            raise NotAutomorphism(f"elements[{i}] after elements[{j}] is not an element of this group")
+        return row
 
     def inverse_index(self, i: int) -> int:
-        image = self._element(i)
+        i = self._checked(i)
+        image = self._images[i]
         inv = np.empty_like(image)
         inv[image] = np.arange(self.ring.order)
         return self._row(inv, f"the inverse of elements[{i}]")
@@ -420,7 +445,7 @@ class AutGroup:
         steps at which some point returns are the cycle lengths, and the
         loop runs as many times as the longest cycle is long.
         """
-        img = self._element(self.index_of(sigma) if isinstance(sigma, RingMorphism) else sigma)
+        img = self._images[self.index_of(sigma) if isinstance(sigma, RingMorphism) else self._checked(sigma)]
         point = np.arange(len(img))
         cur, step, lengths = img, 1, set()
         while len(point):
@@ -830,14 +855,15 @@ def automorphisms(ring: FiniteRing, budget=None) -> AutGroup:
 
     Each element is r_1 .. r_k, r_i from a transversal of G_i in G_{i-1}.
     The ring keeps its stabilizer chain and not the listing, an
-    |Aut R|-by-|R| array that each call traces afresh and hands to the
-    group it returns, whose constructor certifies every element.
+    |Aut R|-by-|R| array in the table dtype of its identity row, which the
+    gathers keep, that each call traces afresh and hands to the group it
+    returns, whose constructor certifies every element.
     """
     chain = _stabilizer_chain(ring, budget)
     # the listing writes |R| element images per automorphism
     _check_budget(math.prod(len(orbit) for orbit in chain.orbits) * ring.order, budget)
     plan = rings._build_plan(ring)
-    images = np.arange(ring.order, dtype=np.int64)[None, :]
+    images = np.arange(ring.order, dtype=rings._table_dtype(ring.order))[None, :]
     for i, orbit in enumerate(chain.orbits, start=1):
         fixed = plan[i - 1].elements
         gens = [g for g in chain.strong if np.array_equal(g[fixed], fixed)]
@@ -920,27 +946,28 @@ def inverse(f: RingMorphism) -> RingMorphism:
 def subgroup_closure(ring: FiniteRing, gens) -> AutGroup:
     """Smallest automorphism group of `ring` containing the given maps, checked
     with one plan: a self-map that `_certify` passes is injective.
+
     The generators are checked before the closure, which they bound, and the
-    group is handed the same plan."""
+    group is handed the same plan.  The closure walks one growing list of
+    rows, each a product of certified automorphisms, so the recipe row of
+    its generator images, which key the rows seen, as in `AutGroup`.
+    """
     gens = list(gens)
     gen_arrays = [g.image for g in gens]
-    plan = rings._build_plan(ring) if gens else None
+    plan = rings._build_plan(ring) if gens else ()
     if gens and not (
         all(g.source is ring and g.target is ring for g in gens)
         and _certify(ring, ring, np.stack(gen_arrays), plan).all()
     ):
         raise NotAutomorphism("subgroup_closure generators must be automorphisms of the ring")
-    ident = np.arange(ring.order, dtype=np.int64)
-    seen = {ident.tobytes(): ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for g in gen_arrays:
-                c = a[g]
-                key = c.tobytes()
-                if key not in seen:
-                    seen[key] = c
-                    nxt.append(c)
-        frontier = nxt
-    return AutGroup(ring, np.stack(list(seen.values())), gen_arrays, _plan=plan)
+    at = np.array([lv.gen for lv in plan[1:]], dtype=np.intp)
+    elements = [np.arange(ring.order, dtype=rings._table_dtype(ring.order))]
+    seen = {tuple(elements[0][at].tolist())}
+    for a in elements:  # a list iterator also reaches the items appended to it
+        for g in gen_arrays:
+            c = a[g]
+            key = tuple(c[at].tolist())
+            if key not in seen:
+                seen.add(key)
+                elements.append(c)
+    return AutGroup(ring, np.stack(elements), gen_arrays, _plan=plan or None)

@@ -157,6 +157,7 @@ from .rings import (
     FiniteRing,
     _fingerprint_keys,
     _local_factors,
+    _powers,
     _unit_indices,
     euler_phi,
     generating_set,
@@ -847,7 +848,7 @@ def verify_involution_and_order_bounds(catalog: Catalog, budget=None) -> Verific
                 continue
         if bound % _order_exponent(ring, graph):
             group = automorphisms(ring, budget=budget)
-            worst = max(group.element_order(s) for s in group)
+            worst = max(group.element_order(i) for i in range(len(group)))
             if worst > bound:
                 cex.append(
                     (entry.expr, f"element order {worst} exceeds bound {bound}")
@@ -880,25 +881,17 @@ def verify_field_extension_connectivity(budget=None) -> VerificationReport:
             checked += 1
             expr = gf(q**t)
             k_field = make_ring(expr)
-            subfield = frozenset(
-                x for x in range(k_field.order) if k_field.pow(x, q) == x
-            )
-            group = automorphisms(k_field, budget=budget)
-            fixing = [s for s in group if all(s(e) == e for e in subfield)]
-            subgroup = AutGroup(k_field, np.stack([s.image for s in fixing]))
-            graph = build_graph(k_field, subgroup)
-            outside = set(range(k_field.order)) - subfield
-            connected = graph.subset_connected(outside)
+            carrier = np.arange(k_field.order)
+            # masks of the carrier: E is where x^q = x
+            subfield = _powers(k_field.mul_table, k_field.one, carrier, q) == carrier
+            images = automorphisms(k_field, budget=budget)._images
+            subgroup = AutGroup(k_field, images[(images[:, subfield] == carrier[subfield]).all(axis=1)])
+            connected = build_graph(k_field, subgroup).subset_connected(carrier[~subfield])
             if connected != ((q, t) == (2, 2)):
                 cex.append(
                     (expr, f"K-E connected={connected} for (q,t)=({q},{t})")
                 )
-            fixed = {
-                x
-                for x in range(k_field.order)
-                if all(s(x) == x for s in subgroup)
-            }
-            if fixed != set(subfield):
+            if not np.array_equal((subgroup._images == carrier).all(axis=0), subfield):
                 cex.append((expr, "fixed field of the E-fixing subgroup is not E"))
     return _report(
         "field-ext",

@@ -24,7 +24,7 @@ import json
 import os
 import re
 import sys
-from itertools import combinations
+from itertools import combinations, islice
 
 from . import classify
 from .autsearch import (
@@ -348,20 +348,24 @@ def _dot_quote(label: str) -> str:
     return '"' + label.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def emit_dot(graph, collapse: bool = False) -> bytes:
-    """DOT rendering: one node per element with orbit edges, or one node per orbit."""
-    lines = ["graph orbits {"]
+def _dot_lines(graph, collapse: bool = False):
+    """The lines of `emit_dot`, each with its newline, as they are made."""
+    yield "graph orbits {\n"
     if collapse:
         for i, size in enumerate(graph.sizes.tolist()):
-            lines.append(f"  b{i} [label={_dot_quote(f'size={size}')}];")
+            yield f"  b{i} [label={_dot_quote(f'size={size}')}];\n"
     else:
         names = graph.ring.element_names
         for x in range(graph.ring.order):
-            lines.append(f"  e{x} [label={_dot_quote(names[x])}];")
+            yield f"  e{x} [label={_dot_quote(names[x])}];\n"
         for block in graph.blocks:
-            lines.extend(f"  e{a} -- e{b};" for a, b in combinations(block, 2))
-    lines.append("}")
-    return ("\n".join(lines) + "\n").encode()
+            yield from (f"  e{a} -- e{b};\n" for a, b in combinations(block, 2))
+    yield "}\n"
+
+
+def emit_dot(graph, collapse: bool = False) -> bytes:
+    """DOT rendering: one node per element with orbit edges, or one node per orbit."""
+    return "".join(_dot_lines(graph, collapse)).encode()
 
 
 # ---------------------------------------------------------------------------
@@ -441,7 +445,10 @@ def _cmd_graph(args, out):
     if args.format == "json":
         out.write(emit_json(ring_summary(expr, ring, budget=budget)).decode())
     else:
-        out.write(emit_dot(aut_orbit_graph(ring, budget=budget), collapse=args.collapse).decode())
+        # written in chunks of lines as they are made, never held whole
+        lines = _dot_lines(aut_orbit_graph(ring, budget=budget), args.collapse)
+        for chunk in iter(lambda: "".join(islice(lines, 4096)), ""):
+            out.write(chunk)
     return 0
 
 

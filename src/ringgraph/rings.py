@@ -40,8 +40,8 @@ The same rule holds for every array of elements a ring caches, through
 negation map, and, in `autsearch`, its stabilizer chain record.  All of
 them are read-only, so no caller can change a cached answer.  A ring
 keeps no listing of its automorphism group: `autsearch.automorphisms`
-traces one on each call and hands it, in int64, to the `AutGroup` it
-returns.
+traces one on each call, in the table dtype too, and hands it to the
+`AutGroup` it returns, which holds it read-only.
 """
 
 from __future__ import annotations

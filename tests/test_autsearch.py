@@ -5,6 +5,7 @@ import math
 import os
 import pickle
 import signal
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -290,6 +291,88 @@ def test_group_refuses_maps_of_another_ring_and_indices_outside_it():
                 query()
     assert group.element_order(1) == 2 and group.inverse_index(1) == 1
     assert group.compose_indices(1, 1) == 0
+
+
+@pytest.mark.parametrize("index, expected", [(True, 1), (False, 0), (np.int64(1), 1), (np.uint8(0), 0)])
+def test_group_queries_take_an_index_as_a_list_does(index, expected):
+    group = rg.automorphisms(rg.make_ring(rg.gf(4)))
+    assert group.compose_indices(index, 0) == group.compose_indices(0, index) == expected
+    assert group.inverse_index(index) == expected
+    assert group.element_order(index) == expected + 1
+
+
+@pytest.mark.parametrize(
+    "index",
+    [1.0, np.float64(1), np.array([1, 2]), np.array([1]), "1", None],
+    ids=["float", "numpy-float", "array", "one-element-array", "str", "None"],
+)
+def test_group_queries_refuse_an_index_that_is_no_integer(index):
+    group = rg.automorphisms(rg.make_ring(rg.gf(4)))
+    queries = (
+        lambda: group.element_order(index),
+        lambda: group.inverse_index(index),
+        lambda: group.compose_indices(index, 0),
+        lambda: group.compose_indices(0, index),
+    )
+    for query in queries:
+        with pytest.raises(TypeError):
+            query()
+
+
+def _scan(rows, image):
+    """The indices of the rows equal to `image`, by comparing every row."""
+    return np.flatnonzero((rows == image).all(axis=1)).tolist()
+
+
+def test_group_lookups_agree_with_a_scan_of_the_rows(entries32):
+    rng = np.random.default_rng(11)
+    for entry in entries32:
+        ring = entry.ring
+        group = rg.automorphisms(ring)
+        rows = group._images.astype(np.int64)
+        n = len(rows)
+        # every pair in a small group, 300 random pairs in a large one
+        pairs = [(i, j) for i in range(n) for j in range(n)] if n <= 48 else rng.integers(0, n, (300, 2))
+        for i, j in pairs:
+            assert [group.compose_indices(i, j)] == _scan(rows, rows[i][rows[j]]), str(entry.expr)
+        for i in range(n) if n <= 168 else rng.integers(0, n, 300):
+            assert [group.index_of(rg.RingMorphism(ring, ring, rows[i]))] == _scan(rows, rows[i])
+            inverse = np.argsort(rows[i])
+            assert [group.inverse_index(i)] == _scan(rows, inverse), str(entry.expr)
+
+
+def test_group_refuses_a_map_that_agrees_with_an_element_on_the_generators_only():
+    ring = rg.make_ring(rg.SquareZero(rg.gf(4), 2))
+    group = rg.automorphisms(ring)
+    # every row is keyed by its images of the generators
+    assert group._gens.tolist() == list(rg.generating_set(ring))
+    row = group._images[1].astype(np.int64)
+    rest = np.setdiff1d(np.arange(ring.order), group._gens)
+    a, b = rest[-2:]
+    row[[a, b]] = row[[b, a]]  # a permutation still, and equal to elements[1] on the generators
+    assert np.array_equal(row[group._gens], group._images[1][group._gens])
+    with pytest.raises(rg.NotAutomorphism):
+        group.index_of(rg.RingMorphism(ring, ring, row))
+    with pytest.raises(ValueError, match="generator"):
+        rg.AutGroup(ring, group._images, [group._images[1], row])
+
+
+def test_a_listed_group_holds_its_rows_and_no_morphism(cold_ring_cache):
+    ring = rg.make_ring(rg.SquareZero(rg.Zn(2), 4))
+    rg.aut_group_order(ring)  # the chain is searched before the listing is traced
+    tracemalloc.start()
+    try:
+        group = rg.automorphisms(ring)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(group) == 20160
+    # the listing is 20160 rows of 32 int8 elements; the index is keyed by 4
+    # generator images a row
+    assert held < 5e6 and peak < 8e6, (held, peak)
+    # no RingMorphism is built before `elements` is read
+    assert "elements" not in vars(group)
+    assert group.elements[0] == rg.identity_automorphism(ring)
 
 
 def test_group_generators_are_the_rows_its_queries_read():
@@ -922,7 +1005,9 @@ def test_cached_arrays_are_in_the_table_dtype(catalog64):
     assert "aut_group" not in ring._derived
     again = rg.automorphisms(ring)
     assert again.order == 20160 and again.elements == group.elements
-    assert again._images.dtype == np.int64
+    # the listing too is one read-only array in the table dtype
+    assert again._images.dtype == rings._table_dtype(ring.order)
+    assert not again._images.flags.writeable
 
 
 def test_cached_answers_are_read_only(cold_ring_cache):

@@ -2,6 +2,8 @@ import gc
 import hashlib
 import math
 import os
+import subprocess
+import sys
 import weakref
 
 import numpy as np
@@ -680,3 +682,19 @@ def test_sweeps_and_summary_leave_products_without_tables(cold_ring_cache):
     ring = rg.make_ring(expr)
     assert cli.ring_summary(expr, ring)["aut_order"] == 4
     assert "add_table" not in ring.__dict__
+
+
+def test_catalog_and_sweeps_leave_numpy_ma_unimported():
+    # np.unique, and np.setdiff1d through it, import numpy.ma on first use,
+    # 12-18 ms, about a third of a catalog pass: the benchmarked paths use masks
+    src = os.path.dirname(os.path.dirname(rg.__file__))
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    code = """import sys, ringgraph as rg
+rg.build_catalog(16)
+assert "numpy.ma" not in sys.modules, "build_catalog"
+rg.verify_all(16)
+assert "numpy.ma" not in sys.modules, "verify_all"
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr

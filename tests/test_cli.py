@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+import types
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -227,6 +228,25 @@ def test_cmd_aut_listing(capsys):
 def test_cmd_graph_json(capsys):
     assert main(["graph", "GF(4)", "--format", "json"]) == 0
     assert json.loads(capsys.readouterr().out)["orbit_sizes"] == [1, 1, 2]
+
+
+@pytest.mark.parametrize(
+    "text, flags",
+    # Z2[x]/(x^9) has an orbit of 128 elements, so 8128 edges in one block
+    [("GF(4)", []), ("Z7[x]/(x^2)", ["--collapse"]), ("Z2[x]/(x^9)", [])],
+)
+def test_cmd_graph_writes_the_bytes_of_emit_dot(capsys, text, flags):
+    assert main(["graph", text, *flags]) == 0
+    graph = rg.aut_orbit_graph(rg.make_ring(parse_ring_expr(text)))
+    assert capsys.readouterr().out == emit_dot(graph, collapse=bool(flags)).decode()
+
+
+def test_cmd_graph_writes_its_dot_as_it_is_made(monkeypatch):
+    sizes = []
+    monkeypatch.setattr(sys, "stdout", types.SimpleNamespace(write=lambda text: sizes.append(len(text))))
+    assert main(["graph", "Z2[x]/(x^9)"]) == 0
+    # no one write holds the whole text
+    assert len(sizes) > 1 and max(sizes) < sum(sizes) // 2
 
 
 def test_cmd_parse_error_exit_2(capsys):
