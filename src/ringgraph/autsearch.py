@@ -32,9 +32,10 @@ search, read-only in its table dtype (`rings._frozen`); `automorphisms`
 lists the group from it on each call and keeps no listing.
 `_stabilizer_chains` fills the records of many rings at once, in one
 schedule on every host: the rings that are not products, then the
-caller's other work, then the products, largest first.  On a host with two CPUs it forks a child, and the two processes
-take the products from one queue, a pipe of product indices; the child
-writes its finished records to a second pipe once the queue is empty.
+caller's other work, then the products, largest first.  On a host with
+two CPUs it forks a child, and the two processes take the products from
+one queue, a pipe of product indices; the child writes its finished
+records to a second pipe once the queue is empty.
 """
 
 from __future__ import annotations

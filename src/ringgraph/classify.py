@@ -130,7 +130,7 @@ from functools import cached_property
 import numpy as np
 
 from .autsearch import (
-    AutGroup,
+    _orbit_labels,
     _stabilizer_chain,
     _stabilizer_chains,
     aut_group_order,
@@ -152,7 +152,7 @@ from .expr import (
     poly_is_primary,
     prime_power,
 )
-from .orbitgraph import _aut_subset_connected, aut_orbit_graph, build_graph
+from .orbitgraph import OrbitGraph, _aut_subset_connected, aut_orbit_graph
 from .rings import (
     FiniteRing,
     _fingerprint_keys,
@@ -160,7 +160,6 @@ from .rings import (
     _powers,
     _unit_indices,
     euler_phi,
-    generating_set,
     local_structure,
     make_ring,
     residue_degree,
@@ -787,14 +786,10 @@ def verify_type_formulas(budget=None) -> VerificationReport:
     return _report("type-formulas", "closed-form samples over constructor families", checked, cex)
 
 
-def _lcm_up_to(k: int) -> int:
-    return math.lcm(*range(1, k + 1)) if k >= 1 else 1
-
-
-def _order_exponent(ring: FiniteRing, graph) -> int:
-    """lcm(1..L), L the largest Aut R orbit of a generator in
-    `generating_set(ring)`, 1 when there is none; `graph` is the ring's
-    orbit graph.  The order of every automorphism divides it.
+def _order_exponent(ring: FiniteRing, graph, budget) -> int:
+    """lcm(1..L), L the largest Aut R orbit of a generator g_i of the ring's
+    stabilizer chain, 1 when there is none; `graph` is the ring's orbit
+    graph.  The order of every automorphism divides it.
 
     Proof.  An automorphism sigma fixes the prime subring, which with the
     generators generates the ring, so sigma^m = id exactly when sigma^m
@@ -802,11 +797,11 @@ def _order_exponent(ring: FiniteRing, graph) -> int:
     cycle of sigma through g divides m, for every g; the cycle lies in the
     orbit O(g) of g under Aut R, so its length is at most |O(g)| <= L.  So
     the order of sigma is the lcm of these lengths, which divides
-    lcm(1..L).
+    lcm(1..L).  The chain's basic orbit G_{i-1}·g_i holds g_i and lies in
+    O(g_i), so O(g_i) is the Aut R orbit of any point of it.
     """
-    gens = list(generating_set(ring))
-    longest = int(graph.sizes[graph.block_of[gens]].max()) if gens else 1
-    return _lcm_up_to(longest)
+    points = [orbit[0] for orbit in _stabilizer_chain(ring, budget).orbits]
+    return math.lcm(*range(1, int(graph.sizes[graph.block_of[points]].max(initial=1)) + 1))
 
 
 def _strong_generators_commute(ring: FiniteRing, budget) -> bool:
@@ -846,7 +841,7 @@ def verify_involution_and_order_bounds(catalog: Catalog, budget=None) -> Verific
             if order & (order - 1):
                 cex.append((entry.expr, f"ideal degrees <= 1 but |Aut| = {order} not a 2-power"))
                 continue
-        if bound % _order_exponent(ring, graph):
+        if bound % _order_exponent(ring, graph, budget):
             group = automorphisms(ring, budget=budget)
             worst = max(group.element_order(i) for i in range(len(group)))
             if worst > bound:
@@ -885,13 +880,15 @@ def verify_field_extension_connectivity(budget=None) -> VerificationReport:
             # masks of the carrier: E is where x^q = x
             subfield = _powers(k_field.mul_table, k_field.one, carrier, q) == carrier
             images = automorphisms(k_field, budget=budget)._images
-            subgroup = AutGroup(k_field, images[(images[:, subfield] == carrier[subfield]).all(axis=1)])
-            connected = build_graph(k_field, subgroup).subset_connected(carrier[~subfield])
+            # the E-fixing rows, each certified already in the listing's group
+            rows = images[(images[:, subfield] == carrier[subfield]).all(axis=1)]
+            graph = OrbitGraph(k_field, _orbit_labels(k_field.order, rows))
+            connected = graph.subset_connected(carrier[~subfield])
             if connected != ((q, t) == (2, 2)):
                 cex.append(
                     (expr, f"K-E connected={connected} for (q,t)=({q},{t})")
                 )
-            if not np.array_equal((subgroup._images == carrier).all(axis=0), subfield):
+            if not np.array_equal((rows == carrier).all(axis=0), subfield):
                 cex.append((expr, "fixed field of the E-fixing subgroup is not E"))
     return _report(
         "field-ext",

@@ -40,7 +40,7 @@ from .errors import (
     SearchBudgetExceeded,
     SemanticError,
 )
-from .expr import GF, Prod, PolyQuot, RingExpr, SquareZero, Zn, expr_order, gf, prime_power
+from .expr import GF, Prod, PolyQuot, RingExpr, SquareZero, Zn, expr_order, gf
 from .orbitgraph import aut_orbit_graph
 from .rings import DEFAULT_MAX_ORDER, FiniteRing, generating_set, local_structure, make_ring
 
@@ -270,8 +270,6 @@ class _Parser:
         # refused before q is tested or a modulus searched for
         if q > self.max_order:
             raise OrderLimitExceeded(f"field order {q} exceeds cap {self.max_order}")
-        if prime_power(q) is None:
-            raise SemanticError(f"{q} is not a prime power", column)
         return self._semantic(lambda: gf(q, modulus, self.max_order), column)
 
     def _parse_squarezero(self, column: int) -> RingExpr:

@@ -20,7 +20,7 @@ from _oracle import (
     table_homomorphism,
 )
 from conftest import forks_here
-from ringgraph import classify, cli, rings
+from ringgraph import autsearch, classify, cli, rings
 from ringgraph.expr import expr_order, is_prime, poly_is_irreducible, poly_is_primary, prime_power
 
 
@@ -481,9 +481,13 @@ def test_involution_closed_forms_agree_with_listings():
         except rg.SearchBudgetExceeded:
             continue
         listed += 1
-        exponent = classify._order_exponent(ring, rg.aut_orbit_graph(ring))
+        graph = rg.aut_orbit_graph(ring)
+        exponent = classify._order_exponent(ring, graph, None)
         orders = {group.element_order(s) for s in range(len(group))}
         assert all(exponent % k == 0 for k in orders), (str(entry.expr), exponent, orders)
+        # L read from the chain's basic orbits is that of the plan's generators
+        longest = max((graph.degree(g) + 1 for g in rg.generating_set(ring)), default=1)
+        assert exponent == math.lcm(*range(1, longest + 1)), str(entry.expr)
         if group.order <= 48:
             every = rg.AutGroup(ring, group._images)  # no generators: all pairs
             abelian.add(every.is_abelian())
@@ -500,6 +504,30 @@ def test_field_extension_examples(monkeypatch):
     assert not rg.aut_orbit_graph(f8).subset_connected(set(range(8)) - subfield)
     f4 = rg.make_ring(rg.gf(4))
     assert rg.aut_orbit_graph(f4).subset_connected({2, 3})
+
+
+def test_field_ext_orbits_are_those_of_a_group_of_the_fixing_rows(monkeypatch):
+    # the sweep labels the E-fixing rows of the listing it holds; the labels
+    # are those of a group built from the same rows, each field of the sweep
+    seen = []
+    graph = classify.OrbitGraph
+    monkeypatch.setattr(
+        classify, "OrbitGraph", lambda ring, labels: seen.append((ring, labels)) or graph(ring, labels)
+    )
+    assert rg.verify_field_extension_connectivity().passed
+    fields = [
+        (q, t)
+        for q in range(2, classify._EXT_Q + 1) if prime_power(q)
+        for t in range(2, classify._EXT_T + 1) if q**t <= classify._EXT_ORDER
+    ]
+    assert len(seen) == len(fields) == 8
+    for (q, t), (ring, labels) in zip(fields, seen):
+        assert ring.order == q**t
+        subfield = np.array([ring.pow(x, q) == x for x in range(ring.order)])
+        images = rg.automorphisms(ring)._images
+        rows = images[(images[:, subfield] == np.flatnonzero(subfield)).all(axis=1)]
+        oracle = rg.build_graph(ring, rg.AutGroup(ring, rows))
+        assert np.array_equal(graph(ring, labels).block_of, oracle.block_of), (q, t)
 
 
 def test_residue_remark_spot_cases():
@@ -611,6 +639,26 @@ def test_sweeps_make_no_isomorphism_search_but_the_sampled_pairs(monkeypatch):
     monkeypatch.setattr(classify, "build_catalog", lambda max_order, budget=None: catalog)
     assert all(r.passed for r in rg.verify_all(64))
     assert len(calls) == len(classify._LOCAL_PAIRS) == 12
+
+
+@pytest.mark.parametrize("chain_split", [False], ids=["serial"], indirect=True)
+def test_sweeps_build_no_plan_of_their_own(chain_split, monkeypatch):
+    # a plan is built only by a chain search's or an isomorphism's engine
+    # and by a group listing; the involution and field-ext sweeps read the
+    # chain record and the listing, and build none
+    plans, engines, listings = [], [], []
+    build, init, listing = rings._build_plan, autsearch._Engine.__init__, classify.automorphisms
+    monkeypatch.setattr(rings, "_build_plan", lambda ring: plans.append(ring) or build(ring))
+
+    def recording_init(self, *args, **kwargs):
+        engines.append(sys._getframe(1).f_code.co_name)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(autsearch._Engine, "__init__", recording_init)
+    monkeypatch.setattr(classify, "automorphisms", lambda *a, **k: listings.append(a) or listing(*a, **k))
+    assert all(r.passed for r in rg.verify_all(64))
+    assert set(engines) == {"_search_chain", "isomorphism"}
+    assert len(plans) == len(engines) + len(listings) == 312
 
 
 @pytest.mark.skipif(not forks_here, reason="the split forks on Linux only")

@@ -300,6 +300,17 @@ def test_huge_field_order_exits_3_quickly():
     assert time.perf_counter() - start < 10
 
 
+def test_field_order_beyond_the_exact_prime_test_exits_2(capsys):
+    # under a raised cap, a q whose primality is not decided exactly is a
+    # semantic error of the expression, not a traceback
+    text = "GF(1000000000000000000000000001)"
+    assert main(["--max-ring-order", str(10**30), "info", text]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    with pytest.raises(rg.SemanticError):
+        parse_ring_expr(text, max_order=10**30)
+
+
 @pytest.mark.parametrize("text", ["Z3[x]/(x^20000000)", "SZ(Z3,100000000)"])
 def test_huge_exponent_exits_3_quickly(text):
     # the order n**k is refused from k alone: no dense coefficient list and
